@@ -1,11 +1,20 @@
 """Command-line surface with bit-stable tabular output.
 
-Subcommands: quote, sweep-retention, sweep-il, simulate-drs, market-loop.
-Every output file embeds a schema version, the fully-resolved configuration,
-and the seed, so a run can be reproduced from its own output. Numbers are
-serialized with 17 significant digits, which round-trips IEEE doubles
-exactly; rerunning a command with the same config and seed yields
-byte-identical files.
+Subcommands and the flags each reads:
+
+- quote: --x, --y, --n, --buy-x or --sell-x, --in, --fee; prints to stdout.
+- sweep-retention, sweep-il: --config, --out, --format csv|json.
+- simulate-drs: --config, --seed, --out, --format csv|json.
+- market-loop: --config, --seed, --out, --format. It always writes JSON plus
+  an epochs CSV; --format is only echoed into the resolved config.
+
+A config file holds one JSON object. Unknown keys are rejected at every
+nesting level, integer fields take only integers and number fields only
+finite numbers. Every output file embeds a schema version, the
+fully-resolved configuration, and the seed, so a run can be reproduced from
+its own output. Numbers are serialized with 17 significant digits, which
+round-trips IEEE doubles exactly; rerunning a command with the same config
+and seed yields byte-identical files.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
 The POWERLAW_AMM_OUT_DIR environment variable overrides the default output
@@ -17,17 +26,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 
 import numpy as np
 
-from .fees import FeeSchedule, RegimeParams
+from . import sim
 from .pool import Pool, PoolError, slippage_first_order, swap_x_for_y, swap_y_for_x
 from .sim import (
     DrsSimConfig,
     MarketLoopConfig,
-    TradeStreamConfig,
     run_drs_simulation,
     run_market_loop,
     sweep_il,
@@ -44,7 +54,10 @@ class ConfigError(ValueError):
 
 
 def fmt(value) -> str:
-    """Serialize one cell: ints verbatim, floats with 17 significant digits."""
+    """Serialize one cell: strings and ints verbatim, floats with 17
+    significant digits."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         raise ConfigError(f"unexpected boolean cell {value!r}")
     if isinstance(value, (int, np.integer)):
@@ -52,7 +65,7 @@ def fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def load_config_file(path: str | None, allowed: set[str]) -> dict:
+def load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -62,10 +75,42 @@ def load_config_file(path: str | None, allowed: set[str]) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
+
+
+def _reject_unknown(data: dict, allowed, where: str = ""):
+    unknown = set(data) - set(allowed)
+    if unknown:
+        place = f" in {where}" if where else ""
+        raise ConfigError(f"unknown config keys{place}: {sorted(unknown)}")
+
+
+def build_config(cls, data, where: str = "", make=None):
+    """Build dataclass cls from a JSON object, raising ConfigError on bad input.
+
+    Unknown keys are rejected at every level. An int field takes only an
+    integer, a float field only a finite number, and a dataclass field a
+    JSON object built the same way. Field types are read from cls; make
+    (default cls) is what is called with the checked values.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
+    _reject_unknown(data, [f.name for f in dataclasses.fields(cls)], where)
+    types = typing.get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        kind, name = types[key], f"{where}.{key}" if where else key
+        if dataclasses.is_dataclass(kind):
+            value = build_config(kind, value, name)
+        elif kind is int and type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif kind is float and not (type(value) in (int, float) and abs(value) < math.inf):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        values[key] = value
+    try:
+        return (make or cls)(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where or 'config'}: {exc}") from exc
 
 
 def resolve_out(args, default_name: str) -> str:
@@ -92,6 +137,31 @@ def write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def write_table(path, output_format, command, config, columns, rows, summary=None):
+    """Write rows as a CSV or as one JSON object; return the paths written.
+
+    A summary goes into the JSON object, or beside a CSV as
+    <root>.summary.json.
+    """
+    if output_format == "json":
+        payload = {
+            "command": command,
+            "config": config,
+            "columns": columns,
+            "rows": [[row[c] for c in columns] for row in rows],
+        }
+        if summary is not None:
+            payload["summary"] = summary
+        write_json(path, payload)
+        return [path]
+    write_csv(path, command, config, columns, rows)
+    if summary is None:
+        return [path]
+    sidecar = os.path.splitext(path)[0] + ".summary.json"
+    write_json(sidecar, {"command": command, "config": config, "summary": summary})
+    return [path, sidecar]
 
 
 def _parse_cell(value: str):
@@ -148,10 +218,8 @@ def cmd_quote(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = {"m_min", "m_max", "m_points", "n_values", "seed", "out", "format"}
-
-
 def _sweep_grid(cfg: dict):
+    _reject_unknown(cfg, ("m_min", "m_max", "m_points", "n_values"))
     m_min = float(cfg.get("m_min", 1.0))
     m_max = float(cfg.get("m_max", 100.0))
     m_points = int(cfg.get("m_points", 200))
@@ -164,63 +232,36 @@ def _sweep_grid(cfg: dict):
 
 
 def _run_sweep(args, command: str, runner, columns: list[str]) -> int:
-    cfg = load_config_file(args.config, _SWEEP_KEYS)
-    m_grid, n_values, resolved = _sweep_grid(cfg)
+    m_grid, n_values, resolved = _sweep_grid(load_config_file(args.config))
     rows = runner(m_grid, n_values)
     out = resolve_out(args, f"{command.replace('-', '_')}.{args.format}")
     config = {**resolved, "out": out, "format": args.format}
-    if args.format == "csv":
-        write_csv(out, command, config, columns, rows)
-    else:
-        write_json(
-            out,
-            {
-                "command": command,
-                "config": config,
-                "columns": columns,
-                "rows": [[row[c] for c in columns] for row in rows],
-            },
-        )
+    write_table(out, args.format, command, config, columns, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def cmd_sweep_retention(args) -> int:
-    return _run_sweep(
-        args,
-        "sweep-retention",
-        sweep_retention,
-        ["m", "n", "retention_ratio", "depleted_fraction"],
-    )
+    columns = ["m", "n", "retention_ratio", "depleted_fraction"]
+    return _run_sweep(args, "sweep-retention", sweep_retention, columns)
 
 
 def cmd_sweep_il(args) -> int:
-    return _run_sweep(
-        args,
-        "sweep-il",
-        sweep_il,
-        ["m", "n", "il_traditional", "il_scaled", "il_exact"],
-    )
+    columns = ["m", "n", "il_traditional", "il_scaled", "il_exact"]
+    return _run_sweep(args, "sweep-il", sweep_il, columns)
 
 
-_DRS_KEYS = {f.name for f in dataclasses.fields(DrsSimConfig)} | {"out", "format"}
-
-
-def _summary_path(out: str) -> str:
-    root, _ext = os.path.splitext(out)
-    return root + ".summary.json"
+def _seeded_config(args) -> dict:
+    data = load_config_file(args.config)
+    if args.seed is not None:
+        data["seed"] = args.seed
+    return data
 
 
 def cmd_simulate_drs(args) -> int:
-    cfg_file = load_config_file(args.config, _DRS_KEYS)
-    cfg_file.pop("out", None)
-    cfg_file.pop("format", None)
-    if args.seed is not None:
-        cfg_file["seed"] = args.seed
-    try:
-        cfg = DrsSimConfig(**cfg_file)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad simulation config: {exc}") from exc
+    # The benchmark's tracer rebinds this module's DrsSimConfig to a timing
+    # wrapper, so the field types are read from sim's class.
+    cfg = build_config(sim.DrsSimConfig, _seeded_config(args), make=DrsSimConfig)
     result = run_drs_simulation(cfg)
     out = resolve_out(args, f"drs.{args.format}")
     config = {**dataclasses.asdict(cfg), "out": out, "format": args.format}
@@ -234,69 +275,17 @@ def cmd_simulate_drs(args) -> int:
         }
         for t in range(cfg.days)
     ]
-    if args.format == "csv":
-        write_csv(out, "simulate-drs", config, columns, rows)
-        write_json(
-            _summary_path(out),
-            {"command": "simulate-drs", "config": config, "summary": result.summary},
-        )
-        print(f"wrote {out} and {_summary_path(out)}")
-    else:
-        write_json(
-            out,
-            {
-                "command": "simulate-drs",
-                "config": config,
-                "columns": columns,
-                "rows": [[row[c] for c in columns] for row in rows],
-                "summary": result.summary,
-            },
-        )
-        print(f"wrote {out}")
+    paths = write_table(
+        out, args.format, "simulate-drs", config, columns, rows, summary=result.summary
+    )
+    print("wrote " + " and ".join(paths))
     return 0
 
 
-_STREAM_KEYS = {f.name for f in dataclasses.fields(TradeStreamConfig)}
-_SCHEDULE_KEYS = {"sigma_low", "sigma_high", "low", "moderate", "high"}
-_LOOP_KEYS = (
-    {f.name for f in dataclasses.fields(MarketLoopConfig)} | {"out", "format"}
-)
-
-
-def _build_loop_config(cfg_file: dict, seed_override) -> MarketLoopConfig:
-    cfg_file = dict(cfg_file)
-    cfg_file.pop("out", None)
-    cfg_file.pop("format", None)
-    if seed_override is not None:
-        cfg_file["seed"] = seed_override
-    stream_cfg = cfg_file.pop("stream", {})
-    sched_cfg = cfg_file.pop("schedule", {})
-    unknown = set(stream_cfg) - _STREAM_KEYS
-    if unknown:
-        raise ConfigError(f"unknown stream config keys: {sorted(unknown)}")
-    unknown = set(sched_cfg) - _SCHEDULE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown schedule config keys: {sorted(unknown)}")
-    try:
-        for regime in ("low", "moderate", "high"):
-            if regime in sched_cfg:
-                sched_cfg[regime] = RegimeParams(**sched_cfg[regime])
-        return MarketLoopConfig(
-            stream=TradeStreamConfig(**stream_cfg),
-            schedule=FeeSchedule(**sched_cfg),
-            **cfg_file,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad market-loop config: {exc}") from exc
-
-
 def cmd_market_loop(args) -> int:
-    cfg_file = load_config_file(args.config, _LOOP_KEYS)
-    cfg = _build_loop_config(cfg_file, args.seed)
+    cfg = build_config(MarketLoopConfig, _seeded_config(args))
     result = run_market_loop(cfg)
     out = resolve_out(args, "market_loop.json")
-    root, _ext = os.path.splitext(out)
-    epochs_csv = root + ".epochs.csv"
     config = {**dataclasses.asdict(cfg), "out": out, "format": args.format}
     metrics = {
         "total_volume": result.total_volume,
@@ -330,17 +319,9 @@ def cmd_market_loop(args) -> int:
         for er in result.epoch_reports
         for trader, reward in er.payouts
     ]
+    epochs_csv = os.path.splitext(out)[0] + ".epochs.csv"
     ledger_config = {**config, "ledger_of": out}
-    lines = [
-        f"# schema_version: {SCHEMA_VERSION}",
-        "# command: market-loop",
-        "# config: " + json.dumps(ledger_config, sort_keys=True, separators=(",", ":")),
-        "epoch,trader,reward",
-    ]
-    for row in rows:
-        lines.append(f"{row['epoch']},{row['trader']},{fmt(row['reward'])}")
-    with open(epochs_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(epochs_csv, "market-loop", ledger_config, ["epoch", "trader", "reward"], rows)
     print(f"wrote {out} and {epochs_csv}")
     return 0
 
@@ -350,11 +331,12 @@ def cmd_market_loop(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; unknown keys are rejected")
-    common.add_argument("--seed", type=int, help="seed override")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", help="JSON config file; unknown keys are rejected")
+    files.add_argument("--out", help="output file path")
+    files.add_argument("--format", choices=("csv", "json"), default="csv")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[files])
+    seeded.add_argument("--seed", type=int, help="seed override")
 
     parser = argparse.ArgumentParser(
         prog="powerlaw-amm",
@@ -362,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("quote", parents=[common], help="price a single swap")
+    q = sub.add_parser("quote", help="price a single swap")
     q.add_argument("--x", type=float, required=True, help="X (volatile) reserve")
     q.add_argument("--y", type=float, required=True, help="Y (stablecoin) reserve")
     q.add_argument("--n", type=int, default=1, help="pool exponent")
@@ -373,18 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--fee", type=float, default=0.0, help="fee rate in [0, 1)")
     q.set_defaults(func=cmd_quote)
 
-    sr = sub.add_parser("sweep-retention", parents=[common], help="retention-ratio grid")
-    sr.set_defaults(func=cmd_sweep_retention)
-
-    si = sub.add_parser("sweep-il", parents=[common], help="impermanent-loss grid")
-    si.set_defaults(func=cmd_sweep_il)
-
-    sd = sub.add_parser("simulate-drs", parents=[common], help="static vs dynamic rebate volumes")
-    sd.set_defaults(func=cmd_simulate_drs)
-
-    ml = sub.add_parser("market-loop", parents=[common], help="integrated pool + fee market loop")
-    ml.set_defaults(func=cmd_market_loop)
-
+    for name, parent, func, text in (
+        ("sweep-retention", files, cmd_sweep_retention, "retention-ratio grid"),
+        ("sweep-il", files, cmd_sweep_il, "impermanent-loss grid"),
+        ("simulate-drs", seeded, cmd_simulate_drs, "static vs dynamic rebate volumes"),
+        ("market-loop", seeded, cmd_market_loop, "integrated pool + fee market loop"),
+    ):
+        sub.add_parser(name, parents=[parent], help=text).set_defaults(func=func)
     return parser
 
 

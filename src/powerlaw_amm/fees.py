@@ -28,8 +28,8 @@ class RegimeParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.rho_max < 1.0:
-            raise ValueError(f"rho_max must be in (0, 1), got {self.rho_max}")
+        if not REBATE_FLOOR <= self.rho_max < 1.0:
+            raise ValueError(f"rho_max must be in [{REBATE_FLOOR}, 1), got {self.rho_max}")
 
 
 @dataclass(frozen=True)

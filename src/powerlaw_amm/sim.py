@@ -15,7 +15,7 @@ produce bit-identical outputs within this implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -335,6 +335,10 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             sigma_series.append(sigma)
             regime = classify_regime(sigma, cfg.schedule)
             params = cfg.schedule.params_for(regime)
+            rho = dynamic_rebate(
+                RebateContext(prev_period_volume, cfg.target_volume),
+                rho_max=params.rho_max,
+            )
             period_volume = 0.0
             n_trades = int(rng.poisson(cfg.stream.trades_per_period))
             for _ in range(n_trades):
@@ -357,10 +361,6 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                     continue
                 executed += 1
                 fee = compute_fee(volume, params.gamma)
-                rho = dynamic_rebate(
-                    RebateContext(prev_period_volume, cfg.target_volume),
-                    rho_max=params.rho_max,
-                )
                 split = split_fee(fee, rho)
                 total_volume += volume
                 total_fees += fee
@@ -408,7 +408,3 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         epoch_reports=epoch_reports,
         config=cfg,
     )
-
-
-def drs_config_dict(cfg: DrsSimConfig) -> dict:
-    return asdict(cfg)

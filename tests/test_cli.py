@@ -195,3 +195,76 @@ class TestOutDirEnv:
         monkeypatch.setenv("POWERLAW_AMM_OUT_DIR", str(tmp_path))
         assert run(["sweep-retention"]) == 0
         assert (tmp_path / "sweep_retention.csv").exists()
+
+
+def run_config(tmp_path, command, text):
+    """Run command with a config file holding text (raw JSON)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    return run([command, "--config", str(cfg), "--out", str(tmp_path / "o.json")])
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("market-loop", '{"epochs": 1.5}', "epochs"),
+            ("simulate-drs", '{"days": 10.0}', "days"),
+            ("market-loop", '{"epochs": true}', "epochs"),
+            ("simulate-drs", '{"noise_std": NaN}', "noise_std"),
+            ("market-loop", '{"x_reserve": NaN}', "x_reserve"),
+            ("simulate-drs", '{"initial_volume": Infinity}', "initial_volume"),
+            ("market-loop", '{"stream": {"trades_per_period": "10"}}', "stream.trades_per_period"),
+            ("market-loop", '{"schedule": {"high": {"gamma": true, "rho_max": 0.4}}}', "schedule.high.gamma"),
+        ],
+    )
+    def test_bad_field_type_exits_2(self, tmp_path, capsys, command, text, key):
+        assert run_config(tmp_path, command, text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
+    def test_rho_max_below_rebate_floor_exits_2(self, tmp_path, capsys):
+        text = '{"schedule": {"low": {"gamma": 0.003, "rho_max": 0.2}}}'
+        assert run_config(tmp_path, "market-loop", text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rho_max" in err
+
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            ("sweep-retention", '{"seed": 1}', "unknown config keys: ['seed']"),
+            ("simulate-drs", '{"out": "x"}', "unknown config keys: ['out']"),
+            ("market-loop", '{"format": "csv"}', "unknown config keys: ['format']"),
+            ("market-loop", '{"stream": {"bogus": 1}}', "in stream: ['bogus']"),
+            (
+                "market-loop",
+                '{"schedule": {"low": {"gamma": 0.003, "rho_max": 0.3, "x": 1}}}',
+                "in schedule.low: ['x']",
+            ),
+        ],
+    )
+    def test_unknown_keys_rejected_at_every_level(self, tmp_path, capsys, command, text, where):
+        assert run_config(tmp_path, command, text) == 2
+        assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quote", "--x", "100", "--y", "100", "--buy-x", "--in", "1", "--seed", "1"],
+            ["quote", "--x", "100", "--y", "100", "--buy-x", "--in", "1", "--out", "q.txt"],
+            ["sweep-il", "--seed", "1"],
+            ["sweep-retention", "--seed", "1"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_nested_config_builds_schedule(self, tmp_path):
+        text = '{"epochs": 1, "periods_per_epoch": 3, "schedule": {"low": {"gamma": 0.002, "rho_max": 0.35}}}'
+        assert run_config(tmp_path, "market-loop", text) == 0
+        config = json.loads((tmp_path / "o.json").read_text())["config"]
+        assert config["schedule"]["low"] == {"gamma": 0.002, "rho_max": 0.35}
+        assert config["schedule"]["high"] == {"gamma": 0.01, "rho_max": 0.4}

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from powerlaw_amm.fees import (
     EpochLedger,
+    REBATE_FLOOR,
     FeeSchedule,
     RebateContext,
+    RegimeParams,
     classify_regime,
     compute_fee,
     dynamic_rebate,
@@ -49,6 +51,13 @@ class TestSchedule:
     def test_inverted_thresholds_rejected(self):
         with pytest.raises(ValueError):
             FeeSchedule(sigma_low=0.05, sigma_high=0.01)
+
+    def test_rho_max_below_rebate_floor_rejected(self):
+        # split_fee never accepts a rebate below the floor, so a cap below it
+        # could only fail mid-run.
+        with pytest.raises(ValueError, match="rho_max"):
+            FeeSchedule(low=RegimeParams(0.003, 0.2))
+        assert RegimeParams(0.003, REBATE_FLOOR).rho_max == REBATE_FLOOR
 
 
 class TestClassifyRegime:
