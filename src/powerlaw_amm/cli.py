@@ -34,7 +34,15 @@ import typing
 import numpy as np
 
 from . import sim
-from .pool import Pool, PoolError, slippage_first_order, swap_x_for_y, swap_y_for_x
+from .pool import (
+    MAX_EXPONENT,
+    MIN_EXPONENT,
+    Pool,
+    PoolError,
+    slippage_first_order,
+    swap_x_for_y,
+    swap_y_for_x,
+)
 from .sim import (
     DrsSimConfig,
     MarketLoopConfig,
@@ -85,6 +93,16 @@ def _reject_unknown(data: dict, allowed, where: str = ""):
         raise ConfigError(f"unknown config keys{place}: {sorted(unknown)}")
 
 
+def _checked(kind, value, name: str):
+    """value, if it suits a field of type kind: an int field takes only an
+    integer, a float field only a finite number (bools are neither)."""
+    if kind is int and type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind is float and not (type(value) in (int, float) and abs(value) < math.inf):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def build_config(cls, data, where: str = "", make=None):
     """Build dataclass cls from a JSON object, raising ConfigError on bad input.
 
@@ -101,12 +119,9 @@ def build_config(cls, data, where: str = "", make=None):
     for key, value in data.items():
         kind, name = types[key], f"{where}.{key}" if where else key
         if dataclasses.is_dataclass(kind):
-            value = build_config(kind, value, name)
-        elif kind is int and type(value) is not int:
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        elif kind is float and not (type(value) in (int, float) and abs(value) < math.inf):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        values[key] = value
+            values[key] = build_config(kind, value, name)
+        else:
+            values[key] = _checked(kind, value, name)
     try:
         return (make or cls)(**values)
     except (TypeError, ValueError) as exc:
@@ -219,11 +234,18 @@ def cmd_quote(args) -> int:
 
 
 def _sweep_grid(cfg: dict):
+    """The sweep grid from a config object, checked by the same rules as
+    build_config; n_values must be a list of exponents in [1, 8]."""
     _reject_unknown(cfg, ("m_min", "m_max", "m_points", "n_values"))
-    m_min = float(cfg.get("m_min", 1.0))
-    m_max = float(cfg.get("m_max", 100.0))
-    m_points = int(cfg.get("m_points", 200))
-    n_values = [int(n) for n in cfg.get("n_values", [1, 2, 3, 4, 5])]
+    m_min = float(_checked(float, cfg.get("m_min", 1.0), "m_min"))
+    m_max = float(_checked(float, cfg.get("m_max", 100.0), "m_max"))
+    m_points = _checked(int, cfg.get("m_points", 200), "m_points")
+    n_values = cfg.get("n_values", [1, 2, 3, 4, 5])
+    if not isinstance(n_values, list):
+        raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
+    for i, n in enumerate(n_values):
+        if not MIN_EXPONENT <= _checked(int, n, f"n_values[{i}]") <= MAX_EXPONENT:
+            raise ConfigError(f"n_values[{i}] must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}")
     if m_min <= 0 or m_max < m_min or m_points < 1:
         raise ConfigError("sweep grid must satisfy 0 < m_min <= m_max, m_points >= 1")
     m_grid = np.logspace(np.log10(m_min), np.log10(m_max), m_points)

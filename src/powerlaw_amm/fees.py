@@ -6,10 +6,17 @@ providers, rho in [0.3, 0.4] back to the trader as a rebate, and the
 remainder to protocol reserves. A tenth of each epoch's fees is carved out
 of the protocol share and paid back to traders pro-rata to their epoch
 volume.
+
+Validation happens at the public boundary: the dataclass constructors,
+compute_fee, classify_regime, dynamic_rebate and split_fee reject NaN,
+infinite and out-of-range arguments. The rebate and split arithmetic lives
+once, in the float kernels _rebate and _split, which assume checked inputs;
+the public functions and the simulators call them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 REGIMES = ("low", "moderate", "high")
@@ -74,16 +81,18 @@ class RebateContext:
     target_volume: float
 
     def __post_init__(self):
-        if self.current_volume < 0:
-            raise ValueError("current volume must be nonnegative")
-        if self.target_volume <= 0:
-            raise ValueError("target volume must be positive")
+        if not 0.0 <= self.current_volume < math.inf:
+            raise ValueError(
+                f"current volume must be finite and nonnegative, got {self.current_volume}"
+            )
+        if not 0.0 < self.target_volume < math.inf:
+            raise ValueError(f"target volume must be finite and positive, got {self.target_volume}")
 
 
 def compute_fee(volume: float, gamma: float) -> float:
     """F = gamma * V."""
-    if volume < 0:
-        raise ValueError(f"volume must be nonnegative, got {volume}")
+    if not 0.0 <= volume < math.inf:
+        raise ValueError(f"volume must be finite and nonnegative, got {volume}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     return gamma * volume
@@ -92,8 +101,8 @@ def compute_fee(volume: float, gamma: float) -> float:
 def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     """Map realized volatility to a regime tag. Both thresholds are inclusive
     on the moderate side."""
-    if sigma < 0:
-        raise ValueError(f"volatility must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"volatility must be finite and nonnegative, got {sigma}")
     if sigma < schedule.sigma_low:
         return "low"
     if sigma > schedule.sigma_high:
@@ -101,31 +110,43 @@ def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     return "moderate"
 
 
+def _rebate(volume: float, target: float, rho_max: float) -> float:
+    """Kernel of dynamic_rebate: 0.4 + 0.1*(1 - volume/target) clamped to
+    [REBATE_FLOOR, min(REBATE_CAP, rho_max)]. Assumes a finite nonnegative
+    volume, a finite positive target and rho_max >= REBATE_FLOOR."""
+    raw = 0.4 + 0.1 * (1.0 - volume / target)
+    return min(max(raw, REBATE_FLOOR), min(REBATE_CAP, rho_max))
+
+
 def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:
     """Volume-responsive rebate ratio 0.4 + 0.1*(1 - V/V_max), clamped.
 
     Without a regime cap the clamp is [0.3, 0.4]; with one, the upper bound is
-    min(0.4, rho_max).
+    min(0.4, rho_max), and rho_max must lie in [0.3, 1).
     """
-    upper = REBATE_CAP if rho_max is None else min(REBATE_CAP, rho_max)
-    raw = 0.4 + 0.1 * (1.0 - ctx.current_volume / ctx.target_volume)
-    return min(max(raw, REBATE_FLOOR), upper)
+    if rho_max is None:
+        rho_max = REBATE_CAP
+    elif not REBATE_FLOOR <= rho_max < 1.0:
+        raise ValueError(f"rho_max must be in [{REBATE_FLOOR}, 1), got {rho_max}")
+    return _rebate(ctx.current_volume, ctx.target_volume, rho_max)
+
+
+def _split(fee: float, rho: float) -> tuple[float, float, float]:
+    """Kernel of split_fee: (lp, rebate, protocol) shares of a checked fee.
+    The protocol share is computed by subtraction so the parts always sum to
+    the fee exactly."""
+    lp = LP_SHARE * fee
+    rebate = rho * fee
+    return lp, rebate, fee - lp - rebate
 
 
 def split_fee(fee: float, rho: float) -> FeeSplit:
-    """Three-way split: LP 0.3F, rebate rho*F, protocol the remainder.
-
-    The protocol share is computed by subtraction so the parts always sum to
-    the input exactly.
-    """
-    if fee < 0:
-        raise ValueError(f"fee must be nonnegative, got {fee}")
+    """Three-way split: LP 0.3F, rebate rho*F, protocol the remainder."""
+    if not 0.0 <= fee < math.inf:
+        raise ValueError(f"fee must be finite and nonnegative, got {fee}")
     if not REBATE_FLOOR <= rho <= REBATE_CAP:
         raise ValueError(f"rebate ratio must be in [{REBATE_FLOOR}, {REBATE_CAP}], got {rho}")
-    lp = LP_SHARE * fee
-    rebate = rho * fee
-    protocol = fee - lp - rebate
-    return FeeSplit(total=fee, lp_share=lp, rebate_share=rebate, protocol_share=protocol)
+    return FeeSplit(fee, *_split(fee, rho))
 
 
 class EpochLedger:

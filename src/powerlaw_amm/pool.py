@@ -5,10 +5,22 @@ constant-product pool; larger n concentrates stablecoin retention on the
 upside at the cost of steeper slippage. Pools are immutable values: swaps
 return a new Pool instead of mutating in place, so K can always be recomputed
 from state and never drifts from it.
+
+Validation happens at the public boundary: the Pool constructor takes only
+finite nonnegative reserves and an integer exponent in [MIN_EXPONENT,
+MAX_EXPONENT], spot_price rejects an inactive pool or a price n*Y/X outside
+(0, inf), and the swap functions check the fee rate. The swap arithmetic
+itself lives once, in the float kernels _buy_x and _sell_x, which assume a
+checked pool and fee and keep only the guards a trade can trip: the input
+must be positive and finite, at most SWAP_INPUT_CAP times the matching
+reserve, and must leave a price in (0, inf). The market loop calls the
+kernels directly on plain floats.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 MIN_EXPONENT = 1
@@ -34,12 +46,11 @@ class Pool:
     n: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n:
-            raise PoolError(f"exponent must be an integer, got {self.n!r}")
-        if not MIN_EXPONENT <= self.n <= MAX_EXPONENT:
-            raise PoolError(f"exponent must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {self.n}")
-        if self.x_reserve < 0 or self.y_reserve < 0:
-            raise PoolError("reserves must be nonnegative")
+        _check_exponent(self.n)
+        if not (0.0 <= self.x_reserve < math.inf and 0.0 <= self.y_reserve < math.inf):
+            raise PoolError(
+                f"reserves must be finite and nonnegative, got {self.x_reserve}, {self.y_reserve}"
+            )
 
     @property
     def is_active(self) -> bool:
@@ -70,57 +81,77 @@ def _require_active(pool: Pool):
 
 
 def spot_price(pool: Pool) -> float:
-    """Marginal price of X in Y units: n * Y / X."""
-    _require_active(pool)
-    return pool.n * pool.y_reserve / pool.x_reserve
+    """Marginal price of X in Y units: n * Y / X. Raises PoolError for an
+    inactive pool and for reserves so lopsided that the price leaves (0, inf)."""
+    x, y = pool.x_reserve, pool.y_reserve
+    if not (x > 0 and y > 0):
+        raise PoolError("pool is inactive (a reserve is zero)")
+    price = pool.n * y / x
+    if not 0.0 < price < math.inf:
+        raise PoolError(f"pool price n*y/x is {price}, outside (0, inf)")
+    return price
 
 
-def _check_swap_args(amount_in: float, fee_rate: float, reserve: float, side: str):
-    if not 0.0 <= fee_rate < 1.0:
-        raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
-    if amount_in <= 0:
-        raise PoolError(f"swap input must be positive, got {amount_in}")
-    if amount_in > SWAP_INPUT_CAP * reserve:
-        raise TradeTooLarge(
-            f"{side} input {amount_in} exceeds {SWAP_INPUT_CAP}x the reserve {reserve}"
-        )
+def _buy_x(x: float, y: float, n: int, dy_in: float, fee: float) -> tuple[float, float, float]:
+    """Kernel of swap_y_for_x: (new_x, new_y, new_price) after dy_in of Y,
+    less the withheld fee, enters a pool with reserves x, y.
+
+    Assumes x, y finite and positive, n a valid exponent and fee in
+    [0, dy_in). Raises PoolError for an input that is not positive and finite
+    or a result whose price leaves (0, inf), and TradeTooLarge above the cap.
+    """
+    if not 0.0 < dy_in < math.inf:
+        raise PoolError(f"swap input dy_in must be positive and finite, got {dy_in}")
+    if dy_in > SWAP_INPUT_CAP * y:
+        raise TradeTooLarge(f"buy input {dy_in} exceeds {SWAP_INPUT_CAP}x the reserve {y}")
+    dy_eff = dy_in - fee
+    new_x = x * (y / (y + dy_eff)) ** (1.0 / n)
+    new_y = y + dy_eff
+    if new_x > 0.0:
+        price = n * new_y / new_x
+        if price < math.inf:
+            return new_x, new_y, price
+    raise PoolError("swap would drain the X reserve: the price n*y/x leaves (0, inf)")
+
+
+def _sell_x(x: float, y: float, n: int, dx_in: float, fee: float) -> tuple[float, float, float]:
+    """Kernel of swap_x_for_y, the mirror of _buy_x: (new_x, new_y,
+    new_price) after dx_in of X, less the withheld fee, enters the pool."""
+    if not 0.0 < dx_in < math.inf:
+        raise PoolError(f"swap input dx_in must be positive and finite, got {dx_in}")
+    if dx_in > SWAP_INPUT_CAP * x:
+        raise TradeTooLarge(f"sell input {dx_in} exceeds {SWAP_INPUT_CAP}x the reserve {x}")
+    new_x = x + (dx_in - fee)
+    new_y = y * (x / new_x) ** n
+    price = n * new_y / new_x
+    if price > 0.0:
+        return new_x, new_y, price
+    raise PoolError("swap would drain the Y reserve: the price n*y/x leaves (0, inf)")
 
 
 def swap_y_for_x(pool: Pool, dy_in: float, fee_rate: float = 0.0) -> tuple[Pool, SwapResult]:
     """Buy X with dy_in units of Y. The fee is withheld from the input, so only
     dy_in - fee enters the pool and K is preserved exactly on the fee-free part."""
-    _require_active(pool)
-    _check_swap_args(dy_in, fee_rate, pool.y_reserve, "buy")
-    fee = fee_rate * dy_in
-    dy_eff = dy_in - fee
-    ratio = pool.y_reserve / (pool.y_reserve + dy_eff)
-    new_x = pool.x_reserve * ratio ** (1.0 / pool.n)
-    if new_x <= 0.0:  # unreachable with positive reserves, kept as a guard
-        raise PoolError("swap would drain the X reserve")
-    amount_out = pool.x_reserve - new_x
     price_before = spot_price(pool)
-    new_pool = Pool(new_x, pool.y_reserve + dy_eff, pool.n)
-    price_after = spot_price(new_pool)
+    if not 0.0 <= fee_rate < 1.0:
+        raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    fee = fee_rate * dy_in
+    new_x, new_y, price_after = _buy_x(pool.x_reserve, pool.y_reserve, pool.n, dy_in, fee)
     slippage = (price_after - price_before) / price_before
-    return new_pool, SwapResult(amount_out, fee, price_before, price_after, slippage)
+    result = SwapResult(pool.x_reserve - new_x, fee, price_before, price_after, slippage)
+    return Pool(new_x, new_y, pool.n), result
 
 
 def swap_x_for_y(pool: Pool, dx_in: float, fee_rate: float = 0.0) -> tuple[Pool, SwapResult]:
     """Sell dx_in units of X for Y. Mirror of swap_y_for_x."""
-    _require_active(pool)
-    _check_swap_args(dx_in, fee_rate, pool.x_reserve, "sell")
-    fee = fee_rate * dx_in
-    dx_eff = dx_in - fee
-    ratio = pool.x_reserve / (pool.x_reserve + dx_eff)
-    new_y = pool.y_reserve * ratio**pool.n
-    if new_y <= 0.0:  # unreachable, kept as a guard
-        raise PoolError("swap would drain the Y reserve")
-    amount_out = pool.y_reserve - new_y
     price_before = spot_price(pool)
-    new_pool = Pool(pool.x_reserve + dx_eff, new_y, pool.n)
-    price_after = spot_price(new_pool)
+    if not 0.0 <= fee_rate < 1.0:
+        raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    fee = fee_rate * dx_in
+    new_x, new_y, price_after = _sell_x(pool.x_reserve, pool.y_reserve, pool.n, dx_in, fee)
     slippage = (price_after - price_before) / price_before
-    return new_pool, SwapResult(amount_out, fee, price_before, price_after, slippage)
+    result = SwapResult(pool.y_reserve - new_y, fee, price_before, price_after, slippage)
+    return Pool(new_x, new_y, pool.n), result
 
 
 def reserves_at_price(pool: Pool, target_price: float) -> Pool:
@@ -187,5 +218,14 @@ def slippage_ratio(n: int) -> float:
 
 
 def _check_exponent(n: int):
-    if isinstance(n, bool) or int(n) != n or not MIN_EXPONENT <= n <= MAX_EXPONENT:
+    if type(n) is int:
+        valid = MIN_EXPONENT <= n <= MAX_EXPONENT
+    else:  # e.g. 4.0 or a numpy integer; the range test rejects NaN and inf before int()
+        valid = (
+            isinstance(n, numbers.Real)
+            and not isinstance(n, bool)
+            and MIN_EXPONENT <= n <= MAX_EXPONENT
+            and int(n) == n
+        )
+    if not valid:
         raise PoolError(f"exponent must be an integer in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n!r}")

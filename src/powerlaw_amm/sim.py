@@ -8,8 +8,18 @@
 
 Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
-normal variates via numpy's ziggurat). Identical (config, seed) pairs
-produce bit-identical outputs within this implementation.
+normal variates via numpy's ziggurat). The market loop draws, per period, a
+Poisson trade count, then per trade a uniform (side), a bounded integer
+(trader) and a standard normal (size), in that order. Identical (config,
+seed) pairs produce bit-identical outputs within this implementation.
+
+Validation happens once, at the boundary: the config dataclasses reject
+out-of-range and non-finite fields when built, and run_market_loop checks
+its initial Pool before the first trade. The DRS recurrence and the trade
+loop then run on plain floats through the pool and fee kernels
+(pool._buy_x, pool._sell_x, fees._rebate, fees._split), which assume checked
+inputs. drs_noise_free_series iterates the recurrence apart from the
+simulator, through the public dynamic_rebate, as the oracle it must match.
 """
 
 from __future__ import annotations
@@ -22,17 +32,23 @@ import numpy as np
 from . import il as il_mod
 from . import pool as pool_mod
 from .fees import (
+    REBATE_CAP,
     REWARD_FRACTION,
     EpochLedger,
     FeeSchedule,
     RebateContext,
+    _rebate,
+    _split,
     classify_regime,
-    compute_fee,
     dynamic_rebate,
     settle_epoch,
-    split_fee,
 )
-from .pool import Pool, TradeTooLarge, spot_price, swap_x_for_y, swap_y_for_x
+from .pool import Pool, TradeTooLarge, _buy_x, _sell_x, spot_price
+
+# The public fee and swap functions stay importable from this module although
+# the loops call the kernels: bench/tracing.py rebinds these names to time them.
+from .fees import compute_fee, split_fee  # noqa: F401
+from .pool import swap_x_for_y, swap_y_for_x  # noqa: F401
 
 DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
 
@@ -61,8 +77,8 @@ class DrsSimConfig:
     def __post_init__(self):
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if self.initial_volume <= 0 or self.target_volume <= 0:
-            raise ValueError("volumes must be positive")
+        if not (0 < self.initial_volume < math.inf and 0 < self.target_volume < math.inf):
+            raise ValueError("volumes must be finite and positive")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
         if self.replications < 1:
@@ -99,7 +115,7 @@ def _run_one_replication(cfg: DrsSimConfig, replication: int):
     rho_applied = np.empty(t_n)
     static[0] = cfg.initial_volume
     dynamic[0] = cfg.initial_volume
-    rho_applied[0] = dynamic_rebate(RebateContext(dynamic[0], cfg.target_volume))
+    rho_applied[0] = _rebate(dynamic[0], cfg.target_volume, REBATE_CAP)
     noise = (
         rng.normal(0.0, cfg.noise_std, size=(t_n - 1, 2))
         if t_n > 1
@@ -107,7 +123,7 @@ def _run_one_replication(cfg: DrsSimConfig, replication: int):
     )
     for t in range(1, t_n):
         static[t] = max(static[t - 1] * (1.0 + noise[t - 1, 0]), cfg.volume_floor)
-        rho = dynamic_rebate(RebateContext(dynamic[t - 1], cfg.target_volume))
+        rho = _rebate(dynamic[t - 1], cfg.target_volume, REBATE_CAP)
         feedback = cfg.sensitivity * (rho - cfg.static_rebate)
         dynamic[t] = max(
             dynamic[t - 1] * (1.0 + feedback + noise[t - 1, 1]), cfg.volume_floor
@@ -242,9 +258,9 @@ class TradeStreamConfig:
     num_traders: int = 20
 
     def __post_init__(self):
-        if self.trades_per_period < 0:
-            raise ValueError("trades_per_period must be nonnegative")
-        if self.size_median_frac <= 0 or self.size_sigma < 0:
+        if not 0 <= self.trades_per_period < math.inf:
+            raise ValueError("trades_per_period must be finite and nonnegative")
+        if not (0 < self.size_median_frac < math.inf and 0 <= self.size_sigma < math.inf):
             raise ValueError("bad size distribution parameters")
         if self.num_traders < 1:
             raise ValueError("num_traders must be >= 1")
@@ -266,8 +282,8 @@ class MarketLoopConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.periods_per_epoch < 1:
             raise ValueError("epochs and periods_per_epoch must be >= 1")
-        if self.target_volume <= 0:
-            raise ValueError("target_volume must be positive")
+        if not 0 < self.target_volume < math.inf:
+            raise ValueError("target_volume must be finite and positive")
         if self.vol_window < 2:
             raise ValueError("vol_window must be >= 2")
 
@@ -300,6 +316,15 @@ class MarketLoopResult:
     config: MarketLoopConfig
 
 
+class _TraderNames(dict):
+    """Trader ids: names[i] is "t{i}", made on first use, so a large
+    num_traders costs nothing up front."""
+
+    def __missing__(self, i):
+        name = self[i] = f"t{i}"
+        return name
+
+
 def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     """Drive a pool through a seeded trade stream with regime-aware fees,
     dynamic rebates, and per-epoch volume rewards.
@@ -310,10 +335,22 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     derived from the previous period's volume, capped by the regime's rho_max.
     At each epoch close, a tenth of the epoch's fees moves from the protocol
     share into the reward pool and settles pro-rata to trader volume.
+
+    The config and the initial Pool are validated once, up front; the trade
+    loop then keeps the reserves and the price as plain floats and calls the
+    pool and fee kernels directly. A trade above the input cap is rejected
+    and counted; a trade that would drain a reserve (its price n*y/x leaving
+    (0, inf)) stops the run with a PoolError.
     """
     rng = replication_rng(cfg.seed, 0)
-    cur = Pool(cfg.x_reserve, cfg.y_reserve, cfg.n)
-    price_history = [spot_price(cur)]
+    x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
+    price = spot_price(Pool(x, y, n))
+    stream = cfg.stream
+    size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
+    num_traders = stream.num_traders
+    names = _TraderNames()
+    random, integers, normal = rng.random, rng.integers, rng.standard_normal
+    price_history = [price]
     sigma_series = []
     epoch_reports = []
 
@@ -325,6 +362,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
 
     for epoch_id in range(cfg.epochs):
         ledger = EpochLedger(epoch_id=epoch_id)
+        volumes = ledger.volumes
         epoch_fees = 0.0
         epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
@@ -335,44 +373,38 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             sigma_series.append(sigma)
             regime = classify_regime(sigma, cfg.schedule)
             params = cfg.schedule.params_for(regime)
-            rho = dynamic_rebate(
-                RebateContext(prev_period_volume, cfg.target_volume),
-                rho_max=params.rho_max,
-            )
+            gamma = params.gamma
+            rho = _rebate(prev_period_volume, cfg.target_volume, params.rho_max)
             period_volume = 0.0
-            n_trades = int(rng.poisson(cfg.stream.trades_per_period))
+            n_trades = int(rng.poisson(stream.trades_per_period))
             for _ in range(n_trades):
-                buy_side = bool(rng.random() < 0.5)
-                trader = f"t{int(rng.integers(0, cfg.stream.num_traders))}"
-                price_before = spot_price(cur)
+                buy_side = random() < 0.5
+                trader = names[integers(num_traders)]  # same draw as integers(0, num_traders)
                 # both sides sized by stablecoin value, median 0.1% of Y
-                value = cfg.stream.size_median_frac * cur.y_reserve * math.exp(
-                    cfg.stream.size_sigma * rng.standard_normal()
-                )
-                volume = value
-                size = value if buy_side else value / price_before
+                volume = size_frac * y * math.exp(size_sigma * normal())
+                fee = gamma * volume
                 try:
                     if buy_side:
-                        cur, _res = swap_y_for_x(cur, size, fee_rate=params.gamma)
+                        x, y, price = _buy_x(x, y, n, volume, fee)
                     else:
-                        cur, _res = swap_x_for_y(cur, size, fee_rate=params.gamma)
+                        size = volume / price
+                        x, y, price = _sell_x(x, y, n, size, gamma * size)
                 except TradeTooLarge:
                     rejected += 1
                     continue
                 executed += 1
-                fee = compute_fee(volume, params.gamma)
-                split = split_fee(fee, rho)
+                lp, rebate, protocol = _split(fee, rho)
                 total_volume += volume
                 total_fees += fee
-                lp_total += split.lp_share
-                rebate_total += split.rebate_share
-                protocol_total += split.protocol_share
+                lp_total += lp
+                rebate_total += rebate
+                protocol_total += protocol
                 epoch_fees += fee
                 epoch_volume += volume
                 period_volume += volume
-                ledger.record(trader, volume)
+                volumes[trader] = volumes.get(trader, 0.0) + volume
             prev_period_volume = period_volume
-            price_history.append(spot_price(cur))
+            price_history.append(price)
         reward_pool = REWARD_FRACTION * epoch_fees + carry
         ledger.add_reward(reward_pool)
         payouts = settle_epoch(ledger)
@@ -403,7 +435,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         reward_carry=carry,
         rejected_trades=rejected,
         executed_trades=executed,
-        final_pool=cur,
+        final_pool=Pool(x, y, n),
         sigma_series=sigma_series,
         epoch_reports=epoch_reports,
         config=cfg,

@@ -190,6 +190,24 @@ class TestMarketLoop:
                 )
 
 
+    def test_price_underflow_exits_2_without_traceback(self, tmp_path, capsys):
+        # heavy-tailed sizes push the price n*y/x to 0 within the first epochs
+        text = json.dumps(
+            {
+                "epochs": 20,
+                "periods_per_epoch": 100,
+                "stream": {"trades_per_period": 100.0, "num_traders": 1000, "size_sigma": 3.0},
+            }
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "o.json"
+        assert run(["market-loop", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "drain" in err
+        assert "Traceback" not in err
+
+
 class TestOutDirEnv:
     def test_env_var_sets_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERLAW_AMM_OUT_DIR", str(tmp_path))
@@ -216,6 +234,13 @@ class TestConfigValidation:
             ("simulate-drs", '{"initial_volume": Infinity}', "initial_volume"),
             ("market-loop", '{"stream": {"trades_per_period": "10"}}', "stream.trades_per_period"),
             ("market-loop", '{"schedule": {"high": {"gamma": true, "rho_max": 0.4}}}', "schedule.high.gamma"),
+            ("sweep-retention", '{"m_points": 1.5}', "m_points"),
+            ("sweep-il", '{"m_points": true}', "m_points"),
+            ("sweep-retention", '{"n_values": [1.5]}', "n_values[0]"),
+            ("sweep-il", '{"n_values": [4, 9]}', "n_values[1]"),
+            ("sweep-retention", '{"n_values": 4}', "n_values"),
+            ("sweep-il", '{"m_min": NaN}', "m_min"),
+            ("sweep-retention", '{"m_max": Infinity}', "m_max"),
         ],
     )
     def test_bad_field_type_exits_2(self, tmp_path, capsys, command, text, key):

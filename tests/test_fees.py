@@ -1,5 +1,7 @@
 """Fee engine: fee computation, regimes, splits, rebates, epoch rewards."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,11 @@ class TestComputeFee:
     def test_negative_volume_rejected(self):
         with pytest.raises(ValueError):
             compute_fee(-1.0, 0.003)
+
+    @pytest.mark.parametrize("volume", [math.nan, math.inf])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match="volume"):
+            compute_fee(volume, 0.003)
 
 
 class TestSchedule:
@@ -73,6 +80,11 @@ class TestClassifyRegime:
     def test_zero_vol_is_low(self):
         assert classify_regime(0.0, FeeSchedule()) == "low"
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.01])
+    def test_nan_or_infinite_vol_rejected(self, sigma):
+        with pytest.raises(ValueError, match="volatility"):
+            classify_regime(sigma, FeeSchedule())
+
     @given(sigma=st.floats(0.0, 1.0))
     def test_exactly_one_regime(self, sigma):
         assert classify_regime(sigma, FeeSchedule()) in ("low", "moderate", "high")
@@ -91,6 +103,18 @@ class TestDynamicRebate:
     def test_regime_cap_applies(self):
         assert dynamic_rebate(RebateContext(0.0, 1e6), rho_max=0.30) == 0.30
         assert dynamic_rebate(RebateContext(0.0, 1e6), rho_max=0.35) == 0.35
+
+    @pytest.mark.parametrize("rho_max", [0.2, 1.0, math.nan])
+    def test_regime_cap_out_of_range_rejected(self, rho_max):
+        with pytest.raises(ValueError, match="rho_max"):
+            dynamic_rebate(RebateContext(0.0, 1e6), rho_max=rho_max)
+
+    @pytest.mark.parametrize(
+        "volume, target", [(math.nan, 1e6), (math.inf, 1e6), (1.0, math.nan), (1.0, math.inf)]
+    )
+    def test_non_finite_context_rejected(self, volume, target):
+        with pytest.raises(ValueError, match="volume"):
+            RebateContext(volume, target)
 
     @given(v=st.floats(0.0, 1e9), vmax=st.floats(1.0, 1e9))
     @settings(max_examples=200)
@@ -120,6 +144,11 @@ class TestSplitFee:
             split_fee(100.0, 0.25)
         with pytest.raises(ValueError):
             split_fee(100.0, 0.45)
+
+    @pytest.mark.parametrize("fee", [math.nan, math.inf, -1.0])
+    def test_negative_or_non_finite_fee_rejected(self, fee):
+        with pytest.raises(ValueError, match="fee"):
+            split_fee(fee, 0.35)
 
     @given(fee=st.floats(0.0, 1e12, allow_subnormal=False), rho=st.floats(0.3, 0.4))
     @settings(max_examples=300)

@@ -254,3 +254,44 @@ class TestInvariantConservation:
         pool = Pool(100.0, 100.0, 4)
         _, res = swap_y_for_x(pool, 1000.0, 0.0)
         assert res.amount_out < pool.x_reserve
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (-1.0, 1.0)]
+    )
+    def test_non_finite_or_negative_reserves_rejected(self, x, y):
+        with pytest.raises(PoolError, match="reserves must be finite"):
+            Pool(x, y, 1)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 1.5, True, "4", None])
+    def test_non_integer_exponent_rejected(self, n):
+        with pytest.raises(PoolError, match="exponent"):
+            Pool(1.0, 1.0, n)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("swap, name", [(swap_y_for_x, "dy_in"), (swap_x_for_y, "dx_in")])
+    def test_bad_swap_input_is_named(self, swap, name, amount):
+        with pytest.raises(PoolError, match=name) as exc:
+            swap(Pool(1.0, 1.0, 1), amount)
+        assert type(exc.value) is PoolError  # not TradeTooLarge, not "inactive"
+
+    def test_nan_fee_rate_rejected(self):
+        with pytest.raises(PoolError, match="fee_rate"):
+            swap_y_for_x(Pool(1.0, 1.0, 1), 1.0, math.nan)
+
+    def test_price_out_of_range_rejected(self):
+        with pytest.raises(PoolError, match="price"):
+            spot_price(Pool(1e300, 1e-300, 1))  # n*y/x underflows to 0
+        with pytest.raises(PoolError, match="price"):
+            swap_y_for_x(Pool(1e-300, 1e300, 1), 1.0)  # n*y/x overflows
+
+    def test_sell_that_underflows_the_price_is_a_drain(self):
+        pool = Pool(1.0, 1e-320, 8)  # price 8e-320, subnormal but positive
+        with pytest.raises(PoolError, match="drain the Y reserve"):
+            swap_x_for_y(pool, 10.0)
+
+    def test_buy_that_overflows_the_price_is_a_drain(self):
+        pool = Pool(1e-300, 1e7, 1)  # price 1e307
+        with pytest.raises(PoolError, match="drain the X reserve"):
+            swap_y_for_x(pool, 1e8)

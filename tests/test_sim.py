@@ -1,7 +1,11 @@
 """Simulation harness: DRS experiment, sweeps, and the market loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_amm.fees import FeeSchedule, RebateContext, dynamic_rebate
 from powerlaw_amm.il import il_powerlaw_exact, il_proposed_scaled, il_traditional
@@ -207,3 +211,51 @@ class TestRebateComposition:
         res = run_market_loop(MarketLoopConfig(seed=8, schedule=sched))
         assert res.rebate_total == pytest.approx(0.30 * res.total_fees, rel=1e-9)
         assert dynamic_rebate(RebateContext(0.0, 1000.0), rho_max=sched.low.rho_max) == 0.30
+
+
+class TestWholeRunConservation:
+    """Conservation identities over whole market-loop runs, not single calls."""
+
+    @given(
+        n=st.integers(1, 8),
+        epochs=st.integers(1, 3),
+        periods=st.integers(1, 8),
+        trades=st.floats(0.0, 30.0),
+        size_sigma=st.floats(0.0, 2.0),
+        size_frac=st.floats(1e-4, 0.5),
+        traders=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fees_rewards_and_reserves(
+        self, n, epochs, periods, trades, size_sigma, size_frac, traders, seed
+    ):
+        cfg = MarketLoopConfig(
+            n=n,
+            epochs=epochs,
+            periods_per_epoch=periods,
+            vol_window=5,
+            seed=seed,
+            stream=TradeStreamConfig(
+                trades_per_period=trades,
+                size_median_frac=size_frac,
+                size_sigma=size_sigma,
+                num_traders=traders,
+            ),
+        )
+        res = run_market_loop(cfg)
+        attempted = res.executed_trades + res.rejected_trades
+        # each running sum over N terms is off by at most N/2 ulp; four meet here
+        buckets = res.lp_total + res.rebate_total + res.protocol_total
+        assert abs(buckets - res.total_fees) <= 4 * max(attempted, 1) * math.ulp(res.total_fees)
+        parts = res.rewards_distributed + res.reward_carry + res.protocol_net
+        assert abs(parts - res.protocol_total) <= math.ulp(res.protocol_total)
+        for er in res.epoch_reports:
+            assert all(p >= 0.0 for _, p in er.payouts)
+            if er.payouts:
+                total = sum(p for _, p in er.payouts)
+                assert abs(total - er.reward_pool) <= math.ulp(er.reward_pool)
+            else:
+                assert er.carried == er.reward_pool
+        final = res.final_pool
+        assert 0.0 < final.x_reserve < math.inf and 0.0 < final.y_reserve < math.inf
