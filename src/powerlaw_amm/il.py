@@ -10,11 +10,16 @@ Two models of the power-law pool's IL are exposed side by side:
 
 They disagree away from small price moves; callers should say which model a
 number came from.
+
+The exponent domain is the pool's: a bad n raises PoolError from
+pool._check_exponent. A price multiplier must be positive and finite.
 """
 
 from __future__ import annotations
 
 import math
+
+from .pool import _check_exponent
 
 
 def il_traditional(m: float) -> float:
@@ -22,14 +27,14 @@ def il_traditional(m: float) -> float:
 
     Symmetric under m <-> 1/m; zero at m=1.
     """
-    if m <= 0:
-        raise ValueError(f"price multiplier must be positive, got {m}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"price multiplier must be positive and finite, got {m}")
     return 1.0 - 2.0 * math.sqrt(m) / (m + 1.0)
 
 
 def il_improvement_factor(n: int) -> float:
     """g(n) = (n+1)^2 / (4n); g(1) = 1."""
-    _check_n(n)
+    _check_exponent(n)
     return (n + 1) ** 2 / (4.0 * n)
 
 
@@ -45,19 +50,17 @@ def il_powerlaw_exact(epsilon: float, n: int) -> float:
     (n+1)*Y0*(1+eps); the common prefactor cancels, leaving
     1 - (1+eps)^(-1/(n+1)).
     """
-    _check_n(n)
-    if 1.0 + epsilon <= 0:
-        raise ValueError(f"price multiplier 1+eps must be positive, got eps={epsilon}")
+    _check_exponent(n)
+    if not 0.0 < 1.0 + epsilon < math.inf:
+        raise ValueError(f"price multiplier 1+eps must be positive and finite, got eps={epsilon}")
     return 1.0 - (1.0 + epsilon) ** (-1.0 / (n + 1))
 
 
 def il_powerlaw_taylor(epsilon: float, n: int) -> float:
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
-    _check_n(n)
+    _check_exponent(n)
+    if not 0.0 < 1.0 + epsilon < math.inf:
+        raise ValueError(f"price multiplier 1+eps must be positive and finite, got eps={epsilon}")
     return epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
 
-
-def _check_n(n: int):
-    if isinstance(n, bool) or int(n) != n or n < 1:
-        raise ValueError(f"exponent must be an integer >= 1, got {n!r}")

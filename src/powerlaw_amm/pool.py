@@ -171,10 +171,10 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
 def depleted_reserves(y0: float, m: float, n: int) -> float:
     """Stablecoin reserve left after an m-fold price move under the depletion
     convention: y0 * m^(-1/(n+1))."""
-    if y0 < 0:
-        raise PoolError("initial reserve must be nonnegative")
-    if m <= 0:
-        raise PoolError("price multiplier must be positive")
+    if not 0.0 <= y0 < math.inf:
+        raise PoolError(f"initial reserve must be finite and nonnegative, got {y0}")
+    if not 0.0 < m < math.inf:
+        raise PoolError(f"price multiplier must be positive and finite, got {m}")
     _check_exponent(n)
     return y0 * m ** (-1.0 / (n + 1))
 
@@ -182,8 +182,8 @@ def depleted_reserves(y0: float, m: float, n: int) -> float:
 def retention_ratio(m: float, n: int) -> float:
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
     m-fold price move: m^(1/2 - 1/(n+1))."""
-    if m <= 0:
-        raise PoolError("price multiplier must be positive")
+    if not 0.0 < m < math.inf:
+        raise PoolError(f"price multiplier must be positive and finite, got {m}")
     _check_exponent(n)
     return m ** (0.5 - 1.0 / (n + 1))
 

@@ -43,7 +43,7 @@ from .fees import (
     dynamic_rebate,
     settle_epoch,
 )
-from .pool import Pool, TradeTooLarge, _buy_x, _sell_x, spot_price
+from .pool import Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
 
 # The public fee and swap functions stay importable from this module although
 # the loops call the kernels: bench/tracing.py rebinds these names to time them.
@@ -79,12 +79,14 @@ class DrsSimConfig:
             raise ValueError("days must be >= 1")
         if not (0 < self.initial_volume < math.inf and 0 < self.target_volume < math.inf):
             raise ValueError("volumes must be finite and positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (abs(self.static_rebate) < math.inf and abs(self.sensitivity) < math.inf):
+            raise ValueError("static_rebate and sensitivity must be finite")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be finite and nonnegative")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.volume_floor <= 0:
-            raise ValueError("volume_floor must be positive")
+        if not 0 < self.volume_floor < math.inf:
+            raise ValueError("volume_floor must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,9 @@ def _run_one_replication(cfg: DrsSimConfig, replication: int):
     return static, dynamic, rho_applied
 
 
-def _log_change_vol(series: np.ndarray) -> float:
+def _log_change_vol(series) -> float:
+    """Standard deviation of the log changes of a positive series; 0.0 for
+    fewer than two points (one change has a deviation of exactly 0.0)."""
     if len(series) < 2:
         return 0.0
     return float(np.std(np.diff(np.log(series))))
@@ -339,8 +343,9 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     The config and the initial Pool are validated once, up front; the trade
     loop then keeps the reserves and the price as plain floats and calls the
     pool and fee kernels directly. A trade above the input cap is rejected
-    and counted; a trade that would drain a reserve (its price n*y/x leaving
-    (0, inf)) stops the run with a PoolError.
+    and counted; a trade whose size overflows a float, or that would drain a
+    reserve (its price n*y/x leaving (0, inf)), stops the run with a
+    PoolError.
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
@@ -366,10 +371,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         epoch_fees = 0.0
         epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
-            window = price_history[-cfg.vol_window :]
-            sigma = (
-                float(np.std(np.diff(np.log(window)))) if len(window) >= 3 else 0.0
-            )
+            sigma = _log_change_vol(price_history[-cfg.vol_window :])
             sigma_series.append(sigma)
             regime = classify_regime(sigma, cfg.schedule)
             params = cfg.schedule.params_for(regime)
@@ -380,10 +382,10 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             for _ in range(n_trades):
                 buy_side = random() < 0.5
                 trader = names[integers(num_traders)]  # same draw as integers(0, num_traders)
-                # both sides sized by stablecoin value, median 0.1% of Y
-                volume = size_frac * y * math.exp(size_sigma * normal())
-                fee = gamma * volume
                 try:
+                    # both sides sized by stablecoin value, median 0.1% of Y
+                    volume = size_frac * y * math.exp(size_sigma * normal())
+                    fee = gamma * volume
                     if buy_side:
                         x, y, price = _buy_x(x, y, n, volume, fee)
                     else:
@@ -392,6 +394,10 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 except TradeTooLarge:
                     rejected += 1
                     continue
+                except OverflowError:
+                    raise PoolError(
+                        f"trade size overflows a float: size_sigma {size_sigma} is too large"
+                    ) from None
                 executed += 1
                 lp, rebate, protocol = _split(fee, rho)
                 total_volume += volume

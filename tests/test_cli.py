@@ -207,6 +207,15 @@ class TestMarketLoop:
         assert err.startswith("error: ") and "drain" in err
         assert "Traceback" not in err
 
+    def test_size_overflow_exits_2_without_traceback(self, tmp_path, capsys):
+        # at seed 2 the first trade's exp(size_sigma * z) overflows a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "periods_per_epoch": 2, "stream": {"size_sigma": 1000.0}}))
+        out = tmp_path / "o.json"
+        assert run(["market-loop", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "size_sigma" in err
+
 
 class TestOutDirEnv:
     def test_env_var_sets_default_dir(self, tmp_path, monkeypatch):

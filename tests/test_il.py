@@ -1,5 +1,7 @@
 """Impermanent-loss formulas: traditional, factor-scaled, exact, Taylor."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from powerlaw_amm.il import (
     il_proposed_scaled,
     il_traditional,
 )
+from powerlaw_amm.pool import PoolError
+
+BAD_MULTIPLIERS = [math.nan, math.inf, 0.0, -1.0]
 
 
 class TestTraditional:
@@ -123,3 +128,43 @@ class TestCurveShape:
                 assert il_proposed_scaled(m, 4) < il_traditional(m)
                 assert il_powerlaw_exact(m - 1.0, 4) < il_powerlaw_exact(m - 1.0, 1)
             m *= 1.5
+
+
+class TestDomain:
+    """The multiplier must be positive and finite, and the exponent is the
+    pool's: an integer in [1, 8], else PoolError."""
+
+    @pytest.mark.parametrize("m", BAD_MULTIPLIERS)
+    def test_traditional_rejects_bad_multiplier(self, m):
+        with pytest.raises(ValueError, match="multiplier"):
+            il_traditional(m)
+
+    @pytest.mark.parametrize("m", BAD_MULTIPLIERS)
+    def test_scaled_rejects_bad_multiplier(self, m):
+        with pytest.raises(ValueError, match="multiplier"):
+            il_proposed_scaled(m, 4)
+
+    @pytest.mark.parametrize("m", BAD_MULTIPLIERS)
+    def test_exact_rejects_bad_multiplier(self, m):
+        with pytest.raises(ValueError, match="multiplier"):
+            il_powerlaw_exact(m - 1.0, 4)
+
+    @pytest.mark.parametrize("m", BAD_MULTIPLIERS)
+    def test_taylor_rejects_bad_multiplier(self, m):
+        with pytest.raises(ValueError, match="multiplier"):
+            il_powerlaw_taylor(m - 1.0, 4)
+
+    @pytest.mark.parametrize("n", [0, 9, 50, 1.5, math.inf, math.nan, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            il_improvement_factor,
+            lambda n: il_proposed_scaled(2.0, n),
+            lambda n: il_powerlaw_exact(1.0, n),
+            lambda n: il_powerlaw_taylor(0.01, n),
+        ],
+        ids=["improvement_factor", "scaled", "exact", "taylor"],
+    )
+    def test_exponent_domain_is_the_pools(self, call, n):
+        with pytest.raises(PoolError, match="exponent"):
+            call(n)

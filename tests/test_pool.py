@@ -276,6 +276,20 @@ class TestBoundaryValidation:
             swap(Pool(1.0, 1.0, 1), amount)
         assert type(exc.value) is PoolError  # not TradeTooLarge, not "inactive"
 
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 0.0, -1.0])
+    def test_retention_ratio_rejects_bad_multiplier(self, m):
+        with pytest.raises(PoolError, match="multiplier"):
+            retention_ratio(m, 4)
+
+    @pytest.mark.parametrize(
+        "y0, m, name",
+        [(1.0, math.nan, "multiplier"), (1.0, math.inf, "multiplier"), (1.0, 0.0, "multiplier"),
+         (math.nan, 2.0, "reserve"), (math.inf, 2.0, "reserve"), (-1.0, 2.0, "reserve")],
+    )
+    def test_depleted_reserves_rejects_bad_inputs(self, y0, m, name):
+        with pytest.raises(PoolError, match=name):
+            depleted_reserves(y0, m, 4)
+
     def test_nan_fee_rate_rejected(self):
         with pytest.raises(PoolError, match="fee_rate"):
             swap_y_for_x(Pool(1.0, 1.0, 1), 1.0, math.nan)

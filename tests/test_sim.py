@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from powerlaw_amm.fees import FeeSchedule, RebateContext, dynamic_rebate
 from powerlaw_amm.il import il_powerlaw_exact, il_proposed_scaled, il_traditional
-from powerlaw_amm.pool import depleted_reserves, retention_ratio
+from powerlaw_amm.pool import (
+    Pool,
+    PoolError,
+    depleted_reserves,
+    reserves_at_price,
+    retention_ratio,
+    spot_price,
+    swap_x_for_y,
+    swap_y_for_x,
+)
 from powerlaw_amm.sim import (
     DrsSimConfig,
     MarketLoopConfig,
@@ -92,6 +101,14 @@ class TestDrsSimulation:
             DrsSimConfig(noise_std=-0.1)
         with pytest.raises(ValueError):
             DrsSimConfig(replications=0)
+
+    @pytest.mark.parametrize(
+        "field", ["noise_std", "sensitivity", "static_rebate", "volume_floor"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DrsSimConfig(**{field: value})
 
 
 class TestSweeps:
@@ -188,6 +205,13 @@ class TestMarketLoop:
         res = run_market_loop(cfg)
         assert res.rejected_trades > 0
 
+    def test_size_overflow_is_a_pool_error(self):
+        cfg = MarketLoopConfig(
+            epochs=1, periods_per_epoch=2, seed=2, stream=TradeStreamConfig(size_sigma=1000.0)
+        )
+        with pytest.raises(PoolError, match="size_sigma"):
+            run_market_loop(cfg)
+
     def test_sigma_series_recorded_per_period(self):
         cfg = MarketLoopConfig(epochs=2, periods_per_epoch=10, seed=6)
         res = run_market_loop(cfg)
@@ -259,3 +283,38 @@ class TestWholeRunConservation:
                 assert er.carried == er.reward_pool
         final = res.final_pool
         assert 0.0 < final.x_reserve < math.inf and 0.0 < final.y_reserve < math.inf
+
+
+class TestFeeFreeArbitragePath:
+    """A pool closed to an external price path by fee-free swaps follows the
+    closed forms. With m the spot price over the start price, the invariant
+    K is preserved, the X (volatile) reserve is x0 * m^(-1/(n+1)) =
+    depleted_reserves(x0, m, n), and the pool value x*P + y is
+    V0 * m * (1 - il_powerlaw_exact(m - 1, n)), where V0 = x0*P0 + y0.
+
+    The depletion closed form m^(-1/(n+1)) is what the X reserve does on a
+    price rise. The Y (stablecoin) reserve goes as (P/P0)^(n/(n+1)): after a
+    100x fall at n = 4 it keeps 100^(-4/5) = 0.0251 of its start, not
+    100^(-1/5) = 0.398."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_path_matches_closed_forms(self, n):
+        rng = np.random.default_rng([2024, n])
+        x0, y0 = 1_000.0, 10_000.0
+        pool = Pool(x0, y0, n)
+        p0, k0 = spot_price(pool), pool.invariant
+        v0 = x0 * p0 + y0
+        log_price = 0.0
+        for step in rng.normal(0.0, 0.1, 200):
+            log_price += step
+            target = reserves_at_price(pool, p0 * math.exp(log_price))
+            if target.x_reserve < pool.x_reserve:  # price rises: buy X with Y
+                pool, _ = swap_y_for_x(pool, target.y_reserve - pool.y_reserve)
+            else:
+                pool, _ = swap_x_for_y(pool, target.x_reserve - pool.x_reserve)
+            x, y, price = pool.x_reserve, pool.y_reserve, spot_price(pool)
+            m = price / p0
+            assert pool.invariant == pytest.approx(k0, rel=1e-12, abs=0)
+            assert x / x0 == pytest.approx(depleted_reserves(1.0, m, n), rel=1e-12, abs=0)
+            value_ratio = (x * price + y) / (v0 * m)
+            assert value_ratio == pytest.approx(1.0 - il_powerlaw_exact(m - 1.0, n), rel=1e-12, abs=0)
