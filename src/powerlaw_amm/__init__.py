@@ -41,6 +41,7 @@ from .sim import (
     DrsSimResult,
     MarketLoopConfig,
     MarketLoopResult,
+    SweepGridConfig,
     TradeStreamConfig,
     drs_geometric_upper_bound,
     drs_noise_free_series,

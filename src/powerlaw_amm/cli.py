@@ -8,9 +8,11 @@ Subcommands and the flags each reads:
 - market-loop: --config, --seed, --out, --format. It always writes JSON plus
   an epochs CSV; --format is only echoed into the resolved config.
 
-A config file holds one JSON object. Unknown keys are rejected at every
-nesting level, integer fields take only integers and number fields only
-finite numbers. Every output file embeds a schema version, the
+A config file holds one JSON object, built into the command's config
+dataclass by build_config. Unknown keys are rejected at every nesting level;
+every other rule (integers for integer fields, finite numbers for number
+fields, ranges) belongs to the dataclass, and a broken one is reported with
+the dotted path of the key. Every output file embeds a schema version, the
 fully-resolved configuration, and the seed, so a run can be reproduced from
 its own output. Numbers are serialized with 17 significant digits, which
 round-trips IEEE doubles exactly; rerunning a command with the same config
@@ -26,17 +28,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import typing
 
-import numpy as np
-
 from . import sim
 from .pool import (
-    MAX_EXPONENT,
-    MIN_EXPONENT,
     Pool,
     PoolError,
     slippage_first_order,
@@ -82,45 +79,30 @@ def load_config_file(path: str | None) -> dict:
     return data
 
 
-def _reject_unknown(data: dict, allowed, where: str = ""):
-    unknown = set(data) - set(allowed)
-    if unknown:
-        place = f" in {where}" if where else ""
-        raise ConfigError(f"unknown config keys{place}: {sorted(unknown)}")
-
-
-def _checked(kind, value, name: str):
-    """value, if it suits a field of type kind: an int field takes only an
-    integer, a float field only a finite number (bools are neither)."""
-    if kind is int and type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind is float and not (type(value) in (int, float) and abs(value) < math.inf):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
 def build_config(cls, data, where: str = ""):
     """Build dataclass cls from a JSON object, raising ConfigError on bad input.
 
-    Unknown keys are rejected at every level. An int field takes only an
-    integer, a float field only a finite number, and a dataclass field a
-    JSON object built the same way.
+    Unknown keys are rejected at every level, and a dataclass field is built
+    from a nested JSON object the same way. Every other rule is the
+    dataclass's own; its error is reported under the dotted path of the
+    object (where) it came from.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
-    _reject_unknown(data, [f.name for f in dataclasses.fields(cls)], where)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        place = f" in {where}" if where else ""
+        raise ConfigError(f"unknown config keys{place}: {sorted(unknown)}")
     types = typing.get_type_hints(cls)
     values = {}
     for key, value in data.items():
-        kind, name = types[key], f"{where}.{key}" if where else key
-        if dataclasses.is_dataclass(kind):
-            values[key] = build_config(kind, value, name)
-        else:
-            values[key] = _checked(kind, value, name)
+        if dataclasses.is_dataclass(types[key]):
+            value = build_config(types[key], value, f"{where}.{key}" if where else key)
+        values[key] = value
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where or 'config'}: {exc}") from exc
+        raise ConfigError(f"bad config: {where + '.' if where else ''}{exc}") from exc
 
 
 def resolve_out(args, default_name: str) -> str:
@@ -229,23 +211,11 @@ def cmd_quote(args) -> int:
 
 
 def _sweep_grid(cfg: dict):
-    """The sweep grid from a config object, checked by the same rules as
-    build_config; n_values must be a list of exponents in [1, 8]."""
-    _reject_unknown(cfg, ("m_min", "m_max", "m_points", "n_values"))
-    m_min = float(_checked(float, cfg.get("m_min", 1.0), "m_min"))
-    m_max = float(_checked(float, cfg.get("m_max", 100.0), "m_max"))
-    m_points = _checked(int, cfg.get("m_points", 200), "m_points")
-    n_values = cfg.get("n_values", [1, 2, 3, 4, 5])
-    if not isinstance(n_values, list):
-        raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
-    for i, n in enumerate(n_values):
-        if not MIN_EXPONENT <= _checked(int, n, f"n_values[{i}]") <= MAX_EXPONENT:
-            raise ConfigError(f"n_values[{i}] must be in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n}")
-    if m_min <= 0 or m_max < m_min or m_points < 1:
-        raise ConfigError("sweep grid must satisfy 0 < m_min <= m_max, m_points >= 1")
-    m_grid = np.logspace(np.log10(m_min), np.log10(m_max), m_points)
-    resolved = {"m_min": m_min, "m_max": m_max, "m_points": m_points, "n_values": n_values}
-    return m_grid, n_values, resolved
+    """(m grid, n values, resolved config) of a sweep config object; the
+    resolved m_min and m_max are echoed as floats."""
+    grid = build_config(sim.SweepGridConfig, cfg)
+    resolved = {**dataclasses.asdict(grid), "m_min": float(grid.m_min), "m_max": float(grid.m_max)}
+    return grid.m_grid(), grid.n_values, resolved
 
 
 def _run_sweep(args, command: str, runner, columns: list[str]) -> int:

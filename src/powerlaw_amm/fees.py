@@ -8,16 +8,21 @@ of the protocol share and paid back to traders pro-rata to their epoch
 volume.
 
 Validation happens at the public boundary: the dataclass constructors,
-compute_fee, classify_regime, dynamic_rebate and split_fee reject NaN,
-infinite and out-of-range arguments. The rebate and split arithmetic lives
-once, in the float kernels _rebate and _split, which assume checked inputs;
-the public functions and the simulators call them.
+compute_fee, classify_regime, dynamic_rebate, split_fee and the EpochLedger
+methods reject NaN, infinite and out-of-range arguments. The dataclasses
+(RegimeParams, FeeSchedule, RebateContext) first apply the package's field
+type rule, pool._check_fields, so every number they hold is finite. The
+rebate and split arithmetic lives once, in the float kernels _rebate and
+_split, which assume checked inputs; the public functions and the simulators
+call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from .pool import _check_fields
 
 REGIMES = ("low", "moderate", "high")
 
@@ -33,6 +38,7 @@ class RegimeParams:
     rho_max: float
 
     def __post_init__(self):
+        _check_fields(self)
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not REBATE_FLOOR <= self.rho_max < 1.0:
@@ -44,7 +50,8 @@ class FeeSchedule:
     """Volatility thresholds and per-regime fee parameters.
 
     Defaults: high vol charges 1% with a 40% rebate cap, moderate 0.5%/35%,
-    low 0.3%/30%. Thresholds are per-period return stdevs.
+    low 0.3%/30%. Thresholds are per-period return stdevs, finite and
+    nonnegative.
     """
 
     sigma_low: float = 0.01
@@ -54,8 +61,9 @@ class FeeSchedule:
     high: RegimeParams = field(default_factory=lambda: RegimeParams(0.010, 0.40))
 
     def __post_init__(self):
+        _check_fields(self)
         if self.sigma_low < 0 or self.sigma_high < 0:
-            raise ValueError("volatility thresholds must be nonnegative")
+            raise ValueError("sigma_low and sigma_high must be nonnegative")
         if not self.sigma_low < self.sigma_high:
             raise ValueError(
                 f"sigma_low must be below sigma_high, got {self.sigma_low} >= {self.sigma_high}"
@@ -81,12 +89,11 @@ class RebateContext:
     target_volume: float
 
     def __post_init__(self):
-        if not 0.0 <= self.current_volume < math.inf:
-            raise ValueError(
-                f"current volume must be finite and nonnegative, got {self.current_volume}"
-            )
-        if not 0.0 < self.target_volume < math.inf:
-            raise ValueError(f"target volume must be finite and positive, got {self.target_volume}")
+        _check_fields(self)
+        if self.current_volume < 0:
+            raise ValueError(f"current_volume must be nonnegative, got {self.current_volume}")
+        if self.target_volume <= 0:
+            raise ValueError(f"target_volume must be positive, got {self.target_volume}")
 
 
 def compute_fee(volume: float, gamma: float) -> float:
@@ -158,20 +165,20 @@ class EpochLedger:
     """
 
     def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0):
-        if reward_pool < 0:
-            raise ValueError("reward pool must be nonnegative")
+        if not 0.0 <= reward_pool < math.inf:
+            raise ValueError(f"reward_pool must be finite and nonnegative, got {reward_pool}")
         self.epoch_id = epoch_id
         self.reward_pool = reward_pool
         self.volumes: dict[str, float] = {}
 
     def record(self, trader: str, volume: float):
-        if volume < 0:
-            raise ValueError(f"trade volume must be nonnegative, got {volume}")
+        if not 0.0 <= volume < math.inf:
+            raise ValueError(f"trade volume must be finite and nonnegative, got {volume}")
         self.volumes[trader] = self.volumes.get(trader, 0.0) + volume
 
     def add_reward(self, amount: float):
-        if amount < 0:
-            raise ValueError(f"reward amount must be nonnegative, got {amount}")
+        if not 0.0 <= amount < math.inf:
+            raise ValueError(f"reward amount must be finite and nonnegative, got {amount}")
         self.reward_pool += amount
 
     @property

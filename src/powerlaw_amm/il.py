@@ -11,15 +11,16 @@ Two models of the power-law pool's IL are exposed side by side:
 They disagree away from small price moves; callers should say which model a
 number came from.
 
-The exponent domain is the pool's: a bad n raises PoolError from
-pool._check_exponent. A price multiplier must be positive and finite.
+The domains are the pool's: a bad exponent n or a price multiplier (m, or
+1+eps) that is not positive and finite raises PoolError from
+pool._check_exponent or pool._check_multiplier.
 """
 
 from __future__ import annotations
 
 import math
 
-from .pool import _check_exponent
+from .pool import _check_exponent, _check_multiplier
 
 
 def il_traditional(m: float) -> float:
@@ -27,8 +28,7 @@ def il_traditional(m: float) -> float:
 
     Symmetric under m <-> 1/m; zero at m=1.
     """
-    if not 0.0 < m < math.inf:
-        raise ValueError(f"price multiplier must be positive and finite, got {m}")
+    _check_multiplier(m)
     return 1.0 - 2.0 * math.sqrt(m) / (m + 1.0)
 
 
@@ -51,8 +51,7 @@ def il_powerlaw_exact(epsilon: float, n: int) -> float:
     1 - (1+eps)^(-1/(n+1)).
     """
     _check_exponent(n)
-    if not 0.0 < 1.0 + epsilon < math.inf:
-        raise ValueError(f"price multiplier 1+eps must be positive and finite, got eps={epsilon}")
+    _check_multiplier(1.0 + epsilon)
     return 1.0 - (1.0 + epsilon) ** (-1.0 / (n + 1))
 
 
@@ -60,7 +59,6 @@ def il_powerlaw_taylor(epsilon: float, n: int) -> float:
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
     _check_exponent(n)
-    if not 0.0 < 1.0 + epsilon < math.inf:
-        raise ValueError(f"price multiplier 1+eps must be positive and finite, got eps={epsilon}")
+    _check_multiplier(1.0 + epsilon)
     return epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
 

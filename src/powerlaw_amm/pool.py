@@ -15,10 +15,15 @@ checked pool and fee and keep only the guards a trade can trip: the input
 must be positive and finite, at most SWAP_INPUT_CAP times the matching
 reserve, and must leave a price in (0, inf). The market loop calls the
 kernels directly on plain floats.
+
+The checks shared with the rest of the package live here too: one exponent
+domain (_check_exponent), one price-multiplier rule (_check_multiplier) and
+the type rule of every config dataclass field (_check_fields).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,13 +162,13 @@ def swap_x_for_y(pool: Pool, dx_in: float, fee_rate: float = 0.0) -> tuple[Pool,
 def reserves_at_price(pool: Pool, target_price: float) -> Pool:
     """The unique state on the same invariant whose spot price is target_price.
 
-    Y scales as (P/P0)^(n/(n+1)) and X follows from X = n*Y/P.
+    Y scales as (P/P0)^(n/(n+1)) and X follows from X = n*Y/P. The move
+    P/P0 is a price multiplier, so it must be positive and finite.
     """
-    _require_active(pool)
-    if target_price <= 0:
-        raise PoolError(f"target price must be positive, got {target_price}")
     p0 = spot_price(pool)
-    y_t = pool.y_reserve * (target_price / p0) ** (pool.n / (pool.n + 1))
+    m = target_price / p0
+    _check_multiplier(m)
+    y_t = pool.y_reserve * m ** (pool.n / (pool.n + 1))
     x_t = pool.n * y_t / target_price
     return Pool(x_t, y_t, pool.n)
 
@@ -173,8 +178,7 @@ def depleted_reserves(y0: float, m: float, n: int) -> float:
     convention: y0 * m^(-1/(n+1))."""
     if not 0.0 <= y0 < math.inf:
         raise PoolError(f"initial reserve must be finite and nonnegative, got {y0}")
-    if not 0.0 < m < math.inf:
-        raise PoolError(f"price multiplier must be positive and finite, got {m}")
+    _check_multiplier(m)
     _check_exponent(n)
     return y0 * m ** (-1.0 / (n + 1))
 
@@ -182,8 +186,7 @@ def depleted_reserves(y0: float, m: float, n: int) -> float:
 def retention_ratio(m: float, n: int) -> float:
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
     m-fold price move: m^(1/2 - 1/(n+1))."""
-    if not 0.0 < m < math.inf:
-        raise PoolError(f"price multiplier must be positive and finite, got {m}")
+    _check_multiplier(m)
     _check_exponent(n)
     return m ** (0.5 - 1.0 / (n + 1))
 
@@ -198,6 +201,8 @@ def min_arbitrage_size(pool: Pool, external_price: float) -> float:
     """Smallest trade that closes a positive external-price gap profitably:
     (P_ext - P) * X / ((n+1) * P). Only the buy direction is modeled."""
     p = spot_price(pool)
+    if not abs(external_price) < math.inf:
+        raise PoolError(f"external_price must be finite, got {external_price}")
     if external_price < p:
         raise PoolError("external price below spot: sell-side gap not modeled")
     return (external_price - p) * pool.x_reserve / ((pool.n + 1) * p)
@@ -207,6 +212,8 @@ def slippage_first_order(pool: Pool, dx: float) -> float:
     """First-order slippage for a reserve change dx: -(n+1) * dx / X.
     Valid for |dx| << X; the caller is responsible for staying small."""
     _require_active(pool)
+    if not abs(dx) < math.inf:
+        raise PoolError(f"dx must be finite, got {dx}")
     return -(pool.n + 1) * dx / pool.x_reserve
 
 
@@ -215,6 +222,32 @@ def slippage_ratio(n: int) -> float:
     (n+1)/2."""
     _check_exponent(n)
     return (n + 1) / 2.0
+
+
+def _check_multiplier(m: float):
+    """The price-multiplier rule of the closed forms: m positive and finite."""
+    if not 0.0 < m < math.inf:
+        raise PoolError(f"price multiplier must be positive and finite, got {m}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_fields(obj):
+    """Type rule of a config dataclass, called first by its __post_init__:
+    an int field takes an integer and a float field a finite real number
+    (bools are neither; numpy scalars are both). Values are kept as given, so
+    an int in a float field stays an int."""
+    for f in dataclasses.fields(obj):
+        kind = getattr(f.type, "__name__", f.type)  # a class, or its name as a string
+        value = getattr(obj, f.name)
+        if kind == "int" and not _is_integer(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and not (
+            isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        ):
+            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
 
 def _check_exponent(n: int):

@@ -2,7 +2,7 @@
 
 - run_drs_simulation: static-rebate vs dynamic-rebate daily-volume experiment.
 - sweep_retention / sweep_il: grid evaluations of the retention and
-  impermanent-loss curves.
+  impermanent-loss curves, by default over the SweepGridConfig() grid.
 - run_market_loop: integrated pool + fee-engine market loop driven by a
   seeded synthetic trade stream.
 
@@ -13,13 +13,16 @@ Poisson trade count, then per trade a uniform (side), a bounded integer
 (trader) and a standard normal (size), in that order. Identical (config,
 seed) pairs produce bit-identical outputs within this implementation.
 
-Validation happens once, at the boundary: the config dataclasses reject
-out-of-range and non-finite fields when built, and run_market_loop checks
-its initial Pool before the first trade. The DRS recurrence and the trade
-loop then run on plain floats through the pool and fee kernels
-(pool._buy_x, pool._sell_x, fees._rebate, fees._split), which assume checked
-inputs. drs_noise_free_series iterates the recurrence apart from the
-simulator, through the public dynamic_rebate, as the oracle it must match.
+Validation happens once, at the boundary. Each config dataclass
+(DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig) owns
+every rule for its fields: its __post_init__ applies the package's field
+type rule, pool._check_fields (integers for int fields, finite numbers for
+float fields), then its own range rules. run_market_loop checks its initial
+Pool before the first trade. The DRS recurrence and the trade loop then run
+on plain floats through the pool and fee kernels (pool._buy_x, pool._sell_x,
+fees._rebate, fees._split), which assume checked inputs.
+drs_noise_free_series iterates the recurrence apart from the simulator,
+through the public dynamic_rebate, as the oracle it must match.
 """
 
 from __future__ import annotations
@@ -44,19 +47,12 @@ from .fees import (
     settle_epoch,
 )
 from .pool import Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
+from .pool import _check_exponent, _check_fields, _is_integer
 
 # The public fee and swap functions stay importable from this module although
 # the loops call the kernels: bench/tracing.py rebinds these names to time them.
 from .fees import compute_fee, split_fee  # noqa: F401
 from .pool import swap_x_for_y, swap_y_for_x  # noqa: F401
-
-DEFAULT_N_VALUES = (1, 2, 3, 4, 5)
-
-
-def default_m_grid() -> np.ndarray:
-    """200 log-spaced price multipliers from 1 to 100."""
-    return np.logspace(0, 2, 200)
-
 
 # ---------------------------------------------------------------------------
 # Dynamic rebate system: static vs dynamic daily volumes
@@ -75,18 +71,19 @@ class DrsSimConfig:
     volume_floor: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if not (0 < self.initial_volume < math.inf and 0 < self.target_volume < math.inf):
-            raise ValueError("volumes must be finite and positive")
-        if not (abs(self.static_rebate) < math.inf and abs(self.sensitivity) < math.inf):
-            raise ValueError("static_rebate and sensitivity must be finite")
-        if not 0 <= self.noise_std < math.inf:
-            raise ValueError("noise_std must be finite and nonnegative")
+        if not (self.initial_volume > 0 and self.target_volume > 0):
+            raise ValueError("initial_volume and target_volume must be positive")
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0 < self.volume_floor < math.inf:
-            raise ValueError("volume_floor must be finite and positive")
+        if self.volume_floor <= 0:
+            raise ValueError("volume_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -209,10 +206,41 @@ def drs_geometric_upper_bound(cfg: DrsSimConfig) -> float:
 # Retention and impermanent-loss sweeps
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SweepGridConfig:
+    """A sweep grid: m_points price multipliers log-spaced from m_min to
+    m_max, crossed with a list of exponents. The default is 200 points from
+    1 to 100 and n = 1..5."""
+
+    m_min: float = 1.0
+    m_max: float = 100.0
+    m_points: int = 200
+    n_values: list = field(default_factory=lambda: [1, 2, 3, 4, 5])
+
+    def __post_init__(self):
+        _check_fields(self)
+        if not 0 < self.m_min <= self.m_max:
+            raise ValueError(f"need 0 < m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
+        if self.m_points < 1:
+            raise ValueError("m_points must be >= 1")
+        if not isinstance(self.n_values, list):
+            raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
+        for i, n in enumerate(self.n_values):
+            if not _is_integer(n):  # the pool's exponent rule alone admits 4.0
+                raise ValueError(f"n_values[{i}] must be an integer, got {n!r}")
+            try:
+                _check_exponent(n)
+            except PoolError as exc:
+                raise ValueError(f"n_values[{i}]: {exc}") from None
+
+    def m_grid(self) -> np.ndarray:
+        return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
+
+
 def sweep_retention(m_grid=None, n_values=None) -> list[dict]:
     """Rows of (m, n, retention_ratio, depleted_fraction) over the grid."""
-    m_grid = default_m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    n_values = DEFAULT_N_VALUES if n_values is None else n_values
+    m_grid = SweepGridConfig().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
+    n_values = SweepGridConfig().n_values if n_values is None else n_values
     rows = []
     for n in n_values:
         for m in m_grid:
@@ -229,8 +257,8 @@ def sweep_retention(m_grid=None, n_values=None) -> list[dict]:
 
 def sweep_il(m_grid=None, n_values=None) -> list[dict]:
     """Rows of (m, n, il_traditional, il_scaled, il_exact) over the grid."""
-    m_grid = default_m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    n_values = DEFAULT_N_VALUES if n_values is None else n_values
+    m_grid = SweepGridConfig().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
+    n_values = SweepGridConfig().n_values if n_values is None else n_values
     rows = []
     for n in n_values:
         for m in m_grid:
@@ -262,10 +290,11 @@ class TradeStreamConfig:
     num_traders: int = 20
 
     def __post_init__(self):
-        if not 0 <= self.trades_per_period < math.inf:
-            raise ValueError("trades_per_period must be finite and nonnegative")
-        if not (0 < self.size_median_frac < math.inf and 0 <= self.size_sigma < math.inf):
-            raise ValueError("bad size distribution parameters")
+        _check_fields(self)
+        if self.trades_per_period < 0:
+            raise ValueError("trades_per_period must be nonnegative")
+        if not (self.size_median_frac > 0 and self.size_sigma >= 0):
+            raise ValueError("size_median_frac must be positive and size_sigma nonnegative")
         if self.num_traders < 1:
             raise ValueError("num_traders must be >= 1")
 
@@ -284,12 +313,15 @@ class MarketLoopConfig:
     schedule: FeeSchedule = field(default_factory=FeeSchedule)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.epochs < 1 or self.periods_per_epoch < 1:
             raise ValueError("epochs and periods_per_epoch must be >= 1")
-        if not 0 < self.target_volume < math.inf:
-            raise ValueError("target_volume must be finite and positive")
+        if self.target_volume <= 0:
+            raise ValueError("target_volume must be positive")
         if self.vol_window < 2:
             raise ValueError("vol_window must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

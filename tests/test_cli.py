@@ -250,6 +250,8 @@ class TestConfigValidation:
             ("sweep-retention", '{"n_values": 4}', "n_values"),
             ("sweep-il", '{"m_min": NaN}', "m_min"),
             ("sweep-retention", '{"m_max": Infinity}', "m_max"),
+            ("simulate-drs", '{"seed": -1}', "seed"),
+            ("market-loop", '{"seed": -1}', "seed"),
         ],
     )
     def test_bad_field_type_exits_2(self, tmp_path, capsys, command, text, key):

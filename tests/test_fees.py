@@ -1,7 +1,9 @@
 """Fee engine: fee computation, regimes, splits, rebates, epoch rewards."""
 
 import math
+import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +208,60 @@ class TestEpochSettlement:
             total = sum(p for _, p in payouts)
             assert total == pytest.approx(pool, rel=1e-12, abs=0.0) or total == pool
             assert all(p >= 0 or abs(p) < 1e-9 * max(pool, 1.0) for _, p in payouts)
+
+
+# Every int and float field of every fee dataclass, read from the classes,
+# with the arguments that build a valid instance around it.
+BASE_ARGS = {
+    RegimeParams: {"gamma": 0.003, "rho_max": 0.3},
+    FeeSchedule: {},
+    RebateContext: {"current_volume": 1.0, "target_volume": 1.0},
+}
+NUMERIC_FIELDS = [
+    pytest.param(cls, name, kind, id=f"{cls.__name__}.{name}")
+    for cls in BASE_ARGS
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in (int, float)
+]
+
+
+class TestFieldTypes:
+    """The fee dataclasses own their type rules: a float field takes a
+    finite number, and a bool or a string is not one."""
+
+    @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -math.inf])
+    def test_bad_value_rejected(self, cls, name, kind, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{**BASE_ARGS[cls], name: value})
+
+    @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
+    def test_numpy_scalar_accepted_as_given(self, cls, name, kind):
+        base = BASE_ARGS[cls]
+        value = np.float64(getattr(cls(**base), name))
+        assert getattr(cls(**{**base, name: value}), name) is value
+
+    def test_infinite_high_threshold_rejected(self):
+        with pytest.raises(ValueError, match="sigma_high"):
+            FeeSchedule(sigma_high=math.inf)
+
+
+class TestLedgerInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_reward_pool_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="reward_pool"):
+            EpochLedger(reward_pool=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_record_volume_must_be_finite(self, value):
+        ledger = EpochLedger()
+        with pytest.raises(ValueError, match="volume"):
+            ledger.record("a", value)
+        assert ledger.volumes == {}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_add_reward_amount_must_be_finite(self, value):
+        ledger = EpochLedger(reward_pool=1.0)
+        with pytest.raises(ValueError, match="amount"):
+            ledger.add_reward(value)
+        assert ledger.reward_pool == 1.0

@@ -309,3 +309,20 @@ class TestBoundaryValidation:
         pool = Pool(1e-300, 1e7, 1)  # price 1e307
         with pytest.raises(PoolError, match="drain the X reserve"):
             swap_y_for_x(pool, 1e8)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("price", [math.nan, math.inf])
+    def test_min_arbitrage_size_rejects_non_finite_price(self, price):
+        with pytest.raises(PoolError, match="external_price"):
+            min_arbitrage_size(Pool(100.0, 1000.0, 4), price)
+
+    @pytest.mark.parametrize("dx", [math.nan, math.inf, -math.inf])
+    def test_slippage_first_order_rejects_non_finite_dx(self, dx):
+        with pytest.raises(PoolError, match="dx"):
+            slippage_first_order(Pool(100.0, 1000.0, 4), dx)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, 0.0, -1.0])
+    def test_reserves_at_price_uses_the_multiplier_rule(self, price):
+        with pytest.raises(PoolError, match="multiplier"):
+            reserves_at_price(Pool(100.0, 1000.0, 4), price)

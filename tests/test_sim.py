@@ -1,6 +1,7 @@
 """Simulation harness: DRS experiment, sweeps, and the market loop."""
 
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from powerlaw_amm.pool import (
 from powerlaw_amm.sim import (
     DrsSimConfig,
     MarketLoopConfig,
+    SweepGridConfig,
     TradeStreamConfig,
     drs_geometric_upper_bound,
     drs_noise_free_series,
@@ -318,3 +320,69 @@ class TestFeeFreeArbitragePath:
             assert x / x0 == pytest.approx(depleted_reserves(1.0, m, n), rel=1e-12, abs=0)
             value_ratio = (x * price + y) / (v0 * m)
             assert value_ratio == pytest.approx(1.0 - il_powerlaw_exact(m - 1.0, n), rel=1e-12, abs=0)
+
+
+# Every int and float field of every sim config, read from the dataclasses,
+# so a field or a config class added later is covered too.
+CONFIGS = [DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig]
+NUMERIC_FIELDS = [
+    pytest.param(cls, name, kind, id=f"{cls.__name__}.{name}")
+    for cls in CONFIGS
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in (int, float)
+]
+
+
+class TestConfigFieldTypes:
+    """The config dataclasses own their type rules: an int field takes an
+    integer, a float field a finite number, and a bool is neither."""
+
+    @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
+    def test_bool_and_string_rejected(self, cls, name, kind):
+        for value in (True, "1"):
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
+    def test_fraction_or_non_finite_rejected(self, cls, name, kind):
+        for value in [2.5, math.nan] if kind is int else [math.nan, math.inf, -math.inf]:
+            with pytest.raises(ValueError, match=name):
+                cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
+    def test_numpy_scalars_accepted_as_given(self, cls, name, kind):
+        value = np.int64(3) if kind is int else np.float64(getattr(cls(), name))
+        assert getattr(cls(**{name: value}), name) is value
+
+    @pytest.mark.parametrize("cls", [DrsSimConfig, MarketLoopConfig])
+    def test_negative_seed_rejected(self, cls):
+        with pytest.raises(ValueError, match="seed"):
+            cls(seed=-1)
+
+
+class TestSweepGridConfig:
+    def test_defaults_are_the_old_grid(self):
+        grid = SweepGridConfig()
+        assert np.array_equal(grid.m_grid(), np.logspace(0, 2, 200))
+        assert grid.n_values == [1, 2, 3, 4, 5]
+        rows = sweep_il()
+        assert [row["m"] for row in rows[:200]] == np.logspace(0, 2, 200).tolist()
+        assert sorted({row["n"] for row in rows}) == [1, 2, 3, 4, 5]
+
+    def test_n_values_must_be_a_list(self):
+        with pytest.raises(ValueError, match="n_values"):
+            SweepGridConfig(n_values=(1, 4))
+
+    @pytest.mark.parametrize("n", [0, 9, 4.0, True, math.nan])
+    def test_bad_exponent_is_named_by_index(self, n):
+        with pytest.raises(ValueError, match=r"n_values\[1\]"):
+            SweepGridConfig(n_values=[1, n])
+
+    @pytest.mark.parametrize("m_min, m_max", [(5.0, 2.0), (0.0, 2.0), (-1.0, 2.0)])
+    def test_bad_range_rejected(self, m_min, m_max):
+        with pytest.raises(ValueError, match="m_min"):
+            SweepGridConfig(m_min=m_min, m_max=m_max)
+
+    def test_m_points_at_least_one(self):
+        with pytest.raises(ValueError, match="m_points"):
+            SweepGridConfig(m_points=0)
