@@ -82,17 +82,26 @@ def load_config_file(path: str | None) -> dict:
 def build_config(cls, data, where: str = ""):
     """Build dataclass cls from a JSON object, raising ConfigError on bad input.
 
-    Unknown keys are rejected at every level, and a dataclass field is built
-    from a nested JSON object the same way. Every other rule is the
-    dataclass's own; its error is reported under the dotted path of the
-    object (where) it came from.
+    Unknown keys, and missing keys of fields without a default, are rejected
+    at every level, and a dataclass field is built from a nested JSON object
+    the same way. Every other rule is the dataclass's own; its error is
+    reported under the dotted path of the object (where) it came from.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where or 'config'} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    place = f" in {where}" if where else ""
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        place = f" in {where}" if where else ""
         raise ConfigError(f"unknown config keys{place}: {sorted(unknown)}")
+    no_default = dataclasses.MISSING
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in data and f.default is no_default and f.default_factory is no_default
+    ]
+    if missing:
+        raise ConfigError(f"missing config keys{place}: {sorted(missing)}")
     types = typing.get_type_hints(cls)
     values = {}
     for key, value in data.items():

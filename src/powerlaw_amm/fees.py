@@ -12,15 +12,17 @@ compute_fee, classify_regime, dynamic_rebate, split_fee and the EpochLedger
 methods reject NaN, infinite and out-of-range arguments. The dataclasses
 (RegimeParams, FeeSchedule, RebateContext) first apply the package's field
 type rule, pool._check_fields, so every number they hold is finite. The
-rebate and split arithmetic lives once, in the float kernels _rebate and
-_split, which assume checked inputs; the public functions and the simulators
-call them.
+rebate and split arithmetic lives once, in the kernels _rebate (elementwise,
+so the DRS experiment applies it to a block of volumes) and _split, which
+assume checked inputs; the public functions and the simulators call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .pool import _check_fields
 
@@ -117,12 +119,14 @@ def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     return "moderate"
 
 
-def _rebate(volume: float, target: float, rho_max: float) -> float:
+def _rebate(volume, target: float, rho_max: float, out=None):
     """Kernel of dynamic_rebate: 0.4 + 0.1*(1 - volume/target) clamped to
-    [REBATE_FLOOR, min(REBATE_CAP, rho_max)]. Assumes a finite nonnegative
-    volume, a finite positive target and rho_max >= REBATE_FLOOR."""
+    [REBATE_FLOOR, min(REBATE_CAP, rho_max)], elementwise over a volume
+    array and written to out if given. A float volume gives a numpy float64,
+    which scalar callers turn into a float. Assumes finite nonnegative
+    volumes, a finite positive target and rho_max >= REBATE_FLOOR."""
     raw = 0.4 + 0.1 * (1.0 - volume / target)
-    return min(max(raw, REBATE_FLOOR), min(REBATE_CAP, rho_max))
+    return np.minimum(np.maximum(raw, REBATE_FLOOR), min(REBATE_CAP, rho_max), out=out)
 
 
 def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:
@@ -135,7 +139,7 @@ def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:
         rho_max = REBATE_CAP
     elif not REBATE_FLOOR <= rho_max < 1.0:
         raise ValueError(f"rho_max must be in [{REBATE_FLOOR}, 1), got {rho_max}")
-    return _rebate(ctx.current_volume, ctx.target_volume, rho_max)
+    return float(_rebate(ctx.current_volume, ctx.target_volume, rho_max))
 
 
 def _split(fee: float, rho: float) -> tuple[float, float, float]:

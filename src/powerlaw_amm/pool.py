@@ -17,15 +17,18 @@ reserve, and must leave a price in (0, inf). The market loop calls the
 kernels directly on plain floats.
 
 The checks shared with the rest of the package live here too: one exponent
-domain (_check_exponent), one price-multiplier rule (_check_multiplier) and
-the type rule of every config dataclass field (_check_fields).
+domain (_check_exponent), one price-multiplier rule (_check_multiplier), one
+reserve rule (_is_reserve) and the type rule of every config dataclass field
+(_check_fields).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 MIN_EXPONENT = 1
@@ -52,7 +55,7 @@ class Pool:
 
     def __post_init__(self):
         _check_exponent(self.n)
-        if not (0.0 <= self.x_reserve < math.inf and 0.0 <= self.y_reserve < math.inf):
+        if not (_is_reserve(self.x_reserve) and _is_reserve(self.y_reserve)):
             raise PoolError(
                 f"reserves must be finite and nonnegative, got {self.x_reserve}, {self.y_reserve}"
             )
@@ -176,7 +179,7 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
 def depleted_reserves(y0: float, m: float, n: int) -> float:
     """Stablecoin reserve left after an m-fold price move under the depletion
     convention: y0 * m^(-1/(n+1))."""
-    if not 0.0 <= y0 < math.inf:
+    if not _is_reserve(y0):
         raise PoolError(f"initial reserve must be finite and nonnegative, got {y0}")
     _check_multiplier(m)
     _check_exponent(n)
@@ -230,24 +233,39 @@ def _check_multiplier(m: float):
         raise PoolError(f"price multiplier must be positive and finite, got {m}")
 
 
+def _is_reserve(value) -> bool:
+    """The reserve rule: finite and nonnegative (an empty reserve is allowed)."""
+    return 0.0 <= value < math.inf
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> annotated class of a dataclass (the annotations are strings)."""
+    return typing.get_type_hints(cls)
+
+
 def _check_fields(obj):
     """Type rule of a config dataclass, called first by its __post_init__:
-    an int field takes an integer and a float field a finite real number
-    (bools are neither; numpy scalars are both). Values are kept as given, so
-    an int in a float field stays an int."""
+    an int field takes an integer, a float field a finite real number (bools
+    are neither; numpy scalars are both) and a dataclass field an instance of
+    its class. Values are kept as given, so an int in a float field stays an
+    int."""
+    types = _field_types(type(obj))
     for f in dataclasses.fields(obj):
-        kind = getattr(f.type, "__name__", f.type)  # a class, or its name as a string
+        kind = types[f.name]
         value = getattr(obj, f.name)
-        if kind == "int" and not _is_integer(value):
+        if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind == "float" and not (
+        if kind is float and not (
             isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
         ):
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if dataclasses.is_dataclass(kind) and not isinstance(value, kind):
+            raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
 
 def _check_exponent(n: int):

@@ -10,17 +10,24 @@ Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
 normal variates via numpy's ziggurat). The market loop draws, per period, a
 Poisson trade count, then per trade a uniform (side), a bounded integer
-(trader) and a standard normal (size), in that order. Identical (config,
-seed) pairs produce bit-identical outputs within this implementation.
+(trader) and a standard normal (size), in that order. The DRS experiment
+gives each replication its own generator and one (days-1, 2) normal draw,
+then runs the recurrence across a block of replications at once as numpy
+arrays, with the same elementwise operations in the same order as one
+replication at a time; a block holds DRS_BLOCK_CELLS // days replications.
+Identical (config, seed) pairs produce bit-identical outputs within this
+implementation.
 
 Validation happens once, at the boundary. Each config dataclass
 (DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig) owns
 every rule for its fields: its __post_init__ applies the package's field
 type rule, pool._check_fields (integers for int fields, finite numbers for
-float fields), then its own range rules. run_market_loop checks its initial
-Pool before the first trade. The DRS recurrence and the trade loop then run
-on plain floats through the pool and fee kernels (pool._buy_x, pool._sell_x,
-fees._rebate, fees._split), which assume checked inputs.
+float fields, an instance of its class for a nested config), then its own
+range rules; MarketLoopConfig also applies the pool's exponent and reserve
+rules to n, x_reserve and y_reserve. The trade loop then runs on plain
+floats and the DRS recurrence on float arrays, through the pool and fee
+kernels (pool._buy_x, pool._sell_x, fees._rebate, fees._split), which
+assume checked inputs.
 drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
 """
@@ -47,7 +54,7 @@ from .fees import (
     settle_epoch,
 )
 from .pool import Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
-from .pool import _check_exponent, _check_fields, _is_integer
+from .pool import _check_exponent, _check_fields, _is_integer, _is_reserve
 
 # The public fee and swap functions stay importable from this module although
 # the loops call the kernels: bench/tracing.py rebinds these names to time them.
@@ -95,40 +102,15 @@ class DrsSimResult:
     config: DrsSimConfig
 
 
+# Cells in each (block, days) array of run_drs_simulation: a block holds
+# DRS_BLOCK_CELLS // days replications, so a long run gets a narrower block
+# rather than more memory.
+DRS_BLOCK_CELLS = 2**14
+
+
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
     """Child generator for one replication: SeedSequence([seed, replication])."""
     return np.random.default_rng(np.random.SeedSequence([seed, replication]))
-
-
-def _run_one_replication(cfg: DrsSimConfig, replication: int):
-    """One seeded path of both arms.
-
-    Day 0 holds the initial volume; days 1..days-1 are updates (days-1 updates
-    in total). Each day draws the static noise first, then the dynamic noise.
-    The dynamic arm's rebate is evaluated on the previous day's volume.
-    """
-    rng = replication_rng(cfg.seed, replication)
-    t_n = cfg.days
-    static = np.empty(t_n)
-    dynamic = np.empty(t_n)
-    rho_applied = np.empty(t_n)
-    static[0] = cfg.initial_volume
-    dynamic[0] = cfg.initial_volume
-    rho_applied[0] = _rebate(dynamic[0], cfg.target_volume, REBATE_CAP)
-    noise = (
-        rng.normal(0.0, cfg.noise_std, size=(t_n - 1, 2))
-        if t_n > 1
-        else np.empty((0, 2))
-    )
-    for t in range(1, t_n):
-        static[t] = max(static[t - 1] * (1.0 + noise[t - 1, 0]), cfg.volume_floor)
-        rho = _rebate(dynamic[t - 1], cfg.target_volume, REBATE_CAP)
-        feedback = cfg.sensitivity * (rho - cfg.static_rebate)
-        dynamic[t] = max(
-            dynamic[t - 1] * (1.0 + feedback + noise[t - 1, 1]), cfg.volume_floor
-        )
-        rho_applied[t] = rho
-    return static, dynamic, rho_applied
 
 
 def _log_change_vol(series) -> float:
@@ -142,22 +124,54 @@ def _log_change_vol(series) -> float:
 def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     """Run the static-vs-dynamic rebate experiment.
 
+    Replications run a block at a time as the rows of (block, days) arrays,
+    each day one elementwise step of the recurrence across the block. Day 0
+    holds the initial volume; days 1..days-1 are updates. Each replication
+    draws its (days-1, 2) normal noise from its own replication_rng: column
+    0 drives the static arm, column 1 the dynamic arm. The dynamic arm's
+    rebate is evaluated on the previous day's volume.
+
     The stored series come from replication 0; the summary additionally
     aggregates final/initial ratios and the dynamic-beats-static fraction
     across all replications.
     """
-    static0 = dynamic0 = rho0 = None
-    final_static = np.empty(cfg.replications)
-    final_dynamic = np.empty(cfg.replications)
+    days, reps = cfg.days, cfg.replications
+    width = max(1, min(reps, DRS_BLOCK_CELLS // days))
+    static = np.empty((width, days))
+    dynamic = np.empty((width, days))
+    rho = np.empty((width, days))
+    noise = np.empty((width, days - 1, 2))
+    static[:, 0] = dynamic[:, 0] = cfg.initial_volume
+    rho[:, 0] = _rebate(cfg.initial_volume, cfg.target_volume, REBATE_CAP)
+    floor, target, k, static_rebate = (
+        cfg.volume_floor, cfg.target_volume, cfg.sensitivity, cfg.static_rebate
+    )
+    final_static = np.empty(reps)
+    final_dynamic = np.empty(reps)
     beats = 0
-    for rep in range(cfg.replications):
-        static, dynamic, rho = _run_one_replication(cfg, rep)
-        if rep == 0:
-            static0, dynamic0, rho0 = static, dynamic, rho
-        final_static[rep] = static[-1] / cfg.initial_volume
-        final_dynamic[rep] = dynamic[-1] / cfg.initial_volume
-        if np.mean(dynamic) > np.mean(static):
-            beats += 1
+    for start in range(0, reps, width):
+        stop = min(start + width, reps)
+        rows = stop - start
+        for i in range(rows):
+            noise[i] = replication_rng(cfg.seed, start + i).normal(
+                0.0, cfg.noise_std, size=(days - 1, 2)
+            )
+        s, d, r = static[:rows], dynamic[:rows], rho[:rows]
+        # the static arm's factor 1 + e, once per block, in place of its noise
+        growth = np.add(1.0, noise[:rows, :, 0], out=noise[:rows, :, 0])
+        # Column views of day t-1 and day t; every step keeps the operands
+        # and order of max(v * ((1 + k*(rho - static_rebate)) + e), floor).
+        for s0, s1, d0, d1, r1, g, e in zip(
+            s.T, s.T[1:], d.T, d.T[1:], r.T[1:], growth.T, noise[:rows, :, 1].T
+        ):
+            np.maximum(s0 * g, floor, out=s1)
+            _rebate(d0, target, REBATE_CAP, out=r1)
+            np.maximum(d0 * ((1.0 + k * (r1 - static_rebate)) + e), floor, out=d1)
+        final_static[start:stop] = s[:, -1] / cfg.initial_volume
+        final_dynamic[start:stop] = d[:, -1] / cfg.initial_volume
+        beats += int(np.count_nonzero(np.mean(d, axis=1) > np.mean(s, axis=1)))
+        if start == 0:
+            static0, dynamic0, rho0 = s[0].copy(), d[0].copy(), r[0].copy()
     summary = {
         "days": cfg.days,
         "replications": cfg.replications,
@@ -314,6 +328,13 @@ class MarketLoopConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        for name, value in (("x_reserve", self.x_reserve), ("y_reserve", self.y_reserve)):
+            if not _is_reserve(value):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        try:
+            _check_exponent(self.n)
+        except PoolError as exc:
+            raise ValueError(f"n: {exc}") from None
         if self.epochs < 1 or self.periods_per_epoch < 1:
             raise ValueError("epochs and periods_per_epoch must be >= 1")
         if self.target_volume <= 0:
@@ -408,7 +429,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             regime = classify_regime(sigma, cfg.schedule)
             params = cfg.schedule.params_for(regime)
             gamma = params.gamma
-            rho = _rebate(prev_period_volume, cfg.target_volume, params.rho_max)
+            rho = float(_rebate(prev_period_volume, cfg.target_volume, params.rho_max))
             period_volume = 0.0
             n_trades = int(rng.poisson(stream.trades_per_period))
             for _ in range(n_trades):

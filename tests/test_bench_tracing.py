@@ -10,13 +10,17 @@ from powerlaw_amm import cli, il, pool, sim
 # the program no longer has.
 KNOWN_MISSING = {"powerlaw_amm.cli._build_loop_config", "powerlaw_amm.cli.DrsSimConfig"}
 
+# A DRS run one replication past a full block, so it crosses a block boundary.
+DRS_DAYS = 100
+DRS_REPLICATIONS = sim.DRS_BLOCK_CELLS // DRS_DAYS + 1
+
 
 def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_bench_module):
     tracing = load_bench_module("tracing")
     monkeypatch.chdir(tmp_path)
     configs = {
         "sweep.json": {"m_points": 5, "n_values": [1, 4]},
-        "drs.json": {"days": 5, "replications": 2},
+        "drs.json": {"days": DRS_DAYS, "replications": DRS_REPLICATIONS},
         "loop.json": {"epochs": 2, "periods_per_epoch": 3},
     }
     for name, data in configs.items():
@@ -30,8 +34,12 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     ]
     write_csv = cli.write_csv
     rec = tracing.Recorder()
+    codes = []
     with tracing.traced(rec, cli, sim, pool, il):
-        codes = [cli.main(argv) for argv in commands]
+        for argv in commands:
+            codes.append(cli.main(argv))
+            if argv[0] == "simulate-drs":  # the first command that draws
+                drs_counts = rec.calls("sim.replication_rng"), rec.counts["sim.rng.draws"]
         api = tracing.pool_api(rec, pool)  # what the quotes workload calls
         quoted, _ = api.swap_y_for_x(api.Pool(100.0, 100.0, 4), 10.0)
         api.slippage_first_order(quoted, 1.0)
@@ -41,3 +49,5 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     calls = {name: rec.calls(name) for name in ("sim.sweep", "sim.drs", "sim.market_loop", "pool.swap")}
     assert calls == {"sim.sweep": 2, "sim.drs": 1, "sim.market_loop": 1, "pool.swap": 1}
     assert cli.write_csv is write_csv  # traced() put every name back
+    # one generator and one (days - 1, 2) draw per replication, across blocks
+    assert drs_counts == (DRS_REPLICATIONS, DRS_REPLICATIONS * (DRS_DAYS - 1) * 2)

@@ -260,6 +260,30 @@ class TestConfigValidation:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n": 9}', "error: bad config: n: exponent must be an integer"),
+            ('{"x_reserve": -1}', "error: bad config: x_reserve must be finite and nonnegative"),
+            ('{"y_reserve": -0.5}', "error: bad config: y_reserve must be finite and nonnegative"),
+        ],
+    )
+    def test_pool_fields_named_by_key(self, tmp_path, capsys, text, message):
+        assert run_config(tmp_path, "market-loop", text) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"schedule": {"high": {"gamma": 0.01}}}', "missing config keys in schedule.high: ['rho_max']"),
+            ('{"schedule": {"low": {}}}', "missing config keys in schedule.low: ['gamma', 'rho_max']"),
+        ],
+    )
+    def test_missing_nested_keys_named(self, tmp_path, capsys, text, message):
+        assert run_config(tmp_path, "market-loop", text) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_rho_max_below_rebate_floor_exits_2(self, tmp_path, capsys):
         text = '{"schedule": {"low": {"gamma": 0.003, "rho_max": 0.2}}}'
         assert run_config(tmp_path, "market-loop", text) == 2

@@ -61,6 +61,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             FeeSchedule(sigma_low=0.05, sigma_high=0.01)
 
+    @pytest.mark.parametrize("field", ["low", "moderate", "high"])
+    def test_regime_fields_must_hold_regime_params(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a RegimeParams"):
+            FeeSchedule(**{field: (0.01, 0.4)})
+
     def test_rho_max_below_rebate_floor_rejected(self):
         # split_fee never accepts a rebate below the floor, so a cap below it
         # could only fail mid-run.

@@ -21,12 +21,14 @@ from powerlaw_amm.pool import (
     swap_y_for_x,
 )
 from powerlaw_amm.sim import (
+    DRS_BLOCK_CELLS,
     DrsSimConfig,
     MarketLoopConfig,
     SweepGridConfig,
     TradeStreamConfig,
     drs_geometric_upper_bound,
     drs_noise_free_series,
+    replication_rng,
     run_drs_simulation,
     run_market_loop,
     sweep_il,
@@ -111,6 +113,96 @@ class TestDrsSimulation:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DrsSimConfig(**{field: value})
+
+
+def reference_drs(cfg: DrsSimConfig):
+    """The DRS recurrence one replication and one day at a time: one
+    replication_rng per replication, the public dynamic_rebate, Python max.
+    Returns replication 0's (static, dynamic, rho) series and the summary."""
+    finals_static, finals_dynamic, beats = [], [], 0
+    for rep in range(cfg.replications):
+        noise = replication_rng(cfg.seed, rep).normal(0.0, cfg.noise_std, size=(cfg.days - 1, 2))
+        static, dynamic = [cfg.initial_volume], [cfg.initial_volume]
+        rho = [dynamic_rebate(RebateContext(cfg.initial_volume, cfg.target_volume))]
+        for eps_static, eps_dynamic in noise.tolist():
+            static.append(max(static[-1] * (1.0 + eps_static), cfg.volume_floor))
+            r = dynamic_rebate(RebateContext(dynamic[-1], cfg.target_volume))
+            step = 1.0 + cfg.sensitivity * (r - cfg.static_rebate) + eps_dynamic
+            dynamic.append(max(dynamic[-1] * step, cfg.volume_floor))
+            rho.append(r)
+        static, dynamic = np.array(static), np.array(dynamic)
+        if rep == 0:
+            series = static, dynamic, np.array(rho)
+        finals_static.append(static[-1] / cfg.initial_volume)
+        finals_dynamic.append(dynamic[-1] / cfg.initial_volume)
+        beats += bool(np.mean(dynamic) > np.mean(static))
+    static0, dynamic0, _ = series
+
+    def vol(x):
+        return float(np.std(np.diff(np.log(x)))) if len(x) > 1 else 0.0
+
+    summary = {
+        "days": cfg.days,
+        "replications": cfg.replications,
+        "mean_volume_static": float(np.mean(static0)),
+        "mean_volume_dynamic": float(np.mean(dynamic0)),
+        "final_ratio_static": float(static0[-1] / cfg.initial_volume),
+        "final_ratio_dynamic": float(dynamic0[-1] / cfg.initial_volume),
+        "volatility_static": vol(static0),
+        "volatility_dynamic": vol(dynamic0),
+        "mean_final_ratio_static": float(np.mean(finals_static)),
+        "mean_final_ratio_dynamic": float(np.mean(finals_dynamic)),
+        "dynamic_beats_static_fraction": beats / cfg.replications,
+    }
+    return series, summary
+
+
+BLOCK = DRS_BLOCK_CELLS // 100  # replications per block at 100 days
+LONG_DAYS = DRS_BLOCK_CELLS // 3 + 1  # blocks of two replications, so 5 make 3 blocks
+
+
+class TestBlockedDrs:
+    """run_drs_simulation runs blocks of replications as arrays; every
+    series and summary value must equal the scalar recurrence bit for bit."""
+
+    @pytest.mark.parametrize(
+        "replications, days, noise_std, seed",
+        [
+            (1, 100, 0.01, 3),
+            (BLOCK - 1, 100, 0.01, 0),
+            (BLOCK, 100, 0.0, 11),
+            (BLOCK, 100, 0.05, 11),
+            (BLOCK + 1, 100, 0.01, 2024),
+            (2 * BLOCK + 1, 100, 0.05, 5),
+            (3, 1, 0.01, 7),
+            (1, 1, 0.0, 7),
+            (4, 2, 0.01, 1),
+            (5, LONG_DAYS, 0.01, 9),
+            (5, LONG_DAYS, 0.0, 9),
+        ],
+    )
+    def test_bit_identical_to_scalar_reference(self, replications, days, noise_std, seed):
+        cfg = DrsSimConfig(days=days, replications=replications, noise_std=noise_std, seed=seed)
+        self.assert_matches_reference(cfg)
+
+    def test_bit_identical_where_the_floor_binds(self):
+        # a static rebate above the 0.4 cap makes the dynamic arm drift down too
+        cfg = DrsSimConfig(
+            replications=BLOCK + 1, noise_std=0.05, volume_floor=9e5, static_rebate=0.45, seed=4
+        )
+        res = self.assert_matches_reference(cfg)
+        assert np.any(res.static_series == 9e5) and np.any(res.dynamic_series == 9e5)
+
+    @staticmethod
+    def assert_matches_reference(cfg):
+        (static, dynamic, rho), summary = reference_drs(cfg)
+        res = run_drs_simulation(cfg)
+        assert res.static_series.tobytes() == static.tobytes()
+        assert res.dynamic_series.tobytes() == dynamic.tobytes()
+        assert res.rho_series.tobytes() == rho.tobytes()
+        assert res.summary == summary
+        assert all(type(v) in (int, float) for v in res.summary.values())
+        return res
 
 
 class TestSweeps:
@@ -227,6 +319,22 @@ class TestMarketLoop:
             MarketLoopConfig(target_volume=0.0)
         with pytest.raises(ValueError):
             TradeStreamConfig(size_median_frac=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stream", {"trades_per_period": 1.0}), ("schedule", None), ("stream", FeeSchedule())],
+    )
+    def test_nested_fields_must_hold_their_class(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            MarketLoopConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 9), ("n", 0), ("x_reserve", -1.0), ("y_reserve", -1), ("x_reserve", -0.5)],
+    )
+    def test_pool_fields_checked_and_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}[ :]"):
+            MarketLoopConfig(**{field: value})
 
 
 class TestRebateComposition:
