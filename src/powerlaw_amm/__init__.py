@@ -18,6 +18,7 @@ from .pool import (
     swap_y_for_x,
 )
 from .il import (
+    il_hold,
     il_improvement_factor,
     il_powerlaw_exact,
     il_powerlaw_taylor,

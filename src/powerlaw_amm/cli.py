@@ -18,6 +18,11 @@ its own output. Numbers are serialized with 17 significant digits, which
 round-trips IEEE doubles exactly; rerunning a command with the same config
 and seed yields byte-identical files.
 
+Tables are written by columns: a numpy structured array (the sweeps) or a
+dict of column sequences (simulate-drs, the market-loop epochs). Each column
+is turned into a list once, and each CSV row is formatted by one % template
+holding each column's _cell_format.
+
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
 The POWERLAW_AMM_OUT_DIR environment variable overrides the default output
 directory (used when --out is not given).
@@ -31,6 +36,8 @@ import json
 import os
 import sys
 import typing
+
+import numpy as np
 
 from . import sim
 from .pool import (
@@ -57,13 +64,16 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
 
 
-def fmt(value) -> str:
-    """Serialize one cell: strings verbatim, numbers with 17 significant
+def _cell_format(value) -> str:
+    """The % format of a cell: strings verbatim, numbers with 17 significant
     digits (integer cells are days, epoch ids and exponents, well below 1e17,
     so they keep every digit)."""
-    if isinstance(value, str):
-        return value
-    return format(value, ".17g")
+    return "%s" if isinstance(value, str) else "%.17g"
+
+
+def fmt(value) -> str:
+    """Serialize one cell by _cell_format."""
+    return _cell_format(value) % value
 
 
 def load_config_file(path: str | None) -> dict:
@@ -120,15 +130,24 @@ def resolve_out(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
 
 
-def write_csv(path: str, command: str, config: dict, columns: list[str], rows):
+def _columns(table) -> dict[str, list]:
+    """Column name -> list of cells of a structured array or a dict of
+    column sequences."""
+    names = table.dtype.names if isinstance(table, np.ndarray) else table
+    return {name: np.asarray(table[name]).tolist() for name in names}
+
+
+def write_csv(path: str, command: str, config: dict, table):
+    columns = _columns(table)
+    # one format per column, read off its first cell (an empty table has no rows)
+    template = ",".join(_cell_format(cells[0] if cells else "") for cells in columns.values())
     lines = [
         f"# schema_version: {SCHEMA_VERSION}",
         f"# command: {command}",
         "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")),
         ",".join(columns),
     ]
-    for row in rows:
-        lines.append(",".join(fmt(row[c]) for c in columns))
+    lines += [template % row for row in zip(*columns.values())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -140,24 +159,26 @@ def write_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def write_table(path, output_format, command, config, columns, rows, summary=None):
-    """Write rows as a CSV or as one JSON object; return the paths written.
+def write_table(path, output_format, command, config, table, summary=None):
+    """Write a table (see _columns) as a CSV or as one JSON object; return
+    the paths written.
 
     A summary goes into the JSON object, or beside a CSV as
     <root>.summary.json.
     """
     if output_format == "json":
+        columns = _columns(table)
         payload = {
             "command": command,
             "config": config,
-            "columns": columns,
-            "rows": [[row[c] for c in columns] for row in rows],
+            "columns": list(columns),
+            "rows": list(zip(*columns.values())),
         }
         if summary is not None:
             payload["summary"] = summary
         write_json(path, payload)
         return [path]
-    write_csv(path, command, config, columns, rows)
+    write_csv(path, command, config, table)
     if summary is None:
         return [path]
     sidecar = os.path.splitext(path)[0] + ".summary.json"
@@ -227,24 +248,22 @@ def _sweep_grid(cfg: dict):
     return grid.m_grid(), grid.n_values, resolved
 
 
-def _run_sweep(args, command: str, runner, columns: list[str]) -> int:
+def _run_sweep(args, command: str, runner) -> int:
     m_grid, n_values, resolved = _sweep_grid(load_config_file(args.config))
-    rows = runner(m_grid, n_values)
+    table = runner(m_grid, n_values)
     out = resolve_out(args, f"{command.replace('-', '_')}.{args.format}")
     config = {**resolved, "out": out, "format": args.format}
-    write_table(out, args.format, command, config, columns, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    write_table(out, args.format, command, config, table)
+    print(f"wrote {len(table)} rows to {out}")
     return 0
 
 
 def cmd_sweep_retention(args) -> int:
-    columns = ["m", "n", "retention_ratio", "depleted_fraction"]
-    return _run_sweep(args, "sweep-retention", sweep_retention, columns)
+    return _run_sweep(args, "sweep-retention", sweep_retention)
 
 
 def cmd_sweep_il(args) -> int:
-    columns = ["m", "n", "il_traditional", "il_scaled", "il_exact"]
-    return _run_sweep(args, "sweep-il", sweep_il, columns)
+    return _run_sweep(args, "sweep-il", sweep_il)
 
 
 def _seeded_config(args) -> dict:
@@ -261,19 +280,13 @@ def cmd_simulate_drs(args) -> int:
     result = run_drs_simulation(cfg)
     out = resolve_out(args, f"drs.{args.format}")
     config = {**dataclasses.asdict(cfg), "out": out, "format": args.format}
-    columns = ["day", "static_volume", "dynamic_volume", "rho_applied"]
-    rows = [
-        {
-            "day": t,
-            "static_volume": result.static_series[t],
-            "dynamic_volume": result.dynamic_series[t],
-            "rho_applied": result.rho_series[t],
-        }
-        for t in range(cfg.days)
-    ]
-    paths = write_table(
-        out, args.format, "simulate-drs", config, columns, rows, summary=result.summary
-    )
+    table = {
+        "day": range(cfg.days),
+        "static_volume": result.static_series,
+        "dynamic_volume": result.dynamic_series,
+        "rho_applied": result.rho_series,
+    }
+    paths = write_table(out, args.format, "simulate-drs", config, table, summary=result.summary)
     print("wrote " + " and ".join(paths))
     return 0
 
@@ -310,14 +323,15 @@ def cmd_market_loop(args) -> int:
         ],
     }
     write_json(out, {"command": "market-loop", "config": config, "metrics": metrics})
-    rows = [
-        {"epoch": er.epoch_id, "trader": trader, "reward": reward}
-        for er in result.epoch_reports
-        for trader, reward in er.payouts
-    ]
+    reports = result.epoch_reports
+    table = {
+        "epoch": [er.epoch_id for er in reports for _ in er.payouts],
+        "trader": [trader for er in reports for trader, _ in er.payouts],
+        "reward": [reward for er in reports for _, reward in er.payouts],
+    }
     epochs_csv = os.path.splitext(out)[0] + ".epochs.csv"
     ledger_config = {**config, "ledger_of": out}
-    write_csv(epochs_csv, "market-loop", ledger_config, ["epoch", "trader", "reward"], rows)
+    write_csv(epochs_csv, "market-loop", ledger_config, table)
     print(f"wrote {out} and {epochs_csv}")
     return 0
 

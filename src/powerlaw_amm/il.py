@@ -9,27 +9,36 @@ Two models of the power-law pool's IL are exposed side by side:
   pool-value / hold-value ratio, which gives 60.2% for the same point.
 
 They disagree away from small price moves; callers should say which model a
-number came from.
+number came from. il_hold is the loss against holding the initial reserves,
+the usual definition; the factor model matches it only for small moves.
 
 The domains are the pool's: a bad exponent n or a price multiplier (m, or
 1+eps) that is not positive and finite raises PoolError from
 pool._check_exponent or pool._check_multiplier.
+
+m and eps are a float or a 1-D float array; n is one exponent. A float
+argument returns a Python float, an array an array of the same length. The
+power goes through pool._pow (libm pow, elementwise), so an array call
+gives the same bits as the per-point float calls.
 """
 
 from __future__ import annotations
 
 import math
 
-from .pool import _check_exponent, _check_multiplier
+import numpy as np
+
+from .pool import _check_exponent, _check_multiplier, _pow
 
 
-def il_traditional(m: float) -> float:
+def il_traditional(m: float | np.ndarray) -> float | np.ndarray:
     """Constant-product impermanent loss 1 - 2*sqrt(M)/(M+1).
 
     Symmetric under m <-> 1/m; zero at m=1.
     """
     _check_multiplier(m)
-    return 1.0 - 2.0 * math.sqrt(m) / (m + 1.0)
+    root = np.sqrt(m) if isinstance(m, np.ndarray) else math.sqrt(m)
+    return 1.0 - 2.0 * root / (m + 1.0)
 
 
 def il_improvement_factor(n: int) -> float:
@@ -38,12 +47,12 @@ def il_improvement_factor(n: int) -> float:
     return (n + 1) ** 2 / (4.0 * n)
 
 
-def il_proposed_scaled(m: float, n: int) -> float:
+def il_proposed_scaled(m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Factor model: traditional IL reduced by g(n)."""
     return il_traditional(m) / il_improvement_factor(n)
 
 
-def il_powerlaw_exact(epsilon: float, n: int) -> float:
+def il_powerlaw_exact(epsilon: float | np.ndarray, n: int) -> float | np.ndarray:
     """Exact power-law IL as a function of eps = M - 1.
 
     Built from pool value (n+1)*Y0*(1+eps)^(1-1/(n+1)) against hold value
@@ -51,8 +60,25 @@ def il_powerlaw_exact(epsilon: float, n: int) -> float:
     1 - (1+eps)^(-1/(n+1)).
     """
     _check_exponent(n)
-    _check_multiplier(1.0 + epsilon)
-    return 1.0 - (1.0 + epsilon) ** (-1.0 / (n + 1))
+    m = 1.0 + epsilon
+    _check_multiplier(m)
+    return 1.0 - _pow(m, -1.0 / (n + 1))
+
+
+def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
+    """Impermanent loss against holding the initial reserves:
+    1 - (n+1)*m^(n/(n+1)) / (n*m + 1).
+
+    X^n * Y = K is a geometric-mean pool with weight n/(n+1) on X, and this
+    is its value over the value of the initial reserves held, minus one
+    (Evans, "Liquidity Provider Returns in Geometric Mean Markets", arXiv
+    2006.08806). At n=1 it is il_traditional; as m -> 1 its ratio to
+    il_traditional tends to 1/g(n). Unlike the factor model it is not
+    symmetric under m <-> 1/m: on a price fall a larger n loses more.
+    """
+    _check_multiplier(m)
+    _check_exponent(n)
+    return 1.0 - (n + 1) * _pow(m, n / (n + 1)) / (n * m + 1.0)
 
 
 def il_powerlaw_taylor(epsilon: float, n: int) -> float:

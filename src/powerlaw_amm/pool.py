@@ -16,10 +16,18 @@ must be positive and finite, at most SWAP_INPUT_CAP times the matching
 reserve, and must leave a price in (0, inf). The market loop calls the
 kernels directly on plain floats.
 
+The closed forms (depleted_reserves, retention_ratio) take the price
+multiplier m as a float or as a 1-D float array, so a sweep makes one call
+per exponent rather than one per grid point. A float argument returns a
+Python float. The only power they raise goes through _pow, which is
+Python's float ** (libm pow) elementwise; every other operation is
+correctly rounded in numpy and in Python alike, so an array call and the
+per-point float calls give the same bits.
+
 The checks shared with the rest of the package live here too: one exponent
-domain (_check_exponent), one price-multiplier rule (_check_multiplier), one
-reserve rule (_is_reserve) and the type rule of every config dataclass field
-(_check_fields).
+domain (_check_exponent), one price-multiplier rule for floats and arrays
+(_check_multiplier), one reserve rule (_is_reserve) and the type rule of
+every config dataclass field (_check_fields).
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ import math
 import numbers
 import typing
 from dataclasses import dataclass
+
+import numpy as np
 
 MIN_EXPONENT = 1
 MAX_EXPONENT = 8
@@ -176,22 +186,22 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
     return Pool(x_t, y_t, pool.n)
 
 
-def depleted_reserves(y0: float, m: float, n: int) -> float:
+def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Stablecoin reserve left after an m-fold price move under the depletion
-    convention: y0 * m^(-1/(n+1))."""
+    convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array."""
     if not _is_reserve(y0):
         raise PoolError(f"initial reserve must be finite and nonnegative, got {y0}")
     _check_multiplier(m)
     _check_exponent(n)
-    return y0 * m ** (-1.0 / (n + 1))
+    return y0 * _pow(m, -1.0 / (n + 1))
 
 
-def retention_ratio(m: float, n: int) -> float:
+def retention_ratio(m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
-    m-fold price move: m^(1/2 - 1/(n+1))."""
+    m-fold price move: m^(1/2 - 1/(n+1)). m is a float or a 1-D float array."""
     _check_multiplier(m)
     _check_exponent(n)
-    return m ** (0.5 - 1.0 / (n + 1))
+    return _pow(m, 0.5 - 1.0 / (n + 1))
 
 
 def price_elasticity(n: int) -> float:
@@ -227,9 +237,32 @@ def slippage_ratio(n: int) -> float:
     return (n + 1) / 2.0
 
 
-def _check_multiplier(m: float):
-    """The price-multiplier rule of the closed forms: m positive and finite."""
-    if not 0.0 < m < math.inf:
+def _pow(base: float | np.ndarray, e: float) -> float | np.ndarray:
+    """base ** e for a float base, or elementwise for an array of floats.
+
+    The power is Python's float ** (libm pow) in both cases. numpy's power
+    is vectorised with its own SIMD routines, which differ from libm in the
+    last bit on a few percent of inputs, so an array call through it would
+    not reproduce the per-point float calls or the pinned outputs.
+    """
+    if isinstance(base, np.ndarray):
+        powers = [b**e for b in base.ravel().tolist()]
+        return np.array(powers, dtype=float).reshape(base.shape)
+    return base**e
+
+
+def _check_multiplier(m: float | np.ndarray):
+    """The price-multiplier rule of the closed forms: m positive and finite.
+    An array is checked with one mask, and the error names its first bad
+    value."""
+    if isinstance(m, np.ndarray):
+        bad = ~((m > 0.0) & (m < math.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise PoolError(
+                f"price multiplier must be positive and finite, got {m.flat[i]} at index {i}"
+            )
+    elif not 0.0 < m < math.inf:
         raise PoolError(f"price multiplier must be positive and finite, got {m}")
 
 

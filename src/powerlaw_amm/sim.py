@@ -2,7 +2,10 @@
 
 - run_drs_simulation: static-rebate vs dynamic-rebate daily-volume experiment.
 - sweep_retention / sweep_il: grid evaluations of the retention and
-  impermanent-loss curves, by default over the SweepGridConfig() grid.
+  impermanent-loss curves, by default over the SweepGridConfig() grid. Each
+  returns a numpy structured array, one record per (n, m) row in n-major
+  order, built from one array call of a closed form per column and
+  exponent; table["col"] is a column and row["m"] a cell.
 - run_market_loop: integrated pool + fee-engine market loop driven by a
   seeded synthetic trade stream.
 
@@ -251,41 +254,49 @@ class SweepGridConfig:
         return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
 
 
-def sweep_retention(m_grid=None, n_values=None) -> list[dict]:
-    """Rows of (m, n, retention_ratio, depleted_fraction) over the grid."""
-    m_grid = SweepGridConfig().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    n_values = SweepGridConfig().n_values if n_values is None else n_values
-    rows = []
-    for n in n_values:
-        for m in m_grid:
-            rows.append(
-                {
-                    "m": float(m),
-                    "n": int(n),
-                    "retention_ratio": pool_mod.retention_ratio(m, n),
-                    "depleted_fraction": pool_mod.depleted_reserves(1.0, m, n),
-                }
-            )
-    return rows
+def _sweep(m_grid, n_values, columns: dict) -> np.ndarray:
+    """The sweep table over m_grid x n_values, n-major: a structured array
+    with fields m, n and one float field per entry of columns, whose value
+    maps (m array, n) to that column. Each column is one closed-form call per
+    exponent over the whole m grid."""
+    grid = SweepGridConfig()
+    m_grid = grid.m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
+    n_values = grid.n_values if n_values is None else n_values
+    dtype = [("m", float), ("n", int)] + [(name, float) for name in columns]
+    table = np.empty(len(n_values) * m_grid.size, dtype=dtype)
+    for rows, n in zip(table.reshape(len(n_values), m_grid.size), n_values):
+        rows["m"] = m_grid
+        rows["n"] = n
+        for name, column in columns.items():
+            rows[name] = column(m_grid, n)
+    return table
 
 
-def sweep_il(m_grid=None, n_values=None) -> list[dict]:
-    """Rows of (m, n, il_traditional, il_scaled, il_exact) over the grid."""
-    m_grid = SweepGridConfig().m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    n_values = SweepGridConfig().n_values if n_values is None else n_values
-    rows = []
-    for n in n_values:
-        for m in m_grid:
-            rows.append(
-                {
-                    "m": float(m),
-                    "n": int(n),
-                    "il_traditional": il_mod.il_traditional(m),
-                    "il_scaled": il_mod.il_proposed_scaled(m, n),
-                    "il_exact": il_mod.il_powerlaw_exact(m - 1.0, n),
-                }
-            )
-    return rows
+def sweep_retention(m_grid=None, n_values=None) -> np.ndarray:
+    """Structured array of (m, n, retention_ratio, depleted_fraction) rows
+    over the grid."""
+    return _sweep(
+        m_grid,
+        n_values,
+        {
+            "retention_ratio": lambda m, n: pool_mod.retention_ratio(m, n),
+            "depleted_fraction": lambda m, n: pool_mod.depleted_reserves(1.0, m, n),
+        },
+    )
+
+
+def sweep_il(m_grid=None, n_values=None) -> np.ndarray:
+    """Structured array of (m, n, il_traditional, il_scaled, il_exact) rows
+    over the grid."""
+    return _sweep(
+        m_grid,
+        n_values,
+        {
+            "il_traditional": lambda m, n: il_mod.il_traditional(m),
+            "il_scaled": lambda m, n: il_mod.il_proposed_scaled(m, n),
+            "il_exact": lambda m, n: il_mod.il_powerlaw_exact(m - 1.0, n),
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from powerlaw_amm import cli, il, pool, sim
 # the program no longer has.
 KNOWN_MISSING = {"powerlaw_amm.cli._build_loop_config", "powerlaw_amm.cli.DrsSimConfig"}
 
+# The sweep grid: both sweeps run over it.
+SWEEP = {"m_points": 5, "n_values": [1, 4]}
+
 # A DRS run one replication past a full block, so it crosses a block boundary.
 DRS_DAYS = 100
 DRS_REPLICATIONS = sim.DRS_BLOCK_CELLS // DRS_DAYS + 1
@@ -19,7 +22,7 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     tracing = load_bench_module("tracing")
     monkeypatch.chdir(tmp_path)
     configs = {
-        "sweep.json": {"m_points": 5, "n_values": [1, 4]},
+        "sweep.json": SWEEP,
         "drs.json": {"days": DRS_DAYS, "replications": DRS_REPLICATIONS},
         "loop.json": {"epochs": 2, "periods_per_epoch": 3},
     }
@@ -49,5 +52,11 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     calls = {name: rec.calls(name) for name in ("sim.sweep", "sim.drs", "sim.market_loop", "pool.swap")}
     assert calls == {"sim.sweep": 2, "sim.drs": 1, "sim.market_loop": 1, "pool.swap": 1}
     assert cli.write_csv is write_csv  # traced() put every name back
+    # the sweeps are array-first: one closed-form call per (column, n), not
+    # one per grid point (2 retention columns, 3 IL columns)
+    per_n = len(SWEEP["n_values"])
+    assert rec.calls("pool.closed_form") == 2 * per_n
+    il_calls = [rec.calls(f"il.{f}") for f in ("il_traditional", "il_proposed_scaled", "il_powerlaw_exact")]
+    assert il_calls == [per_n] * 3
     # one generator and one (days - 1, 2) draw per replication, across blocks
     assert drs_counts == (DRS_REPLICATIONS, DRS_REPLICATIONS * (DRS_DAYS - 1) * 2)

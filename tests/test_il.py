@@ -1,4 +1,4 @@
-"""Impermanent-loss formulas: traditional, factor-scaled, exact, Taylor."""
+"""Impermanent-loss formulas: traditional, factor-scaled, exact, Taylor, hold."""
 
 import math
 
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm.il import (
+    il_hold,
     il_improvement_factor,
     il_powerlaw_exact,
     il_powerlaw_taylor,
@@ -119,6 +120,31 @@ class TestTaylor:
             assert taylor_coeff / factor_coeff >= 1.5
 
 
+class TestHoldModel:
+    """IL against holding the initial reserves, 1 - (n+1)*m^(n/(n+1)) / (n*m + 1)."""
+
+    @given(m=st.floats(1e-6, 1e6))
+    @settings(max_examples=200)
+    def test_n1_is_traditional(self, m):
+        assert il_hold(m, 1) == pytest.approx(il_traditional(m), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_small_move_ratio_is_one_over_g(self, n):
+        ratio = il_hold(1.001, n) / il_traditional(1.001)
+        assert ratio == pytest.approx(1.0 / il_improvement_factor(n), rel=0, abs=1e-3)
+
+    def test_larger_exponent_loses_more_on_a_fall(self):
+        assert il_hold(0.01, 4) == pytest.approx(0.879, abs=1e-3)
+        assert il_hold(0.01, 1) == pytest.approx(0.802, abs=1e-3)
+        assert il_hold(0.01, 4) > il_hold(0.01, 1)
+
+    def test_hundredfold_n4(self):
+        assert il_hold(100.0, 4) == pytest.approx(0.5036, abs=1e-4)
+
+    def test_no_move(self):
+        assert il_hold(1.0, 6) == 0.0
+
+
 class TestCurveShape:
     def test_thousandfold_values_and_ordering(self):
         assert il_traditional(1000.0) == pytest.approx(0.93682, abs=1e-5)
@@ -154,6 +180,11 @@ class TestDomain:
         with pytest.raises(ValueError, match="multiplier"):
             il_powerlaw_taylor(m - 1.0, 4)
 
+    @pytest.mark.parametrize("m", BAD_MULTIPLIERS)
+    def test_hold_rejects_bad_multiplier(self, m):
+        with pytest.raises(ValueError, match="multiplier"):
+            il_hold(m, 4)
+
     @pytest.mark.parametrize("n", [0, 9, 50, 1.5, math.inf, math.nan, True])
     @pytest.mark.parametrize(
         "call",
@@ -162,8 +193,9 @@ class TestDomain:
             lambda n: il_proposed_scaled(2.0, n),
             lambda n: il_powerlaw_exact(1.0, n),
             lambda n: il_powerlaw_taylor(0.01, n),
+            lambda n: il_hold(2.0, n),
         ],
-        ids=["improvement_factor", "scaled", "exact", "taylor"],
+        ids=["improvement_factor", "scaled", "exact", "taylor", "hold"],
     )
     def test_exponent_domain_is_the_pools(self, call, n):
         with pytest.raises(PoolError, match="exponent"):

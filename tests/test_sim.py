@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm.fees import FeeSchedule, RebateContext, dynamic_rebate
-from powerlaw_amm.il import il_powerlaw_exact, il_proposed_scaled, il_traditional
+from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_proposed_scaled, il_traditional
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
@@ -401,6 +401,8 @@ class TestFeeFreeArbitragePath:
     K is preserved, the X (volatile) reserve is x0 * m^(-1/(n+1)) =
     depleted_reserves(x0, m, n), and the pool value x*P + y is
     V0 * m * (1 - il_powerlaw_exact(m - 1, n)), where V0 = x0*P0 + y0.
+    Against holding the initial reserves, worth x0*P + y0, the pool value
+    is (1 - il_hold(m, n)) times that.
 
     The depletion closed form m^(-1/(n+1)) is what the X reserve does on a
     price rise. The Y (stablecoin) reserve goes as (P/P0)^(n/(n+1)): after a
@@ -428,6 +430,8 @@ class TestFeeFreeArbitragePath:
             assert x / x0 == pytest.approx(depleted_reserves(1.0, m, n), rel=1e-12, abs=0)
             value_ratio = (x * price + y) / (v0 * m)
             assert value_ratio == pytest.approx(1.0 - il_powerlaw_exact(m - 1.0, n), rel=1e-12, abs=0)
+            hold_ratio = (x * price + y) / (x0 * price + y0)
+            assert hold_ratio == pytest.approx(1.0 - il_hold(m, n), rel=1e-12, abs=0)
 
 
 # Every int and float field of every sim config, read from the dataclasses,
