@@ -35,7 +35,6 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from . import sim
 from .pool import (
     Pool,
     PoolError,
+    _field_types,
     slippage_first_order,
     swap_x_for_y,
     swap_y_for_x,
@@ -112,7 +112,7 @@ def build_config(cls, data, where: str = ""):
     ]
     if missing:
         raise ConfigError(f"missing config keys{place}: {sorted(missing)}")
-    types = typing.get_type_hints(cls)
+    types = _field_types(cls)
     values = {}
     for key, value in data.items():
         if dataclasses.is_dataclass(types[key]):

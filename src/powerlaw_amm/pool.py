@@ -8,13 +8,14 @@ from state and never drifts from it.
 
 Validation happens at the public boundary: the Pool constructor takes only
 finite nonnegative reserves and an integer exponent in [MIN_EXPONENT,
-MAX_EXPONENT], spot_price rejects an inactive pool or a price n*Y/X outside
-(0, inf), and the swap functions check the fee rate. The swap arithmetic
-itself lives once, in the float kernels _buy_x and _sell_x, which assume a
-checked pool and fee and keep only the guards a trade can trip: the input
-must be positive and finite, at most SWAP_INPUT_CAP times the matching
-reserve, and must leave a price in (0, inf). The market loop calls the
-kernels directly on plain floats.
+MAX_EXPONENT] (a numpy integer counts, 4.0 does not), spot_price is the one
+check of pool state (active, with a price n*Y/X in (0, inf)) and every
+function taking a Pool calls it, and the swap functions check the fee rate.
+The swap arithmetic itself lives once, in the float kernels _buy_x and
+_sell_x, which assume a checked pool and fee and keep only the guards a
+trade can trip: the input must be positive and finite, at most
+SWAP_INPUT_CAP times the matching reserve, and must leave a price in
+(0, inf). The market loop calls the kernels directly on plain floats.
 
 The closed forms (depleted_reserves, retention_ratio) take the price
 multiplier m as a float or as a 1-D float array, so a sweep makes one call
@@ -26,8 +27,9 @@ per-point float calls give the same bits.
 
 The checks shared with the rest of the package live here too: one exponent
 domain (_check_exponent), one price-multiplier rule for floats and arrays
-(_check_multiplier), one reserve rule (_is_reserve) and the type rule of
-every config dataclass field (_check_fields).
+(_check_multiplier), one reserve rule (_is_reserve), the type rule of
+every config dataclass field (_check_fields) and the field types it reads,
+resolved once per class (_field_types, which cli.build_config reads too).
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class Pool:
             )
 
     @property
-    def is_active(self) -> bool:
-        return self.x_reserve > 0 and self.y_reserve > 0
-
-    @property
     def invariant(self) -> float:
         """K = X^n * Y, computed on demand and never stored."""
         return self.x_reserve**self.n * self.y_reserve
@@ -91,11 +89,6 @@ class SwapResult:
     price_before: float
     price_after: float
     slippage_exact: float
-
-
-def _require_active(pool: Pool):
-    if not pool.is_active:
-        raise PoolError("pool is inactive (a reserve is zero)")
 
 
 def spot_price(pool: Pool) -> float:
@@ -224,7 +217,7 @@ def min_arbitrage_size(pool: Pool, external_price: float) -> float:
 def slippage_first_order(pool: Pool, dx: float) -> float:
     """First-order slippage for a reserve change dx: -(n+1) * dx / X.
     Valid for |dx| << X; the caller is responsible for staying small."""
-    _require_active(pool)
+    spot_price(pool)  # the pool-state check: active, price in (0, inf)
     if not abs(dx) < math.inf:
         raise PoolError(f"dx must be finite, got {dx}")
     return -(pool.n + 1) * dx / pool.x_reserve
@@ -302,14 +295,7 @@ def _check_fields(obj):
 
 
 def _check_exponent(n: int):
-    if type(n) is int:
-        valid = MIN_EXPONENT <= n <= MAX_EXPONENT
-    else:  # e.g. 4.0 or a numpy integer; the range test rejects NaN and inf before int()
-        valid = (
-            isinstance(n, numbers.Real)
-            and not isinstance(n, bool)
-            and MIN_EXPONENT <= n <= MAX_EXPONENT
-            and int(n) == n
-        )
-    if not valid:
+    """The exponent rule: an integer in [MIN_EXPONENT, MAX_EXPONENT]; numpy
+    integers count, bools and floats (4.0 too) do not."""
+    if not ((type(n) is int or _is_integer(n)) and MIN_EXPONENT <= n <= MAX_EXPONENT):
         raise PoolError(f"exponent must be an integer in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n!r}")

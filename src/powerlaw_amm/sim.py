@@ -26,10 +26,11 @@ Validation happens once, at the boundary. Each config dataclass
 every rule for its fields: its __post_init__ applies the package's field
 type rule, pool._check_fields (integers for int fields, finite numbers for
 float fields, an instance of its class for a nested config), then its own
-range rules; MarketLoopConfig also applies the pool's exponent and reserve
-rules to n, x_reserve and y_reserve. The trade loop then runs on plain
-floats and the DRS recurrence on float arrays, through the pool and fee
-kernels (pool._buy_x, pool._sell_x, fees._rebate, fees._split), which
+range rules; MarketLoopConfig applies the pool's exponent and reserve
+rules to n, x_reserve and y_reserve, and SweepGridConfig the exponent rule
+to each entry of n_values, naming its index. The trade loop then runs on
+plain floats and the DRS recurrence on float arrays, through the pool and
+fee kernels (pool._buy_x, pool._sell_x, fees._rebate, fees._split), which
 assume checked inputs.
 drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
@@ -57,7 +58,7 @@ from .fees import (
     settle_epoch,
 )
 from .pool import Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
-from .pool import _check_exponent, _check_fields, _is_integer, _is_reserve
+from .pool import _check_exponent, _check_fields, _is_reserve
 
 # The public fee and swap functions stay importable from this module although
 # the loops call the kernels: bench/tracing.py rebinds these names to time them.
@@ -215,7 +216,7 @@ def drs_noise_free_series(cfg: DrsSimConfig) -> np.ndarray:
 def drs_geometric_upper_bound(cfg: DrsSimConfig) -> float:
     """Growth bound (1 + k*(0.4 - static_rebate))^(days-1): the noise-free
     dynamic arm can never beat a rebate pinned at its 0.4 cap."""
-    step = 1.0 + cfg.sensitivity * (0.4 - cfg.static_rebate)
+    step = 1.0 + cfg.sensitivity * (REBATE_CAP - cfg.static_rebate)
     return step ** (cfg.days - 1)
 
 
@@ -243,8 +244,6 @@ class SweepGridConfig:
         if not isinstance(self.n_values, list):
             raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
         for i, n in enumerate(self.n_values):
-            if not _is_integer(n):  # the pool's exponent rule alone admits 4.0
-                raise ValueError(f"n_values[{i}] must be an integer, got {n!r}")
             try:
                 _check_exponent(n)
             except PoolError as exc:

@@ -252,6 +252,9 @@ class TestConfigValidation:
             ("sweep-retention", '{"m_max": Infinity}', "m_max"),
             ("simulate-drs", '{"seed": -1}', "seed"),
             ("market-loop", '{"seed": -1}', "seed"),
+            ("simulate-drs", '{"days": 10,}', "is not valid JSON"),
+            ("sweep-il", '[1, 2]', "must hold a JSON object"),
+            ("market-loop", '{"stream": 5}', "stream must be a JSON object"),
         ],
     )
     def test_bad_field_type_exits_2(self, tmp_path, capsys, command, text, key):

@@ -41,6 +41,11 @@ class TestComputeFee:
         with pytest.raises(ValueError, match="volume"):
             compute_fee(volume, 0.003)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, math.nan])
+    def test_gamma_outside_open_unit_interval_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            compute_fee(1.0, gamma)
+
 
 class TestSchedule:
     def test_defaults_match_regime_table(self):
@@ -65,6 +70,20 @@ class TestSchedule:
     def test_regime_fields_must_hold_regime_params(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be a RegimeParams"):
             FeeSchedule(**{field: (0.01, 0.4)})
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: RegimeParams(0.0, 0.3), "gamma"),
+            (lambda: RegimeParams(1.0, 0.3), "gamma"),
+            (lambda: FeeSchedule(sigma_low=-0.01), "sigma_low and sigma_high must be nonnegative"),
+            (lambda: FeeSchedule().params_for("extreme"), "unknown regime 'extreme'"),
+        ],
+        ids=["gamma-zero", "gamma-one", "negative-sigma-low", "unknown-regime"],
+    )
+    def test_out_of_range_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_rho_max_below_rebate_floor_rejected(self):
         # split_fee never accepts a rebate below the floor, so a cap below it
@@ -121,6 +140,14 @@ class TestDynamicRebate:
     )
     def test_non_finite_context_rejected(self, volume, target):
         with pytest.raises(ValueError, match="volume"):
+            RebateContext(volume, target)
+
+    @pytest.mark.parametrize(
+        "volume, target, match",
+        [(-1.0, 1e6, "current_volume"), (1.0, 0.0, "target_volume"), (1.0, -1.0, "target_volume")],
+    )
+    def test_out_of_range_context_rejected(self, volume, target, match):
+        with pytest.raises(ValueError, match=match):
             RebateContext(volume, target)
 
     @given(v=st.floats(0.0, 1e9), vmax=st.floats(1.0, 1e9))

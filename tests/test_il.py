@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,7 +186,10 @@ class TestDomain:
         with pytest.raises(ValueError, match="multiplier"):
             il_hold(m, 4)
 
-    @pytest.mark.parametrize("n", [0, 9, 50, 1.5, math.inf, math.nan, True])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 9, 50, 1.5, math.inf, math.nan, True, 4.0, pytest.param(np.float64(4.0), id="np.float64(4.0)")],
+    )
     @pytest.mark.parametrize(
         "call",
         [

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,10 +265,26 @@ class TestBoundaryValidation:
         with pytest.raises(PoolError, match="reserves must be finite"):
             Pool(x, y, 1)
 
-    @pytest.mark.parametrize("n", [math.nan, math.inf, 1.5, True, "4", None])
+    @pytest.mark.parametrize(
+        "n",
+        [math.nan, math.inf, 1.5, True, "4", None, 4.0, pytest.param(np.float64(4.0), id="np.float64(4.0)")],
+    )
     def test_non_integer_exponent_rejected(self, n):
         with pytest.raises(PoolError, match="exponent"):
             Pool(1.0, 1.0, n)
+
+    def test_numpy_integer_exponent_is_an_integer(self):
+        n = np.int64(4)
+        assert Pool(100.0, 1000.0, n).n is n
+        assert spot_price(Pool(100.0, 1000.0, n)) == spot_price(Pool(100.0, 1000.0, 4))
+        m = np.array([0.5, 2.0, 100.0])
+        assert retention_ratio(m, n).tobytes() == retention_ratio(m, 4).tobytes()
+
+    @pytest.mark.parametrize("fee_rate", [math.nan, -0.1, 1.0])
+    @pytest.mark.parametrize("swap", [swap_y_for_x, swap_x_for_y])
+    def test_fee_rate_outside_unit_interval_rejected(self, swap, fee_rate):
+        with pytest.raises(PoolError, match="fee_rate"):
+            swap(Pool(1.0, 1.0, 1), 0.5, fee_rate)
 
     @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("swap, name", [(swap_y_for_x, "dy_in"), (swap_x_for_y, "dx_in")])
@@ -321,6 +338,12 @@ class TestNonFiniteArguments:
     def test_slippage_first_order_rejects_non_finite_dx(self, dx):
         with pytest.raises(PoolError, match="dx"):
             slippage_first_order(Pool(100.0, 1000.0, 4), dx)
+
+    def test_slippage_first_order_checks_the_pool_like_spot_price(self):
+        with pytest.raises(PoolError, match="inactive"):
+            slippage_first_order(Pool(0.0, 100.0, 4), 1.0)
+        with pytest.raises(PoolError, match="price"):
+            slippage_first_order(Pool(1e-300, 1e300, 8), 1e-301)  # n*y/x overflows
 
     @pytest.mark.parametrize("price", [math.nan, math.inf, 0.0, -1.0])
     def test_reserves_at_price_uses_the_multiplier_rule(self, price):

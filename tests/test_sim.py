@@ -466,6 +466,21 @@ class TestConfigFieldTypes:
         value = np.int64(3) if kind is int else np.float64(getattr(cls(), name))
         assert getattr(cls(**{name: value}), name) is value
 
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [
+            (DrsSimConfig, "initial_volume", 0.0),
+            (DrsSimConfig, "target_volume", -1.0),
+            (DrsSimConfig, "volume_floor", 0.0),
+            (TradeStreamConfig, "trades_per_period", -1.0),
+            (TradeStreamConfig, "num_traders", 0),
+            (MarketLoopConfig, "vol_window", 1),
+        ],
+    )
+    def test_range_rule_names_its_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
     @pytest.mark.parametrize("cls", [DrsSimConfig, MarketLoopConfig])
     def test_negative_seed_rejected(self, cls):
         with pytest.raises(ValueError, match="seed"):
