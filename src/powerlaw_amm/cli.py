@@ -23,7 +23,8 @@ dict of column sequences (simulate-drs, the market-loop epochs). Each column
 is turned into a list once, and each CSV row is formatted by one % template
 holding each column's _cell_format.
 
-Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
+Exit codes: 0 success, 2 usage or validation error, 1 runtime error (a file
+that cannot be read or written, or an array too large to allocate).
 The POWERLAW_AMM_OUT_DIR environment variable overrides the default output
 directory (used when --out is not given).
 """
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
     except (ConfigError, PoolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,15 @@ gives each replication its own generator and one (days-1, 2) normal draw,
 then runs the recurrence across a block of replications at once as numpy
 arrays, with the same elementwise operations in the same order as one
 replication at a time; a block holds DRS_BLOCK_CELLS // days replications.
-Identical (config, seed) pairs produce bit-identical outputs within this
-implementation.
+A block's generators are seeded at once: _seed_words runs SeedSequence's
+hash (O'Neill's seed_seq: the same 32-bit multiplies, xors and shifts, in
+the same order, with the same constants) on uint32 arrays holding one lane
+per replication, and gives each replication the four PCG64 seed words
+SeedSequence([seed, rep]).generate_state(4, np.uint64) would; numpy's PCG64
+takes them through its ISeedSequence interface and seeds itself as usual.
+The generators are therefore the ones replication_rng(seed, rep) builds,
+which the market loop still calls. Identical (config, seed) pairs produce
+bit-identical outputs within this implementation.
 
 Validation happens once, at the boundary. Each config dataclass
 (DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig) owns
@@ -91,8 +98,10 @@ class DrsSimConfig:
             raise ValueError("noise_std must be nonnegative")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        # the seeding kernel, _seed_words, holds a replication index in one
+        # 32-bit word
+        if not 1 <= self.replications <= 2**32:
+            raise ValueError(f"replications must be in [1, 2**32], got {self.replications}")
         if self.volume_floor <= 0:
             raise ValueError("volume_floor must be positive")
 
@@ -117,6 +126,101 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, replication]))
 
 
+# O'Neill's seed_seq hash as numpy's SeedSequence implements it: 32-bit
+# words, a pool of four words, and these constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+class _HashMix:
+    """seed_seq's hashmix and its running constant. Each hashed word xors
+    the constant in, steps the constant by mult and is multiplied by the
+    stepped constant, then folded. The constants do not depend on the data,
+    so call(values, k) hashes k words at once: values broadcast to k rows,
+    row i taking the i-th of the next k steps."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, values: np.ndarray, k: int) -> np.ndarray:
+        consts = [self.const]
+        for _ in range(k):
+            consts.append(consts[-1] * self.mult & _MASK32)
+        self.const = consts[-1]
+        column = np.array(consts, dtype=np.uint32)[:, None]
+        values = (values ^ column[:-1]) * column[1:]
+        return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _seed_words(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64 seed words of replications first .. first + count - 1: a
+    (count, 4) uint64 array whose row i equals
+    SeedSequence([seed, first + i]).generate_state(4, np.uint64).
+
+    SeedSequence([seed, rep]) hashes the entropy words of seed (its
+    little-endian 32-bit words, at least one) followed by rep (one word, as
+    rep < 2**32). Here each word is a row of count uint32 lanes, one lane
+    per replication, wrapping mod 2**32 as the C code does; the steps that
+    update several pool words from the same source word run as one array
+    operation, in the order of the scalar loops.
+    """
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    n = len(seed_words)
+    entropy = np.zeros((max(n + 1, _POOL_SIZE), count), dtype=np.uint32)
+    entropy[:n] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[n] = np.arange(first, first + count)
+    # mix_entropy: fill the pool (zero-padded), mix each word into every
+    # other one, then mix in the entropy words the pool had no room for
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, hashmix(word, _POOL_SIZE))
+    # generate_state: eight 32-bit words cycling over the pool, paired
+    # little-endian into four 64-bit words
+    state = _HashMix(_INIT_B, _MULT_B)(np.tile(pool, (2, 1)), 8).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+
+
+class _SeedWords:
+    """One replication's precomputed seed words behind numpy's ISeedSequence
+    interface, so numpy's own PCG64 seeding turns them into the generator
+    SeedSequence([seed, rep]) would give. _replication_rngs registers the
+    class as an ISeedSequence when it runs, which keeps numpy.random out of
+    this module's import."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("_SeedWords holds PCG64's four uint64 seed words only")
+        return self.words
+
+
+def _replication_rngs(seed: int, first: int, count: int):
+    """Yield replication_rng(seed, rep) for rep in first .. first + count - 1,
+    each a Generator(PCG64) seeded from one _seed_words pass over them all."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    for words in _seed_words(seed, first, count):
+        yield Generator(PCG64(_SeedWords(words)))
+
+
 def _log_change_vol(series) -> float:
     """Standard deviation of the log changes of a positive series; 0.0 for
     fewer than two points (one change has a deviation of exactly 0.0)."""
@@ -131,9 +235,10 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     Replications run a block at a time as the rows of (block, days) arrays,
     each day one elementwise step of the recurrence across the block. Day 0
     holds the initial volume; days 1..days-1 are updates. Each replication
-    draws its (days-1, 2) normal noise from its own replication_rng: column
-    0 drives the static arm, column 1 the dynamic arm. The dynamic arm's
-    rebate is evaluated on the previous day's volume.
+    draws its (days-1, 2) normal noise from its own generator, the one
+    replication_rng(seed, rep) gives, built a block at a time by
+    _replication_rngs: column 0 drives the static arm, column 1 the dynamic
+    arm. The dynamic arm's rebate is evaluated on the previous day's volume.
 
     The stored series come from replication 0; the summary additionally
     aggregates final/initial ratios and the dynamic-beats-static fraction
@@ -156,10 +261,8 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     for start in range(0, reps, width):
         stop = min(start + width, reps)
         rows = stop - start
-        for i in range(rows):
-            noise[i] = replication_rng(cfg.seed, start + i).normal(
-                0.0, cfg.noise_std, size=(days - 1, 2)
-            )
+        for i, rng in enumerate(_replication_rngs(cfg.seed, start, rows)):
+            noise[i] = rng.normal(0.0, cfg.noise_std, size=(days - 1, 2))
         s, d, r = static[:rows], dynamic[:rows], rho[:rows]
         # the static arm's factor 1 + e, once per block, in place of its noise
         growth = np.add(1.0, noise[:rows, :, 0], out=noise[:rows, :, 0])

@@ -58,5 +58,8 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     assert rec.calls("pool.closed_form") == 2 * per_n
     il_calls = [rec.calls(f"il.{f}") for f in ("il_traditional", "il_proposed_scaled", "il_powerlaw_exact")]
     assert il_calls == [per_n] * 3
-    # one generator and one (days - 1, 2) draw per replication, across blocks
-    assert drs_counts == (DRS_REPLICATIONS, DRS_REPLICATIONS * (DRS_DAYS - 1) * 2)
+    # DRS seeds each block of replications at once (sim._replication_rngs),
+    # not through replication_rng, so the tracer sees no generator or draw
+    # there; the market loop still makes its one replication_rng call
+    assert drs_counts == (0, 0)
+    assert rec.calls("sim.replication_rng") == 1

@@ -154,6 +154,25 @@ class TestSimulateDrs:
         assert run(["simulate-drs", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert "days" in capsys.readouterr().err
 
+    def test_replications_past_one_word_exit_2(self, tmp_path, capsys):
+        # the seeding kernel holds a replication index in one 32-bit word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replications": 2**32 + 1}))
+        assert run(["simulate-drs", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: replications")
+        assert "Traceback" not in err
+
+    def test_failed_allocation_exits_1_without_traceback(self, tmp_path, capsys):
+        # 2**50 days of float64 is 8 PiB, past any address space, so the
+        # allocation fails at once and touches no memory
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"days": 2**50}))
+        assert run(["simulate-drs", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestMarketLoop:
     def test_zero_intensity_all_zero(self, tmp_path):

@@ -1,13 +1,17 @@
 """Simulation harness: DRS experiment, sweeps, and the market loop."""
 
 import math
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerlaw_amm import sim
 from powerlaw_amm.fees import FeeSchedule, RebateContext, dynamic_rebate
 from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_proposed_scaled, il_traditional
 from powerlaw_amm.pool import (
@@ -106,6 +110,12 @@ class TestDrsSimulation:
         with pytest.raises(ValueError):
             DrsSimConfig(replications=0)
 
+    def test_replications_fit_one_seed_word(self):
+        # the seeding kernel holds a replication index in one 32-bit word
+        assert DrsSimConfig(replications=2**32).replications == 2**32
+        with pytest.raises(ValueError, match="replications"):
+            DrsSimConfig(replications=2**32 + 1)
+
     @pytest.mark.parametrize(
         "field", ["noise_std", "sensitivity", "static_rebate", "volume_floor"]
     )
@@ -157,6 +167,7 @@ def reference_drs(cfg: DrsSimConfig):
     return series, summary
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 BLOCK = DRS_BLOCK_CELLS // 100  # replications per block at 100 days
 LONG_DAYS = DRS_BLOCK_CELLS // 3 + 1  # blocks of two replications, so 5 make 3 blocks
 
@@ -203,6 +214,58 @@ class TestBlockedDrs:
         assert res.summary == summary
         assert all(type(v) in (int, float) for v in res.summary.values())
         return res
+
+
+class TestReplicationSeeding:
+    """sim._seed_words hashes a block of replications' seeds in one pass of
+    uint32 array operations; each row must be the PCG64 seed words of
+    SeedSequence([seed, rep]), and sim._replication_rngs must build the
+    generators replication_rng builds."""
+
+    # 2**100 + 7 has four 32-bit words, so with the replication index the
+    # entropy overflows the pool of four and runs the extra mixing loop
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7]
+    # (first, count) pieces: a full 100-day block, the first rows of the
+    # next, and the top of the index range DrsSimConfig allows
+    PIECES = [(0, BLOCK), (BLOCK, 2), (2**32 - 3, 3)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_seed_sequence(self, seed):
+        for first, count in self.PIECES:
+            words = sim._seed_words(seed, first, count)
+            expected = [
+                np.random.SeedSequence([seed, rep]).generate_state(4, np.uint64)
+                for rep in range(first, first + count)
+            ]
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
+            assert words.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_draw_like_replication_rng(self, seed):
+        for first, count in self.PIECES:
+            for rep, rng in enumerate(sim._replication_rngs(seed, first, count), first):
+                expected = replication_rng(seed, rep).normal(0.0, 0.3, size=(4, 2))
+                assert rng.normal(0.0, 0.3, size=(4, 2)).tobytes() == expected.tobytes()
+
+    def test_seed_words_serve_only_pcg64s_request(self):
+        words = sim._seed_words(0, 0, 1)[0]
+        assert sim._SeedWords(words).generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError):
+            sim._SeedWords(words).generate_state(8)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # importing numpy.random costs tens of milliseconds on every command;
+        # the package loads it only when a run first draws
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import powerlaw_amm, powerlaw_amm.cli; "
+            "print(powerlaw_amm.__file__); print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(SRC)], capture_output=True, text=True, check=True
+        ).stdout.split("\n")
+        assert Path(out[0]).is_relative_to(SRC)
+        assert out[1] == "False"
 
 
 class TestSweeps:
