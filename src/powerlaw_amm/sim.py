@@ -12,8 +12,16 @@
 Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
 normal variates via numpy's ziggurat). The market loop draws, per period, a
-Poisson trade count, then per trade a uniform (side), a bounded integer
-(trader) and a standard normal (size), in that order. The DRS experiment
+Poisson trade count, then per trade a side, a trader and a standard normal
+(size), in that order. The side and the trader are read from the
+generator's raw PCG64 words (bit_generator.random_raw) and equal numpy's
+calls on the same stream. The trade buys X when its word is below 2**63,
+which is Generator.random() < 0.5. The trader is
+Generator.integers(num_traders), numpy's bounded draw (Lemire's method) on
+32-bit halves of words: the low half first, the high half kept for the
+next trader draw; a half u is rejected while (u * num_traders) mod 2**32
+is below (2**32 - num_traders) % num_traders, and the trader is
+(u * num_traders) >> 32; one trader draws nothing. The DRS experiment
 gives each replication its own generator and one (days-1, 2) normal draw,
 then runs the recurrence across a block of replications at once as numpy
 arrays, with the same elementwise operations in the same order as one
@@ -422,8 +430,9 @@ class TradeStreamConfig:
             raise ValueError("trades_per_period must be nonnegative")
         if not (self.size_median_frac > 0 and self.size_sigma >= 0):
             raise ValueError("size_median_frac must be positive and size_sigma nonnegative")
-        if self.num_traders < 1:
-            raise ValueError("num_traders must be >= 1")
+        # the trader draw, _trader_ids, draws from 32-bit values
+        if not 1 <= self.num_traders <= 2**32:
+            raise ValueError(f"num_traders must be in [1, 2**32], got {self.num_traders}")
 
 
 @dataclass(frozen=True)
@@ -495,6 +504,37 @@ class _TraderNames(dict):
         return name
 
 
+# Generator.random() is (word >> 11) * 2**-53 of one PCG64 word, so
+# random() < 0.5 exactly when the word is below 2**63.
+_HALF_WORD = 1 << 63
+
+
+def _trader_ids(raw, num_traders: int):
+    """An iterator of the values Generator.integers(num_traders) returns,
+    drawn from raw, the generator's bit_generator.random_raw.
+
+    For a range of at most 2**32 numpy draws 32-bit values: the halves of
+    PCG64's 64-bit words, low half first, the high half kept for the next
+    32-bit draw, which in the market loop is the next trader draw. A half u
+    gives m = u * num_traders, rejected while m mod 2**32 is below
+    (2**32 - num_traders) % num_traders (Lemire's method); the value is
+    m >> 32. With one trader numpy draws nothing.
+    """
+    if num_traders == 1:
+        while True:
+            yield 0
+    n = num_traders
+    threshold = (2**32 - n) % n
+    while True:
+        word = raw()
+        m = (word & _MASK32) * n
+        if m & _MASK32 >= threshold:
+            yield m >> 32
+        m = (word >> 32) * n
+        if m & _MASK32 >= threshold:
+            yield m >> 32
+
+
 def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     """Drive a pool through a seeded trade stream with regime-aware fees,
     dynamic rebates, and per-epoch volume rewards.
@@ -508,19 +548,21 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
 
     The config and the initial Pool are validated once, up front; the trade
     loop then keeps the reserves and the price as plain floats and calls the
-    pool and fee kernels directly. A trade above the input cap is rejected
-    and counted; a trade whose size overflows a float, or that would drain a
-    reserve (its price n*y/x leaving (0, inf)), stops the run with a
-    PoolError.
+    pool and fee kernels directly; an epoch's volumes are keyed by trader
+    id, and named "t{i}" when the epoch closes. A trade above the input cap
+    is rejected and counted; a trade whose size overflows a float, or that
+    would drain a reserve (its price n*y/x leaving (0, inf)), stops the run
+    with a PoolError.
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
     price = spot_price(Pool(x, y, n))
     stream = cfg.stream
     size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
-    num_traders = stream.num_traders
+    raw = rng.bit_generator.random_raw
+    next_trader = _trader_ids(raw, int(stream.num_traders)).__next__
+    normal = rng.standard_normal
     names = _TraderNames()
-    random, integers, normal = rng.random, rng.integers, rng.standard_normal
     price_history = [price]
     sigma_series = []
     epoch_reports = []
@@ -532,8 +574,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     prev_period_volume = cfg.target_volume  # neutral start: rebate begins at 0.4
 
     for epoch_id in range(cfg.epochs):
-        ledger = EpochLedger(epoch_id=epoch_id)
-        volumes = ledger.volumes
+        volumes = {}  # trader id -> volume, in first-trade order
         epoch_fees = 0.0
         epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
@@ -546,8 +587,8 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             period_volume = 0.0
             n_trades = int(rng.poisson(stream.trades_per_period))
             for _ in range(n_trades):
-                buy_side = random() < 0.5
-                trader = names[integers(num_traders)]  # same draw as integers(0, num_traders)
+                buy_side = raw() < _HALF_WORD
+                trader = next_trader()
                 try:
                     # both sides sized by stablecoin value, median 0.1% of Y
                     volume = size_frac * y * math.exp(size_sigma * normal())
@@ -578,7 +619,8 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             prev_period_volume = period_volume
             price_history.append(price)
         reward_pool = REWARD_FRACTION * epoch_fees + carry
-        ledger.add_reward(reward_pool)
+        ledger = EpochLedger(epoch_id=epoch_id, reward_pool=reward_pool)
+        ledger.volumes = {names[i]: v for i, v in volumes.items()}
         payouts = settle_epoch(ledger)
         if payouts:
             rewards_distributed += reward_pool

@@ -226,6 +226,17 @@ class TestMarketLoop:
         assert err.startswith("error: ") and "drain" in err
         assert "Traceback" not in err
 
+    def test_num_traders_past_one_word_exit_2(self, tmp_path, capsys):
+        # the trader draw takes 32-bit values; 2**63 + 1 is past int64 too
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stream": {"num_traders": 2**63 + 1}}))
+        out = tmp_path / "o.json"
+        assert run(["market-loop", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config: stream.num_traders must be in [1, 2**32]")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_size_overflow_exits_2_without_traceback(self, tmp_path, capsys):
         # at seed 2 the first trade's exp(size_sigma * z) overflows a float
         cfg = tmp_path / "cfg.json"

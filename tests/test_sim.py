@@ -12,11 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm import sim
-from powerlaw_amm.fees import FeeSchedule, RebateContext, dynamic_rebate
+from powerlaw_amm.fees import (
+    REWARD_FRACTION,
+    EpochLedger,
+    FeeSchedule,
+    RebateContext,
+    classify_regime,
+    compute_fee,
+    dynamic_rebate,
+    settle_epoch,
+    split_fee,
+)
 from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_proposed_scaled, il_traditional
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
+    TradeTooLarge,
     depleted_reserves,
     reserves_at_price,
     retention_ratio,
@@ -383,6 +394,13 @@ class TestMarketLoop:
         with pytest.raises(ValueError):
             TradeStreamConfig(size_median_frac=0.0)
 
+    def test_num_traders_fit_one_32_bit_draw(self):
+        # the trader draw takes 32-bit values
+        assert TradeStreamConfig(num_traders=2**32).num_traders == 2**32
+        for value in (2**32 + 1, 2**63 + 1, np.uint64(2**32 + 1)):
+            with pytest.raises(ValueError, match=r"^num_traders must be in \[1, 2\*\*32\]"):
+                TradeStreamConfig(num_traders=value)
+
     @pytest.mark.parametrize(
         "field, value",
         [("stream", {"trades_per_period": 1.0}), ("schedule", None), ("stream", FeeSchedule())],
@@ -398,6 +416,149 @@ class TestMarketLoop:
     def test_pool_fields_checked_and_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}[ :]"):
             MarketLoopConfig(**{field: value})
+
+
+def reference_market_loop(cfg: MarketLoopConfig) -> dict:
+    """The market loop as numpy's scalar draws and the public pool and fee
+    functions give it: per trade rng.random() < 0.5 for the side,
+    rng.integers(num_traders) for the trader and rng.standard_normal() for
+    the size, each epoch's volumes recorded by trader name."""
+    rng = replication_rng(cfg.seed, 0)
+    stream, schedule = cfg.stream, cfg.schedule
+    pool = Pool(cfg.x_reserve, cfg.y_reserve, cfg.n)
+    price = spot_price(pool)
+    prices = [price]
+    out = dict.fromkeys(
+        ["total_volume", "total_fees", "lp_total", "rebate_total", "protocol_total"], 0.0
+    )
+    out.update(rejected_trades=0, executed_trades=0, sigma_series=[], epoch_reports=[])
+    rewards = carry = 0.0
+    prev_volume = cfg.target_volume
+    for epoch_id in range(cfg.epochs):
+        ledger = EpochLedger(epoch_id)
+        epoch_fees = epoch_volume = 0.0
+        for _ in range(cfg.periods_per_epoch):
+            window = prices[-cfg.vol_window :]
+            sigma = float(np.std(np.diff(np.log(window)))) if len(window) > 1 else 0.0
+            out["sigma_series"].append(sigma)
+            params = schedule.params_for(classify_regime(sigma, schedule))
+            rho = dynamic_rebate(RebateContext(prev_volume, cfg.target_volume), params.rho_max)
+            period_volume = 0.0
+            for _ in range(int(rng.poisson(stream.trades_per_period))):
+                buy_side = rng.random() < 0.5
+                trader = f"t{rng.integers(stream.num_traders)}"
+                volume = stream.size_median_frac * pool.y_reserve * math.exp(
+                    stream.size_sigma * rng.standard_normal()
+                )
+                try:
+                    if buy_side:
+                        pool, _ = swap_y_for_x(pool, volume, params.gamma)
+                    else:
+                        pool, _ = swap_x_for_y(pool, volume / price, params.gamma)
+                except TradeTooLarge:
+                    out["rejected_trades"] += 1
+                    continue
+                price = spot_price(pool)
+                fee = compute_fee(volume, params.gamma)
+                split = split_fee(fee, rho)
+                out["executed_trades"] += 1
+                out["total_volume"] += volume
+                out["total_fees"] += fee
+                out["lp_total"] += split.lp_share
+                out["rebate_total"] += split.rebate_share
+                out["protocol_total"] += split.protocol_share
+                epoch_fees += fee
+                epoch_volume += volume
+                period_volume += volume
+                ledger.record(trader, volume)
+            prev_volume = period_volume
+            prices.append(price)
+        reward_pool = REWARD_FRACTION * epoch_fees + carry
+        ledger.add_reward(reward_pool)
+        payouts = settle_epoch(ledger)
+        if payouts:
+            rewards += reward_pool
+            carry = 0.0
+        else:
+            carry = reward_pool
+        out["epoch_reports"].append(
+            (epoch_id, epoch_fees, epoch_volume, reward_pool, carry, payouts)
+        )
+    out.update(
+        protocol_net=out["protocol_total"] - (rewards + carry),
+        rewards_distributed=rewards,
+        reward_carry=carry,
+        final_reserves=(pool.x_reserve, pool.y_reserve),
+    )
+    return out
+
+
+class TestTradeDraws:
+    """run_market_loop reads each trade's side and trader from raw PCG64
+    words; every output must equal the loop driven by numpy's scalar calls.
+    2**31 + 1 traders reject almost half of all 32-bit values, 3 * 2**30 a
+    quarter, and 2**32 none."""
+
+    TRADERS = [1, 2, 7, 1000, 2**31 + 1, 3 * 2**30, 2**32]
+
+    @pytest.mark.parametrize("num_traders", TRADERS)
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_run_equals_scalar_draws(self, num_traders, seed):
+        stream = TradeStreamConfig(trades_per_period=15.0, num_traders=num_traders)
+        cfg = MarketLoopConfig(epochs=3, periods_per_epoch=8, vol_window=5, seed=seed, stream=stream)
+        self.assert_matches_reference(cfg)
+
+    @pytest.mark.parametrize("num_traders", [3, 2**31 + 1])
+    def test_rejected_trades_keep_the_stream(self, num_traders):
+        stream = TradeStreamConfig(
+            trades_per_period=12.0, size_median_frac=3.0, size_sigma=1.5, num_traders=num_traders
+        )
+        cfg = MarketLoopConfig(epochs=2, periods_per_epoch=6, seed=9, stream=stream)
+        res = self.assert_matches_reference(cfg)
+        assert res.rejected_trades > 0 and res.executed_trades > 0
+
+    def test_numpy_integer_trader_count(self):
+        # u * num_traders exceeds int64 here, so the run must take a Python int
+        stream = TradeStreamConfig(trades_per_period=15.0, num_traders=np.int64(3 * 2**30))
+        self.assert_matches_reference(MarketLoopConfig(epochs=2, periods_per_epoch=5, stream=stream))
+
+    @staticmethod
+    def assert_matches_reference(cfg):
+        ref = reference_market_loop(cfg)
+        res = run_market_loop(cfg)
+        for name in ref:
+            if name == "final_reserves":
+                assert (res.final_pool.x_reserve, res.final_pool.y_reserve) == ref[name]
+            elif name == "epoch_reports":
+                got = [
+                    (e.epoch_id, e.fees, e.volume, e.reward_pool, e.carried, e.payouts)
+                    for e in res.epoch_reports
+                ]
+                assert got == ref[name]
+            else:
+                assert getattr(res, name) == ref[name], name
+        return res
+
+    @given(
+        seed=st.integers(0, 2**64),
+        num_traders=st.one_of(
+            st.integers(1, 2**32), st.sampled_from([1, 2, 2**31 + 1, 3 * 2**30, 2**32])
+        ),
+        periods=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_draw_sequence_equals_numpy_calls(self, seed, num_traders, periods):
+        # per period a Poisson count, then per trade side, trader and normal,
+        # on one generator, against the same calls through numpy
+        ours, numpys = replication_rng(seed, 0), replication_rng(seed, 0)
+        raw = ours.bit_generator.random_raw
+        traders = sim._trader_ids(raw, num_traders)
+        for trades in periods:
+            assert ours.poisson(3.0) == numpys.poisson(3.0)
+            for _ in range(trades):
+                assert (raw() < sim._HALF_WORD) == (numpys.random() < 0.5)
+                assert next(traders) == numpys.integers(num_traders)
+                assert ours.standard_normal() == numpys.standard_normal()
 
 
 class TestRebateComposition:
