@@ -43,7 +43,6 @@ from . import sim
 from .pool import (
     Pool,
     PoolError,
-    _field_types,
     slippage_first_order,
     swap_x_for_y,
     swap_y_for_x,
@@ -70,11 +69,6 @@ def _cell_format(value) -> str:
     digits (integer cells are days, epoch ids and exponents, well below 1e17,
     so they keep every digit)."""
     return "%s" if isinstance(value, str) else "%.17g"
-
-
-def fmt(value) -> str:
-    """Serialize one cell by _cell_format."""
-    return _cell_format(value) % value
 
 
 def load_config_file(path: str | None) -> dict:
@@ -113,7 +107,7 @@ def build_config(cls, data, where: str = ""):
     ]
     if missing:
         raise ConfigError(f"missing config keys{place}: {sorted(missing)}")
-    types = _field_types(cls)
+    types = {f.name: f.type for f in fields}
     values = {}
     for key, value in data.items():
         if dataclasses.is_dataclass(types[key]):
@@ -237,7 +231,7 @@ def cmd_quote(args) -> int:
         ("slippage_exact", res.slippage_exact),
         ("slippage_first_order", first_order),
     ]:
-        print(f"{name} = {fmt(value)}")
+        print(f"{name} = {value:.17g}")
     return 0
 
 

@@ -17,8 +17,6 @@ so the DRS experiment applies it to a block of volumes) and _split, which
 assume checked inputs; the public functions and the simulators call them.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 

@@ -27,18 +27,16 @@ per-point float calls give the same bits.
 
 The checks shared with the rest of the package live here too: one exponent
 domain (_check_exponent), one price-multiplier rule for floats and arrays
-(_check_multiplier), one reserve rule (_is_reserve), the type rule of
-every config dataclass field (_check_fields) and the field types it reads,
-resolved once per class (_field_types, which cli.build_config reads too).
+(_check_multiplier), one reserve rule (_is_reserve) and the type rule of
+every config dataclass field (_check_fields).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
-import typing
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,26 +266,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    """Field name -> annotated class of a dataclass (the annotations are strings)."""
-    return typing.get_type_hints(cls)
-
-
 def _check_fields(obj):
     """Type rule of a config dataclass, called first by its __post_init__:
     an int field takes an integer, a float field a finite real number (bools
     are neither; numpy scalars are both) and a dataclass field an instance of
-    its class. Values are kept as given, so an int in a float field stays an
-    int."""
-    types = _field_types(type(obj))
+    its class. The config modules do not postpone annotations, so each
+    field's type is the class itself. Values are kept as given, so an int in
+    a float field stays an int."""
     for f in dataclasses.fields(obj):
-        kind = types[f.name]
+        kind = f.type
         value = getattr(obj, f.name)
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        # exact comparison with the largest float: False for NaN, for inf
+        # and for an int too large for a float
         if kind is float and not (
-            isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+            isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
         ):
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if dataclasses.is_dataclass(kind) and not isinstance(value, kind):

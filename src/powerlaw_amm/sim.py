@@ -51,8 +51,6 @@ drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 
@@ -129,7 +127,7 @@ class DrsSimResult:
 DRS_BLOCK_CELLS = 2**14
 
 
-def replication_rng(seed: int, replication: int) -> np.random.Generator:
+def replication_rng(seed: int, replication: int) -> "np.random.Generator":
     """Child generator for one replication: SeedSequence([seed, replication])."""
     return np.random.default_rng(np.random.SeedSequence([seed, replication]))
 
@@ -237,6 +235,11 @@ def _log_change_vol(series) -> float:
     return float(np.std(np.diff(np.log(series))))
 
 
+# numpy's overflow warnings are off for the whole run: an overflow that matters
+# raises ValueError (see the docstring), and one that does not (volume/target
+# past the float range only clamps the rebate to its floor) leaves the outputs
+# finite and correct.
+@np.errstate(over="ignore", invalid="ignore")
 def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     """Run the static-vs-dynamic rebate experiment.
 
@@ -250,7 +253,9 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
 
     The stored series come from replication 0; the summary additionally
     aggregates final/initial ratios and the dynamic-beats-static fraction
-    across all replications.
+    across all replications. A run whose volumes overflow a float (a
+    replication's mean volume or a summary value not finite) raises
+    ValueError rather than return inf or NaN.
     """
     days, reps = cfg.days, cfg.replications
     width = max(1, min(reps, DRS_BLOCK_CELLS // days))
@@ -284,7 +289,11 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
             np.maximum(d0 * ((1.0 + k * (r1 - static_rebate)) + e), floor, out=d1)
         final_static[start:stop] = s[:, -1] / cfg.initial_volume
         final_dynamic[start:stop] = d[:, -1] / cfg.initial_volume
-        beats += int(np.count_nonzero(np.mean(d, axis=1) > np.mean(s, axis=1)))
+        static_means, dynamic_means = np.mean(s, axis=1), np.mean(d, axis=1)
+        bad = ~(np.isfinite(static_means) & np.isfinite(dynamic_means))
+        if bad.any():
+            raise ValueError(f"DRS volumes overflow a float in replication {start + bad.argmax()}")
+        beats += int(np.count_nonzero(dynamic_means > static_means))
         if start == 0:
             static0, dynamic0, rho0 = s[0].copy(), d[0].copy(), r[0].copy()
     summary = {
@@ -300,6 +309,9 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
         "mean_final_ratio_dynamic": float(np.mean(final_dynamic)),
         "dynamic_beats_static_fraction": beats / cfg.replications,
     }
+    for name, value in summary.items():
+        if not math.isfinite(value):
+            raise ValueError(f"DRS summary value {name} overflows a float: {value}")
     return DrsSimResult(
         static_series=static0,
         dynamic_series=dynamic0,
@@ -361,7 +373,8 @@ class SweepGridConfig:
                 raise ValueError(f"n_values[{i}]: {exc}") from None
 
     def m_grid(self) -> np.ndarray:
-        return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
+        # float() first: numpy cannot take the log of an int past int64
+        return np.logspace(np.log10(float(self.m_min)), np.log10(float(self.m_max)), self.m_points)
 
 
 def _sweep(m_grid, n_values, columns: dict) -> np.ndarray:
@@ -495,15 +508,6 @@ class MarketLoopResult:
     config: MarketLoopConfig
 
 
-class _TraderNames(dict):
-    """Trader ids: names[i] is "t{i}", made on first use, so a large
-    num_traders costs nothing up front."""
-
-    def __missing__(self, i):
-        name = self[i] = f"t{i}"
-        return name
-
-
 # Generator.random() is (word >> 11) * 2**-53 of one PCG64 word, so
 # random() < 0.5 exactly when the word is below 2**63.
 _HALF_WORD = 1 << 63
@@ -562,7 +566,6 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     raw = rng.bit_generator.random_raw
     next_trader = _trader_ids(raw, int(stream.num_traders)).__next__
     normal = rng.standard_normal
-    names = _TraderNames()
     price_history = [price]
     sigma_series = []
     epoch_reports = []
@@ -620,7 +623,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             price_history.append(price)
         reward_pool = REWARD_FRACTION * epoch_fees + carry
         ledger = EpochLedger(epoch_id=epoch_id, reward_pool=reward_pool)
-        ledger.volumes = {names[i]: v for i, v in volumes.items()}
+        ledger.volumes = {f"t{i}": v for i, v in volumes.items()}
         payouts = settle_epoch(ledger)
         if payouts:
             rewards_distributed += reward_pool

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +91,16 @@ class TestSweepCommands:
     def test_unwritable_path_exits_1(self, tmp_path, capsys):
         assert run(["sweep-retention", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
 
+    def test_int_past_int64_sweeps_like_its_float(self, tmp_path):
+        # the echo writes m_max as a float, so the files must match byte for byte
+        out, cfg = tmp_path / "ret.csv", tmp_path / "cfg.json"
+        files = []
+        for m_max in ("1000000000000000000000000000000", "1e30"):
+            cfg.write_text('{"m_max": %s}' % m_max)
+            assert run(["sweep-retention", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
 
 class TestDeterminism:
     def test_sweep_rerun_is_byte_identical(self, tmp_path):
@@ -162,6 +175,33 @@ class TestSimulateDrs:
         err = capsys.readouterr().err
         assert err.startswith("error: bad config: replications")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"days": 3, "initial_volume": 1e308, "target_volume": 1e-300}',
+            '{"days": 5, "sensitivity": 1e308, "noise_std": 1e300}',
+        ],
+    )
+    def test_overflow_exits_2_without_output(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run(["simulate-drs", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: DRS volumes overflow a float")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_harmless_overflow_prints_no_warning(self, tmp_path):
+        # volume / target overflows inside the rebate, which only clamps it;
+        # a fresh interpreter shows numpy's warnings as a user would see them
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"days": 5, "target_volume": 1e-305}')
+        argv = ["simulate-drs", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerlaw_amm.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "o.summary.json").exists()
 
     def test_failed_allocation_exits_1_without_traceback(self, tmp_path, capsys):
         # 2**50 days of float64 is 8 PiB, past any address space, so the
@@ -285,6 +325,15 @@ class TestConfigValidation:
             ("simulate-drs", '{"days": 10,}', "is not valid JSON"),
             ("sweep-il", '[1, 2]', "must hold a JSON object"),
             ("market-loop", '{"stream": 5}', "stream must be a JSON object"),
+            # 400-digit ints, too large for a float
+            pytest.param(
+                "simulate-drs", '{"initial_volume": 1%s}' % ("0" * 400), "initial_volume",
+                id="simulate-drs-initial_volume-int-past-float",
+            ),
+            pytest.param(
+                "market-loop", '{"stream": {"size_sigma": 1%s}}' % ("0" * 400), "stream.size_sigma",
+                id="market-loop-stream.size_sigma-int-past-float",
+            ),
         ],
     )
     def test_bad_field_type_exits_2(self, tmp_path, capsys, command, text, key):

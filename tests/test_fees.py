@@ -262,7 +262,10 @@ class TestFieldTypes:
     finite number, and a bool or a string is not one."""
 
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
-    @pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [True, "1", math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float")],
+    )
     def test_bad_value_rejected(self, cls, name, kind, value):
         with pytest.raises(ValueError, match=name):
             cls(**{**BASE_ARGS[cls], name: value})

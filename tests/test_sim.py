@@ -23,7 +23,13 @@ from powerlaw_amm.fees import (
     settle_epoch,
     split_fee,
 )
-from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_proposed_scaled, il_traditional
+from powerlaw_amm.il import (
+    il_hold,
+    il_improvement_factor,
+    il_powerlaw_exact,
+    il_proposed_scaled,
+    il_traditional,
+)
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
@@ -134,6 +140,39 @@ class TestDrsSimulation:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             DrsSimConfig(**{field: value})
+
+
+# Configs whose DRS volumes overflow a float: a mean volume past the float
+# range, and a noise that drives the series to inf and NaN.
+DRS_OVERFLOWS = [
+    {"days": 3, "initial_volume": 1e308, "target_volume": 1e-300},
+    {"days": 5, "sensitivity": 1e308, "noise_std": 1e300},
+]
+
+
+class TestDrsOverflow:
+    """A run whose volumes or summary overflow a float raises ValueError
+    rather than return inf or NaN; an overflow that only clamps the rebate
+    leaves a finite, correct run and no numpy warning (warnings are errors
+    under this suite)."""
+
+    @pytest.mark.parametrize("overrides", DRS_OVERFLOWS)
+    def test_series_overflow_raises(self, overrides):
+        with pytest.raises(ValueError, match="DRS volumes overflow a float in replication 0"):
+            run_drs_simulation(DrsSimConfig(**overrides))
+
+    def test_summary_overflow_raises(self):
+        # the volumes stay finite at the floor; final / initial does not
+        cfg = DrsSimConfig(days=3, initial_volume=1e-300, volume_floor=1e10)
+        with pytest.raises(ValueError, match="final_ratio_static overflows a float"):
+            run_drs_simulation(cfg)
+
+    def test_rebate_overflow_clamps_without_warning(self):
+        # volume / target overflows to inf, which clamps the rebate to 0.3
+        res = run_drs_simulation(DrsSimConfig(days=5, target_volume=1e-305))
+        assert np.all(res.rho_series == 0.3)
+        assert all(math.isfinite(v) for v in res.summary.values())
+        assert np.isfinite(res.static_series).all() and np.isfinite(res.dynamic_series).all()
 
 
 def reference_drs(cfg: DrsSimConfig):
@@ -658,6 +697,66 @@ class TestFeeFreeArbitragePath:
             assert hold_ratio == pytest.approx(1.0 - il_hold(m, n), rel=1e-12, abs=0)
 
 
+class TestLossVersusRebalancing:
+    """The paper's 36 % cut is exact as a rate of loss-versus-rebalancing
+    (LVR: Milionis, Moallemi, Roughgarden & Zhang, "Automated Market Making
+    and Loss-Versus-Rebalancing", arXiv 2208.06046).
+
+    X^n * Y = K is a geometric-mean pool holding w = n/(n+1) of its value V
+    in X. When the price moves by R in one step and arbitrage closes the
+    pool to it, the pool is worth R^w V, while a portfolio holding the
+    pool's X gains w (R - 1) V. The loss of the pool against it is
+    w (R - 1) - (R^w - 1) of V; with R = exp(sigma z - sigma^2 / 2), z
+    standard normal, its mean is 1 - exp(-w (1 - w) sigma^2 / 2). So the
+    LVR rate is proportional to w (1 - w), and its ratio to n = 1's is
+    4 w (1 - w) = 1 / g(n), 0.64 at n = 4."""
+
+    SIGMA = 0.05
+
+    @staticmethod
+    def step_losses(n, ratios):
+        """Walk a pool through the price ratios by reserves_at_price: each
+        step's loss against holding the pool's X, and the pool's value
+        before the step."""
+        pool = Pool(1_000.0, 10_000.0, n)
+        losses, values = [], []
+        for r in ratios:
+            price = spot_price(pool)
+            value = pool.x_reserve * price + pool.y_reserve
+            moved = reserves_at_price(pool, price * r)
+            new_value = moved.x_reserve * price * r + moved.y_reserve
+            losses.append(pool.x_reserve * (price * r - price) - (new_value - value))
+            values.append(value)
+            pool = moved
+        return np.array(losses), np.array(values)
+
+    def price_ratios(self, seed, size):
+        z = np.random.default_rng(seed).standard_normal(size)
+        return np.exp(self.SIGMA * z - self.SIGMA**2 / 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_step_loss_is_exact(self, n):
+        ratios = self.price_ratios([7, n], 2000)
+        losses, values = self.step_losses(n, ratios)
+        w = n / (n + 1)
+        expected = w * (ratios - 1.0) - (ratios**w - 1.0)
+        assert np.max(np.abs(losses - expected * values) / values) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rate_ratio_is_inverse_improvement_factor(self, n):
+        w = n / (n + 1)
+        assert 4 * w * (1 - w) == pytest.approx(1 / il_improvement_factor(n), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_mean_loss_matches_expectation(self, n):
+        losses, values = self.step_losses(n, self.price_ratios([11, n], 20_000))
+        rates = losses / values
+        w = n / (n + 1)
+        expected = 1.0 - math.exp(-w * (1 - w) * self.SIGMA**2 / 2)
+        stderr = rates.std(ddof=1) / math.sqrt(rates.size)
+        assert abs(rates.mean() - expected) <= 4 * stderr
+
+
 # Every int and float field of every sim config, read from the dataclasses,
 # so a field or a config class added later is covered too.
 CONFIGS = [DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig]
@@ -681,7 +780,7 @@ class TestConfigFieldTypes:
 
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
     def test_fraction_or_non_finite_rejected(self, cls, name, kind):
-        for value in [2.5, math.nan] if kind is int else [math.nan, math.inf, -math.inf]:
+        for value in [2.5, math.nan] if kind is int else [math.nan, math.inf, -math.inf, 10**400]:
             with pytest.raises(ValueError, match=name):
                 cls(**{name: value})
 
