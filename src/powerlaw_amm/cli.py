@@ -21,7 +21,11 @@ and seed yields byte-identical files.
 Tables are written by columns: a numpy structured array (the sweeps) or a
 dict of column sequences (simulate-drs, the market-loop epochs). Each column
 is turned into a list once, and each CSV row is formatted by one % template
-holding each column's _cell_format.
+holding each column's _cell_format. A sweep is handed to the writer as one
+block of m-grid rows per entry of n_values, and its repeated columns are
+formatted once per block: a column whose blocks are bit-identical (m, and
+il_traditional in sweep-il) once for all blocks, a column constant within
+each block (n) once per block.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error (a file
 that cannot be read or written, or an array too large to allocate).
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -126,23 +131,64 @@ def resolve_out(args, default_name: str) -> str:
 
 
 def _columns(table) -> dict[str, list]:
-    """Column name -> list of cells of a structured array or a dict of
-    column sequences."""
+    """Column name -> flat list of cells of a structured array (of any
+    shape) or a dict of column sequences."""
     names = table.dtype.names if isinstance(table, np.ndarray) else table
-    return {name: np.asarray(table[name]).tolist() for name in names}
+    return {name: np.ravel(table[name]).tolist() for name in names}
+
+
+def _block_rows(table: np.ndarray) -> list[str]:
+    """The CSV rows of a 2-D structured array of 8-byte numbers, read as
+    blocks of rows (a sweep: one block of m-grid rows per exponent).
+
+    A column whose blocks are bit-identical is formatted once and its
+    strings repeated in every block; a column constant within each block
+    (n) becomes one string per block. Both enter the row template as %s.
+    Cells are compared on their bits, never with ==, because -0.0 and 0.0
+    print differently.
+    """
+    blocks, size = table.shape
+    shared = {}     # name -> the strings of the first block, reused by every block
+    per_block = {}  # name -> one string per block
+    for name in table.dtype.names:
+        column = table[name]
+        bits = column.view(np.uint64)
+        if blocks > 1 and (bits == bits[0]).all():
+            shared[name] = ["%.17g" % v for v in column[0].tolist()]
+        elif (bits == bits[:, :1]).all():
+            per_block[name] = ["%.17g" % v for v in column[:, 0].tolist()]
+    template = ",".join(
+        "%s" if name in shared or name in per_block else "%.17g" for name in table.dtype.names
+    )
+    lines = []
+    for b in range(blocks):
+        cells = [
+            shared[name] if name in shared
+            else itertools.repeat(per_block[name][b], size) if name in per_block
+            else table[name][b].tolist()
+            for name in table.dtype.names
+        ]
+        lines += [template % row for row in zip(*cells)]
+    return lines
 
 
 def write_csv(path: str, command: str, config: dict, table):
-    columns = _columns(table)
-    # one format per column, read off its first cell (an empty table has no rows)
-    template = ",".join(_cell_format(cells[0] if cells else "") for cells in columns.values())
+    """Write a table (see _columns) as a CSV with the schema version, command
+    and config as "# " lines above the header. A 2-D structured array is
+    written block by block (see _block_rows)."""
     lines = [
         f"# schema_version: {SCHEMA_VERSION}",
         f"# command: {command}",
         "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")),
-        ",".join(columns),
+        ",".join(table.dtype.names if isinstance(table, np.ndarray) else table),
     ]
-    lines += [template % row for row in zip(*columns.values())]
+    if isinstance(table, np.ndarray) and table.ndim == 2:
+        lines += _block_rows(table)
+    else:
+        columns = _columns(table)
+        # one format per column, read off its first cell (an empty table has no rows)
+        template = ",".join(_cell_format(cells[0] if cells else "") for cells in columns.values())
+        lines += [template % row for row in zip(*columns.values())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -248,7 +294,9 @@ def _run_sweep(args, command: str, runner) -> int:
     table = runner(m_grid, n_values)
     out = resolve_out(args, f"{command.replace('-', '_')}.{args.format}")
     config = {**resolved, "out": out, "format": args.format}
-    write_table(out, args.format, command, config, table)
+    # one block of rows per entry of n_values (duplicates included)
+    blocks = table.reshape(len(n_values), m_grid.size)
+    write_table(out, args.format, command, config, blocks)
     print(f"wrote {len(table)} rows to {out}")
     return 0
 

@@ -17,12 +17,11 @@ so the DRS experiment applies it to a block of volumes) and _split, which
 assume checked inputs; the public functions and the simulators call them.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pool import _check_fields
+from .pool import FLOAT_MAX, _check_fields
 
 REGIMES = ("low", "moderate", "high")
 
@@ -98,7 +97,7 @@ class RebateContext:
 
 def compute_fee(volume: float, gamma: float) -> float:
     """F = gamma * V."""
-    if not 0.0 <= volume < math.inf:
+    if not 0.0 <= volume <= FLOAT_MAX:
         raise ValueError(f"volume must be finite and nonnegative, got {volume}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
@@ -108,7 +107,7 @@ def compute_fee(volume: float, gamma: float) -> float:
 def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     """Map realized volatility to a regime tag. Both thresholds are inclusive
     on the moderate side."""
-    if not 0.0 <= sigma < math.inf:
+    if not 0.0 <= sigma <= FLOAT_MAX:
         raise ValueError(f"volatility must be finite and nonnegative, got {sigma}")
     if sigma < schedule.sigma_low:
         return "low"
@@ -151,7 +150,7 @@ def _split(fee: float, rho: float) -> tuple[float, float, float]:
 
 def split_fee(fee: float, rho: float) -> FeeSplit:
     """Three-way split: LP 0.3F, rebate rho*F, protocol the remainder."""
-    if not 0.0 <= fee < math.inf:
+    if not 0.0 <= fee <= FLOAT_MAX:
         raise ValueError(f"fee must be finite and nonnegative, got {fee}")
     if not REBATE_FLOOR <= rho <= REBATE_CAP:
         raise ValueError(f"rebate ratio must be in [{REBATE_FLOOR}, {REBATE_CAP}], got {rho}")
@@ -167,19 +166,19 @@ class EpochLedger:
     """
 
     def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0):
-        if not 0.0 <= reward_pool < math.inf:
+        if not 0.0 <= reward_pool <= FLOAT_MAX:
             raise ValueError(f"reward_pool must be finite and nonnegative, got {reward_pool}")
         self.epoch_id = epoch_id
         self.reward_pool = reward_pool
         self.volumes: dict[str, float] = {}
 
     def record(self, trader: str, volume: float):
-        if not 0.0 <= volume < math.inf:
+        if not 0.0 <= volume <= FLOAT_MAX:
             raise ValueError(f"trade volume must be finite and nonnegative, got {volume}")
         self.volumes[trader] = self.volumes.get(trader, 0.0) + volume
 
     def add_reward(self, amount: float):
-        if not 0.0 <= amount < math.inf:
+        if not 0.0 <= amount <= FLOAT_MAX:
             raise ValueError(f"reward amount must be finite and nonnegative, got {amount}")
         self.reward_pool += amount
 

@@ -34,7 +34,6 @@ every config dataclass field (_check_fields).
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -47,6 +46,13 @@ MAX_EXPONENT = 8
 # Swap inputs above this multiple of the matching reserve are rejected:
 # beyond that the first-order price-impact analysis is meaningless.
 SWAP_INPUT_CAP = 10.0
+
+# The largest finite float. Every finiteness bound is an exact comparison
+# with it, False for NaN, for inf and for an int too large for a float (a
+# bound `< inf` passes such an int, and arithmetic on it then raises
+# OverflowError). No float lies between it and inf, so a float meets it
+# exactly when it is finite.
+FLOAT_MAX = sys.float_info.max
 
 
 class PoolError(ValueError):
@@ -96,7 +102,7 @@ def spot_price(pool: Pool) -> float:
     if not (x > 0 and y > 0):
         raise PoolError("pool is inactive (a reserve is zero)")
     price = pool.n * y / x
-    if not 0.0 < price < math.inf:
+    if not 0.0 < price <= FLOAT_MAX:
         raise PoolError(f"pool price n*y/x is {price}, outside (0, inf)")
     return price
 
@@ -109,7 +115,7 @@ def _buy_x(x: float, y: float, n: int, dy_in: float, fee: float) -> tuple[float,
     [0, dy_in). Raises PoolError for an input that is not positive and finite
     or a result whose price leaves (0, inf), and TradeTooLarge above the cap.
     """
-    if not 0.0 < dy_in < math.inf:
+    if not 0.0 < dy_in <= FLOAT_MAX:
         raise PoolError(f"swap input dy_in must be positive and finite, got {dy_in}")
     if dy_in > SWAP_INPUT_CAP * y:
         raise TradeTooLarge(f"buy input {dy_in} exceeds {SWAP_INPUT_CAP}x the reserve {y}")
@@ -118,7 +124,7 @@ def _buy_x(x: float, y: float, n: int, dy_in: float, fee: float) -> tuple[float,
     new_y = y + dy_eff
     if new_x > 0.0:
         price = n * new_y / new_x
-        if price < math.inf:
+        if price <= FLOAT_MAX:
             return new_x, new_y, price
     raise PoolError("swap would drain the X reserve: the price n*y/x leaves (0, inf)")
 
@@ -126,7 +132,7 @@ def _buy_x(x: float, y: float, n: int, dy_in: float, fee: float) -> tuple[float,
 def _sell_x(x: float, y: float, n: int, dx_in: float, fee: float) -> tuple[float, float, float]:
     """Kernel of swap_x_for_y, the mirror of _buy_x: (new_x, new_y,
     new_price) after dx_in of X, less the withheld fee, enters the pool."""
-    if not 0.0 < dx_in < math.inf:
+    if not 0.0 < dx_in <= FLOAT_MAX:
         raise PoolError(f"swap input dx_in must be positive and finite, got {dx_in}")
     if dx_in > SWAP_INPUT_CAP * x:
         raise TradeTooLarge(f"sell input {dx_in} exceeds {SWAP_INPUT_CAP}x the reserve {x}")
@@ -144,6 +150,8 @@ def swap_y_for_x(pool: Pool, dy_in: float, fee_rate: float = 0.0) -> tuple[Pool,
     price_before = spot_price(pool)
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    if not 0.0 < dy_in <= FLOAT_MAX:  # before the fee: fee_rate * dy_in
+        raise PoolError(f"swap input dy_in must be positive and finite, got {dy_in}")
     fee = fee_rate * dy_in
     new_x, new_y, price_after = _buy_x(pool.x_reserve, pool.y_reserve, pool.n, dy_in, fee)
     slippage = (price_after - price_before) / price_before
@@ -156,6 +164,8 @@ def swap_x_for_y(pool: Pool, dx_in: float, fee_rate: float = 0.0) -> tuple[Pool,
     price_before = spot_price(pool)
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    if not 0.0 < dx_in <= FLOAT_MAX:  # before the fee: fee_rate * dx_in
+        raise PoolError(f"swap input dx_in must be positive and finite, got {dx_in}")
     fee = fee_rate * dx_in
     new_x, new_y, price_after = _sell_x(pool.x_reserve, pool.y_reserve, pool.n, dx_in, fee)
     slippage = (price_after - price_before) / price_before
@@ -170,6 +180,8 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
     P/P0 is a price multiplier, so it must be positive and finite.
     """
     p0 = spot_price(pool)
+    if not abs(target_price) <= FLOAT_MAX:  # before dividing by p0
+        raise PoolError(f"price multiplier must be positive and finite, got target price {target_price}")
     m = target_price / p0
     _check_multiplier(m)
     y_t = pool.y_reserve * m ** (pool.n / (pool.n + 1))
@@ -205,7 +217,7 @@ def min_arbitrage_size(pool: Pool, external_price: float) -> float:
     """Smallest trade that closes a positive external-price gap profitably:
     (P_ext - P) * X / ((n+1) * P). Only the buy direction is modeled."""
     p = spot_price(pool)
-    if not abs(external_price) < math.inf:
+    if not abs(external_price) <= FLOAT_MAX:
         raise PoolError(f"external_price must be finite, got {external_price}")
     if external_price < p:
         raise PoolError("external price below spot: sell-side gap not modeled")
@@ -216,7 +228,7 @@ def slippage_first_order(pool: Pool, dx: float) -> float:
     """First-order slippage for a reserve change dx: -(n+1) * dx / X.
     Valid for |dx| << X; the caller is responsible for staying small."""
     spot_price(pool)  # the pool-state check: active, price in (0, inf)
-    if not abs(dx) < math.inf:
+    if not abs(dx) <= FLOAT_MAX:
         raise PoolError(f"dx must be finite, got {dx}")
     return -(pool.n + 1) * dx / pool.x_reserve
 
@@ -247,19 +259,19 @@ def _check_multiplier(m: float | np.ndarray):
     An array is checked with one mask, and the error names its first bad
     value."""
     if isinstance(m, np.ndarray):
-        bad = ~((m > 0.0) & (m < math.inf))
+        bad = ~((m > 0.0) & (m <= FLOAT_MAX))
         if bad.any():
             i = int(bad.argmax())
             raise PoolError(
                 f"price multiplier must be positive and finite, got {m.flat[i]} at index {i}"
             )
-    elif not 0.0 < m < math.inf:
+    elif not 0.0 < m <= FLOAT_MAX:
         raise PoolError(f"price multiplier must be positive and finite, got {m}")
 
 
 def _is_reserve(value) -> bool:
     """The reserve rule: finite and nonnegative (an empty reserve is allowed)."""
-    return 0.0 <= value < math.inf
+    return 0.0 <= value <= FLOAT_MAX
 
 
 def _is_integer(value) -> bool:
@@ -278,11 +290,9 @@ def _check_fields(obj):
         value = getattr(obj, f.name)
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        # exact comparison with the largest float: False for NaN, for inf
-        # and for an int too large for a float
         if kind is float and not (
             isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
+            and abs(value) <= FLOAT_MAX
         ):
             raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if dataclasses.is_dataclass(kind) and not isinstance(value, kind):

@@ -350,8 +350,9 @@ def drs_geometric_upper_bound(cfg: DrsSimConfig) -> float:
 @dataclass(frozen=True)
 class SweepGridConfig:
     """A sweep grid: m_points price multipliers log-spaced from m_min to
-    m_max, crossed with a list of exponents. The default is 200 points from
-    1 to 100 and n = 1..5."""
+    m_max, crossed with a non-empty list of exponents. A one-point grid
+    needs m_min == m_max, since it holds m_min only. The default is 200
+    points from 1 to 100 and n = 1..5."""
 
     m_min: float = 1.0
     m_max: float = 100.0
@@ -364,8 +365,14 @@ class SweepGridConfig:
             raise ValueError(f"need 0 < m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
         if self.m_points < 1:
             raise ValueError("m_points must be >= 1")
+        if self.m_points == 1 and float(self.m_min) != float(self.m_max):
+            raise ValueError(
+                f"m_points is 1, so m_min must equal m_max, got m_min={self.m_min}, m_max={self.m_max}"
+            )
         if not isinstance(self.n_values, list):
             raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
+        if not self.n_values:
+            raise ValueError("n_values must hold at least one exponent, got []")
         for i, n in enumerate(self.n_values):
             try:
                 _check_exponent(n)

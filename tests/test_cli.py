@@ -320,6 +320,8 @@ class TestConfigValidation:
             ("sweep-retention", '{"n_values": 4}', "n_values"),
             ("sweep-il", '{"m_min": NaN}', "m_min"),
             ("sweep-retention", '{"m_max": Infinity}', "m_max"),
+            ("sweep-il", '{"n_values": []}', "n_values"),
+            ("sweep-retention", '{"m_points": 1, "m_min": 1, "m_max": 5}', "m_points"),
             ("simulate-drs", '{"seed": -1}', "seed"),
             ("market-loop", '{"seed": -1}', "seed"),
             ("simulate-drs", '{"days": 10,}', "is not valid JSON"),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerlaw_amm.fees import EpochLedger, FeeSchedule, classify_regime, compute_fee, split_fee
+from powerlaw_amm.il import il_hold, il_traditional
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
@@ -349,3 +351,46 @@ class TestNonFiniteArguments:
     def test_reserves_at_price_uses_the_multiplier_rule(self, price):
         with pytest.raises(PoolError, match="multiplier"):
             reserves_at_price(Pool(100.0, 1000.0, 4), price)
+
+
+BIG = 10**400  # an int past the largest float
+
+
+class TestIntegersPastFloatRange:
+    """An int too large for a float is rejected by the finiteness bound,
+    which compares it exactly with the largest float, instead of passing a
+    bound `< inf` and raising OverflowError in the arithmetic after it."""
+
+    @pytest.mark.parametrize(
+        "call, error, name",
+        [
+            (lambda: Pool(BIG, 1.0, 4), PoolError, "reserves"),
+            (lambda: Pool(1.0, BIG, 4), PoolError, "reserves"),
+            (lambda: swap_y_for_x(Pool(100.0, 100.0, 4), BIG), PoolError, "dy_in"),
+            (lambda: swap_y_for_x(Pool(100.0, 100.0, 4), BIG, 0.01), PoolError, "dy_in"),
+            (lambda: swap_x_for_y(Pool(100.0, 100.0, 4), BIG, 0.01), PoolError, "dx_in"),
+            (lambda: slippage_first_order(Pool(100.0, 100.0, 4), BIG), PoolError, "dx"),
+            (lambda: retention_ratio(BIG, 4), PoolError, "multiplier"),
+            (lambda: depleted_reserves(BIG, 2.0, 4), PoolError, "initial reserve"),
+            (lambda: depleted_reserves(1.0, BIG, 4), PoolError, "multiplier"),
+            (lambda: il_traditional(BIG), PoolError, "multiplier"),
+            (lambda: il_hold(BIG, 4), PoolError, "multiplier"),
+            (lambda: reserves_at_price(Pool(100.0, 100.0, 4), BIG), PoolError, "multiplier"),
+            (lambda: min_arbitrage_size(Pool(100.0, 100.0, 4), BIG), PoolError, "external_price"),
+            (lambda: compute_fee(BIG, 0.01), ValueError, "volume"),
+            (lambda: split_fee(BIG, 0.35), ValueError, "fee"),
+            (lambda: classify_regime(BIG, FeeSchedule()), ValueError, "volatility"),
+            (lambda: EpochLedger(0, BIG), ValueError, "reward_pool"),
+            (lambda: EpochLedger().record("t0", BIG), ValueError, "trade volume"),
+            (lambda: EpochLedger().add_reward(BIG), ValueError, "reward amount"),
+        ],
+        ids=[
+            "Pool-x", "Pool-y", "swap_y_for_x", "swap_y_for_x-fee", "swap_x_for_y-fee",
+            "slippage_first_order", "retention_ratio", "depleted_reserves-y0", "depleted_reserves-m",
+            "il_traditional", "il_hold", "reserves_at_price", "min_arbitrage_size", "compute_fee",
+            "split_fee", "classify_regime", "EpochLedger", "EpochLedger.record", "EpochLedger.add_reward",
+        ],
+    )
+    def test_rejected_with_a_named_value_error(self, call, error, name):
+        with pytest.raises(error, match=name):
+            call()

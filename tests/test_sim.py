@@ -836,3 +836,14 @@ class TestSweepGridConfig:
     def test_m_points_at_least_one(self):
         with pytest.raises(ValueError, match="m_points"):
             SweepGridConfig(m_points=0)
+
+    def test_n_values_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="n_values"):
+            SweepGridConfig(n_values=[])
+
+    @pytest.mark.parametrize("m_min, m_max", [(1, 5), (1.0, 1.5)])
+    def test_one_point_grid_needs_m_min_equal_m_max(self, m_min, m_max):
+        # logspace(..., 1) holds m_min only, so m_max would be dropped
+        with pytest.raises(ValueError, match="m_points"):
+            SweepGridConfig(m_min=m_min, m_max=m_max, m_points=1)
+        assert SweepGridConfig(m_min=m_max, m_max=m_max, m_points=1).m_grid().size == 1

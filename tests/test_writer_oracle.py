@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from powerlaw_amm import il, pool
-from powerlaw_amm.cli import SCHEMA_VERSION, build_config, main
+from powerlaw_amm.cli import SCHEMA_VERSION, build_config, main, write_csv
 from powerlaw_amm.sim import DrsSimConfig, MarketLoopConfig, run_drs_simulation, run_market_loop
 
 SWEEP = {"m_min": 1.5, "m_max": 150.0, "m_points": 2000, "n_values": list(range(1, 9))}
@@ -49,10 +49,10 @@ def old_json(command: str, config: dict, columns: list, rows: list) -> bytes:
 OLD_WRITERS = {"csv": old_csv, "json": old_json}
 
 
-def old_sweep_rows(command: str) -> tuple[list, list]:
-    m_grid = np.logspace(np.log10(SWEEP["m_min"]), np.log10(SWEEP["m_max"]), SWEEP["m_points"])
+def old_sweep_rows(command: str, sweep: dict = SWEEP) -> tuple[list, list]:
+    m_grid = np.logspace(np.log10(sweep["m_min"]), np.log10(sweep["m_max"]), sweep["m_points"])
     rows = []
-    for n in SWEEP["n_values"]:
+    for n in sweep["n_values"]:
         for m in m_grid:
             row = {"m": float(m), "n": int(n)}
             if command == "sweep-retention":
@@ -81,6 +81,43 @@ def test_sweep_on_a_non_default_grid(tmp_path, command, output_format):
     columns, rows = old_sweep_rows(command)
     with open(out, "rb") as fh:
         assert fh.read() == OLD_WRITERS[output_format](command, config, columns, rows)
+
+
+# Grids that stress the CLI's block writer, which formats a column once when
+# its blocks (one per entry of n_values) are bit-identical and a column
+# constant within each block once per block.
+BLOCK_GRIDS = {
+    "duplicate-n": {"m_min": 1.5, "m_max": 150.0, "m_points": 40, "n_values": [4, 4]},
+    "unsorted-n": {"m_min": 0.25, "m_max": 4.0, "m_points": 40, "n_values": [3, 1]},
+    "n-is-1": {"m_min": 1.5, "m_max": 150.0, "m_points": 40, "n_values": [1]},  # retention all 1.0
+    "flat-m": {"m_min": 7.0, "m_max": 7.0, "m_points": 3, "n_values": [1, 2, 8]},
+    "one-point": {"m_min": 100.0, "m_max": 100.0, "m_points": 1, "n_values": [2, 5, 2]},
+}
+
+
+@pytest.mark.parametrize("grid", list(BLOCK_GRIDS.values()), ids=list(BLOCK_GRIDS))
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("command", ["sweep-retention", "sweep-il"])
+def test_sweep_on_a_grid_that_stresses_the_blocks(tmp_path, command, output_format, grid):
+    out = str(tmp_path / f"sweep.{output_format}")
+    run_cli(tmp_path, [command, "--out", out, "--format", output_format], grid)
+    config = {**grid, "out": out, "format": output_format}
+    columns, rows = old_sweep_rows(command, grid)
+    with open(out, "rb") as fh:
+        assert fh.read() == OLD_WRITERS[output_format](command, config, columns, rows)
+
+
+def test_blocks_differing_only_in_the_sign_of_zero(tmp_path):
+    # -0.0 == 0.0, yet they print "-0" and "0": blocks are compared on bits
+    table = np.zeros((2, 2), dtype=[("m", float), ("n", int), ("x", float)])
+    table["m"] = [[0.0, 1.0], [-0.0, 1.0]]
+    table["n"] = [[1, 1], [2, 2]]
+    table["x"] = [[-0.0, -0.0], [0.0, 0.0]]
+    path = tmp_path / "zeros.csv"
+    write_csv(str(path), "sweep-il", {}, table)
+    rows = [dict(zip(table.dtype.names, cells)) for cells in table.ravel().tolist()]
+    assert path.read_bytes() == old_csv("sweep-il", {}, ["m", "n", "x"], rows)
+    assert path.read_text().splitlines()[-4:] == ["0,1,-0", "1,1,-0", "-0,2,0", "1,2,0"]
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
