@@ -14,7 +14,9 @@ the usual definition; the factor model matches it only for small moves.
 
 The domains are the pool's: a bad exponent n or a price multiplier (m, or
 1+eps) that is not positive and finite raises PoolError from
-pool._check_exponent or pool._check_multiplier.
+pool._check_exponent or pool._check_multiplier. A scalar eps is bounded by
+pool.FLOAT_MAX before 1+eps is formed, and an eps whose square overflows
+in il_powerlaw_taylor is a PoolError too.
 
 m and eps are a float or a 1-D float array; n is one exponent. A float
 argument returns a Python float, an array an array of the same length. The
@@ -28,7 +30,7 @@ import math
 
 import numpy as np
 
-from .pool import _check_exponent, _check_multiplier, _pow
+from .pool import FLOAT_MAX, PoolError, _check_exponent, _check_multiplier, _pow
 
 
 def il_traditional(m: float | np.ndarray) -> float | np.ndarray:
@@ -60,9 +62,7 @@ def il_powerlaw_exact(epsilon: float | np.ndarray, n: int) -> float | np.ndarray
     1 - (1+eps)^(-1/(n+1)).
     """
     _check_exponent(n)
-    m = 1.0 + epsilon
-    _check_multiplier(m)
-    return 1.0 - _pow(m, -1.0 / (n + 1))
+    return 1.0 - _pow(_eps_multiplier(epsilon), -1.0 / (n + 1))
 
 
 def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
@@ -85,6 +85,21 @@ def il_powerlaw_taylor(epsilon: float, n: int) -> float:
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
     _check_exponent(n)
-    _check_multiplier(1.0 + epsilon)
-    return epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
+    _eps_multiplier(epsilon)
+    try:
+        return epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
+    except OverflowError:
+        raise PoolError(f"eps**2 overflows a float in the Taylor expansion, got eps = {epsilon}") from None
+
+
+def _eps_multiplier(epsilon: float | np.ndarray) -> float | np.ndarray:
+    """The multiplier 1 + eps of the eps forms, checked by the multiplier
+    rule. A scalar eps is bounded first, so an int too large for a float is
+    a PoolError rather than an OverflowError in the addition; an array is
+    added and checked as it is."""
+    if not isinstance(epsilon, np.ndarray) and not abs(epsilon) <= FLOAT_MAX:
+        raise PoolError(f"price multiplier 1 + eps must be positive and finite, got eps = {epsilon}")
+    m = 1.0 + epsilon
+    _check_multiplier(m)
+    return m
 

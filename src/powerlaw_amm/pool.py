@@ -4,7 +4,11 @@ A pool holds a volatile token X against a stablecoin Y. n=1 is the classic
 constant-product pool; larger n concentrates stablecoin retention on the
 upside at the cost of steeper slippage. Pools are immutable values: swaps
 return a new Pool instead of mutating in place, so K can always be recomputed
-from state and never drifts from it.
+from state and never drifts from it. Pool and SwapResult are frozen
+dataclasses with a hand-written __init__ that stores the fields in the
+instance __dict__; equality, hashing, repr, dataclasses.replace (which
+revalidates through Pool's __init__), pickling and copying are the
+dataclass ones.
 
 Validation happens at the public boundary: the Pool constructor takes only
 finite nonnegative reserves and an integer exponent in [MIN_EXPONENT,
@@ -63,23 +67,39 @@ class TradeTooLarge(PoolError):
     """Swap input exceeded SWAP_INPUT_CAP times the matching reserve."""
 
 
+# Pool and SwapResult write their own __init__, which dataclass keeps. The
+# generated one of a frozen dataclass stores each field through
+# object.__setattr__, about half the cost of building one; writing the
+# instance __dict__ directly stores the same attributes, and assignment and
+# deletion still raise FrozenInstanceError.
+
+
 @dataclass(frozen=True)
 class Pool:
     x_reserve: float
     y_reserve: float
     n: int = 1
 
-    def __post_init__(self):
-        _check_exponent(self.n)
-        if not (_is_reserve(self.x_reserve) and _is_reserve(self.y_reserve)):
-            raise PoolError(
-                f"reserves must be finite and nonnegative, got {self.x_reserve}, {self.y_reserve}"
-            )
+    def __init__(self, x_reserve: float, y_reserve: float, n: int = 1):
+        _check_exponent(n)
+        if not (_is_reserve(x_reserve) and _is_reserve(y_reserve)):
+            raise PoolError(f"reserves must be finite and nonnegative, got {x_reserve}, {y_reserve}")
+        d = self.__dict__
+        d["x_reserve"] = x_reserve
+        d["y_reserve"] = y_reserve
+        d["n"] = n
 
     @property
     def invariant(self) -> float:
-        """K = X^n * Y, computed on demand and never stored."""
-        return self.x_reserve**self.n * self.y_reserve
+        """K = X^n * Y, computed on demand and never stored. Raises PoolError
+        when K is too large for a float."""
+        try:
+            k = self.x_reserve**self.n * self.y_reserve
+            if k <= FLOAT_MAX:
+                return k
+        except OverflowError:
+            pass
+        raise PoolError(f"invariant K = X^n * Y overflows a float for {self}")
 
     @property
     def price(self) -> float:
@@ -93,6 +113,16 @@ class SwapResult:
     price_before: float
     price_after: float
     slippage_exact: float
+
+    def __init__(
+        self, amount_out: float, fee_paid: float, price_before: float, price_after: float, slippage_exact: float
+    ):
+        d = self.__dict__
+        d["amount_out"] = amount_out
+        d["fee_paid"] = fee_paid
+        d["price_before"] = price_before
+        d["price_after"] = price_after
+        d["slippage_exact"] = slippage_exact
 
 
 def spot_price(pool: Pool) -> float:

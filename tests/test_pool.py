@@ -1,6 +1,11 @@
 """Pool math: pricing, swaps, retention, slippage, arbitrage bounds."""
 
+import copy
+import dataclasses
+import hashlib
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -8,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm.fees import EpochLedger, FeeSchedule, classify_regime, compute_fee, split_fee
-from powerlaw_amm.il import il_hold, il_traditional
+from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_powerlaw_taylor, il_traditional
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
+    SwapResult,
     TradeTooLarge,
     depleted_reserves,
     min_arbitrage_size,
@@ -330,6 +336,26 @@ class TestBoundaryValidation:
             swap_y_for_x(pool, 1e8)
 
 
+class TestInvariant:
+    def test_value(self):
+        assert Pool(2.0, 3.0, 4).invariant == 48.0
+        assert Pool(0.0, 3.0, 4).invariant == 0.0
+
+    @pytest.mark.parametrize(
+        "pool",
+        [Pool(1e100, 1.0, 4), Pool(1e300, 1e300, 8), Pool(1e300, 1e300, 1), Pool(10**300, 1, 2)],
+        ids=["pow", "pow-n8", "product", "int"],
+    )
+    def test_overflow_is_a_pool_error(self, pool):
+        with pytest.raises(PoolError, match=r"K = X\^n \* Y overflows a float"):
+            pool.invariant
+
+    def test_numpy_exponent_overflow_is_a_pool_error(self):
+        pool = Pool(1e100, 1.0, np.int64(4))  # numpy's power returns inf instead of raising
+        with np.errstate(over="ignore"), pytest.raises(PoolError, match="overflows a float"):
+            pool.invariant
+
+
 class TestNonFiniteArguments:
     @pytest.mark.parametrize("price", [math.nan, math.inf])
     def test_min_arbitrage_size_rejects_non_finite_price(self, price):
@@ -375,6 +401,10 @@ class TestIntegersPastFloatRange:
             (lambda: depleted_reserves(1.0, BIG, 4), PoolError, "multiplier"),
             (lambda: il_traditional(BIG), PoolError, "multiplier"),
             (lambda: il_hold(BIG, 4), PoolError, "multiplier"),
+            (lambda: il_powerlaw_exact(BIG, 4), PoolError, "multiplier"),
+            (lambda: il_powerlaw_taylor(BIG, 4), PoolError, "multiplier"),
+            (lambda: il_powerlaw_taylor(1e200, 4), PoolError, "overflows"),
+            (lambda: il_powerlaw_taylor(10**200, 4), PoolError, "overflows"),
             (lambda: reserves_at_price(Pool(100.0, 100.0, 4), BIG), PoolError, "multiplier"),
             (lambda: min_arbitrage_size(Pool(100.0, 100.0, 4), BIG), PoolError, "external_price"),
             (lambda: compute_fee(BIG, 0.01), ValueError, "volume"),
@@ -387,10 +417,142 @@ class TestIntegersPastFloatRange:
         ids=[
             "Pool-x", "Pool-y", "swap_y_for_x", "swap_y_for_x-fee", "swap_x_for_y-fee",
             "slippage_first_order", "retention_ratio", "depleted_reserves-y0", "depleted_reserves-m",
-            "il_traditional", "il_hold", "reserves_at_price", "min_arbitrage_size", "compute_fee",
+            "il_traditional", "il_hold", "il_powerlaw_exact", "il_powerlaw_taylor", "il_powerlaw_taylor-square",
+            "il_powerlaw_taylor-int-square", "reserves_at_price", "min_arbitrage_size", "compute_fee",
             "split_fee", "classify_regime", "EpochLedger", "EpochLedger.record", "EpochLedger.add_reward",
         ],
     )
     def test_rejected_with_a_named_value_error(self, call, error, name):
         with pytest.raises(error, match=name):
             call()
+
+
+
+class TestValueSemantics:
+    """Pool and SwapResult are frozen dataclasses: immutable values compared,
+    hashed, printed, replaced, pickled and copied by their fields."""
+
+    POOL = Pool(1.0, 2.0, 4)
+    RESULT = SwapResult(0.5, 0.01, 8.0, 9.5, 0.1875)
+
+    @pytest.mark.parametrize("obj, name", [(POOL, "x_reserve"), (POOL, "n"), (RESULT, "amount_out")])
+    def test_fields_cannot_be_assigned_or_deleted(self, obj, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.new_attribute = 1
+
+    def test_equality_and_hash_by_value(self):
+        assert Pool(1.0, 2.0, 4) == self.POOL
+        assert hash(Pool(1.0, 2.0, 4)) == hash(self.POOL)
+        assert Pool(1.0, 2.0, 5) != self.POOL
+        assert Pool(1.0, 2.0, 4) != (1.0, 2.0, 4)
+        assert SwapResult(0.5, 0.01, 8.0, 9.5, 0.1875) == self.RESULT
+        assert hash(SwapResult(0.5, 0.01, 8.0, 9.5, 0.1875)) == hash(self.RESULT)
+        assert SwapResult(0.5, 0.01, 8.0, 9.5, 0.2) != self.RESULT
+        assert len({Pool(1.0, 2.0, 4), Pool(1.0, 2.0, 4), Pool(2.0, 1.0, 4)}) == 2
+
+    def test_repr(self):
+        assert repr(self.POOL) == "Pool(x_reserve=1.0, y_reserve=2.0, n=4)"
+        assert repr(self.RESULT) == (
+            "SwapResult(amount_out=0.5, fee_paid=0.01, price_before=8.0, price_after=9.5, slippage_exact=0.1875)"
+        )
+
+    def test_fields_in_order(self):
+        assert [f.name for f in dataclasses.fields(Pool)] == ["x_reserve", "y_reserve", "n"]
+        assert [f.name for f in dataclasses.fields(SwapResult)] == [
+            "amount_out", "fee_paid", "price_before", "price_after", "slippage_exact",
+        ]
+        assert dataclasses.astuple(self.POOL) == (1.0, 2.0, 4)
+
+    def test_replace_revalidates(self):
+        assert dataclasses.replace(self.POOL, n=5) == Pool(1.0, 2.0, 5)
+        with pytest.raises(PoolError, match="exponent"):
+            dataclasses.replace(self.POOL, n=9)
+        with pytest.raises(PoolError, match="reserves"):
+            dataclasses.replace(self.POOL, y_reserve=-1.0)
+        assert dataclasses.replace(self.RESULT, fee_paid=0.0) == SwapResult(0.5, 0.0, 8.0, 9.5, 0.1875)
+
+    @pytest.mark.parametrize("obj", [POOL, RESULT], ids=["Pool", "SwapResult"])
+    def test_pickle_and_deepcopy_round_trip(self, obj):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(clone) is type(obj)
+            assert clone == obj
+            assert repr(clone) == repr(obj)
+
+    def test_keywords_and_default_exponent(self):
+        assert Pool(x_reserve=1.0, y_reserve=2.0, n=4) == self.POOL
+        assert Pool(y_reserve=2.0, x_reserve=1.0).n == 1
+        assert Pool(1.0, 2.0) == Pool(1.0, 2.0, 1)
+        kwargs = dict(amount_out=0.5, fee_paid=0.01, price_before=8.0, price_after=9.5, slippage_exact=0.1875)
+        assert SwapResult(**kwargs) == self.RESULT
+        with pytest.raises(TypeError):
+            Pool(1.0)
+        with pytest.raises(TypeError):
+            SwapResult(0.5, 0.01, 8.0, 9.5)
+
+    def test_numpy_exponent_kept_as_given(self):
+        pool = Pool(1.0, 2.0, np.int64(4))
+        assert type(pool.n) is np.int64
+        assert pool == self.POOL
+
+
+# The digest of QUOTE_STREAM below, computed before Pool and SwapResult got
+# their hand-written constructors. It pins every bit of every quote.
+QUOTE_STREAM_DIGEST = "fff9c2a3974b0973c9d70861d3cb4c9dd568cea8cb21fd150646c683de507f93"
+
+
+class TestQuoteStreamOracle:
+    """2000 seeded quotes through the public API, as `powerlaw-amm quote`
+    makes them: a fresh Pool, one swap on either side, first-order slippage
+    of the X reserve change. Exponents 1..8, fees in [0, 3 %] and sizes wide
+    enough that some exceed the 10x cap and raise TradeTooLarge."""
+
+    COUNT = 2000
+
+    def quotes(self):
+        rng = np.random.default_rng(20240601)
+        n = self.COUNT
+        x = 10.0 ** rng.uniform(-2.0, 8.0, n)
+        y = 10.0 ** rng.uniform(-2.0, 8.0, n)
+        exponent = rng.integers(1, 9, n)
+        buy = rng.random(n) < 0.5
+        fee = rng.uniform(0.0, 0.03, n)
+        fee[:8] = 0.0
+        size = np.exp(math.log(0.05) + 2.5 * rng.standard_normal(n))
+        amount = np.where(buy, y, x) * size
+        return zip(x.tolist(), y.tolist(), exponent.tolist(), buy.tolist(), amount.tolist(), fee.tolist())
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        rejected = buys = 0
+        exponents = set()
+        for x, y, n, buy, amount, fee in self.quotes():
+            pool = Pool(x, y, n)
+            try:
+                if buy:
+                    new_pool, res = swap_y_for_x(pool, amount, fee)
+                    delta_x = -res.amount_out
+                else:
+                    new_pool, res = swap_x_for_y(pool, amount, fee)
+                    delta_x = amount - res.fee_paid
+            except TradeTooLarge:
+                rejected += 1
+                digest.update(b"rejected")
+                continue
+            slip = slippage_first_order(pool, delta_x)
+            assert type(new_pool) is Pool and type(res) is SwapResult
+            assert new_pool.n == n and res.price_before == spot_price(pool)
+            digest.update(struct.pack(
+                "<8dq",
+                res.amount_out, res.fee_paid, res.price_before, res.price_after, res.slippage_exact,
+                new_pool.x_reserve, new_pool.y_reserve, slip, new_pool.n,
+            ))
+            buys += buy
+            exponents.add(n)
+        assert 10 <= rejected <= 100
+        assert 800 <= buys <= 1200
+        assert exponents == set(range(1, 9))
+        assert digest.hexdigest() == QUOTE_STREAM_DIGEST
