@@ -18,14 +18,14 @@ its own output. Numbers are serialized with 17 significant digits, which
 round-trips IEEE doubles exactly; rerunning a command with the same config
 and seed yields byte-identical files.
 
-Tables are written by columns: a numpy structured array (the sweeps) or a
-dict of column sequences (simulate-drs, the market-loop epochs). Each column
-is turned into a list once, and each CSV row is formatted by one % template
-holding each column's _cell_format. A sweep is handed to the writer as one
-block of m-grid rows per entry of n_values, and its repeated columns are
-formatted once per block: a column whose blocks are bit-identical (m, and
+Every table is a numpy structured array (the sweeps, the simulate-drs
+series, the market-loop epochs), written as blocks of rows, a 1-D table as
+one block. Each column is turned into a list once, and each CSV row is
+formatted by one % template. A sweep is handed to the writer as one block
+of m-grid rows per entry of n_values, and repeated columns are formatted
+once per block: a column whose blocks are bit-identical (m, and
 il_traditional in sweep-il) once for all blocks, a column constant within
-each block (n) once per block.
+each block (n, or a DRS series that never moves) once per block.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error (a file
 that cannot be read or written, or an array too large to allocate).
@@ -67,13 +67,6 @@ OUT_DIR_ENV = "POWERLAW_AMM_OUT_DIR"
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
-
-
-def _cell_format(value) -> str:
-    """The % format of a cell: strings verbatim, numbers with 17 significant
-    digits (integer cells are days, epoch ids and exponents, well below 1e17,
-    so they keep every digit)."""
-    return "%s" if isinstance(value, str) else "%.17g"
 
 
 def load_config_file(path: str | None) -> dict:
@@ -130,35 +123,34 @@ def resolve_out(args, default_name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), default_name)
 
 
-def _columns(table) -> dict[str, list]:
-    """Column name -> flat list of cells of a structured array (of any
-    shape) or a dict of column sequences."""
-    names = table.dtype.names if isinstance(table, np.ndarray) else table
-    return {name: np.ravel(table[name]).tolist() for name in names}
-
-
 def _block_rows(table: np.ndarray) -> list[str]:
-    """The CSV rows of a 2-D structured array of 8-byte numbers, read as
-    blocks of rows (a sweep: one block of m-grid rows per exponent).
+    """The CSV rows of a 2-D structured array of 8-byte numbers and strings,
+    read as blocks of rows (a sweep: one block of m-grid rows per exponent).
+    Numbers get 17 significant digits (integer cells are days, epoch ids and
+    exponents, well below 1e17), strings are written as they are.
 
-    A column whose blocks are bit-identical is formatted once and its
-    strings repeated in every block; a column constant within each block
-    (n) becomes one string per block. Both enter the row template as %s.
-    Cells are compared on their bits, never with ==, because -0.0 and 0.0
-    print differently.
+    A number column whose blocks are bit-identical is formatted once and its
+    strings repeated in every block; one constant within each block (n)
+    becomes one string per block. Both enter the row template as %s. Cells
+    are compared on their bits, never with ==, because -0.0 and 0.0 print
+    differently.
     """
     blocks, size = table.shape
     shared = {}     # name -> the strings of the first block, reused by every block
     per_block = {}  # name -> one string per block
     for name in table.dtype.names:
         column = table[name]
+        if column.dtype.kind == "U" or not size:
+            continue  # strings have no 8-byte bits to compare; no rows, no cells
         bits = column.view(np.uint64)
         if blocks > 1 and (bits == bits[0]).all():
             shared[name] = ["%.17g" % v for v in column[0].tolist()]
         elif (bits == bits[:, :1]).all():
             per_block[name] = ["%.17g" % v for v in column[:, 0].tolist()]
     template = ",".join(
-        "%s" if name in shared or name in per_block else "%.17g" for name in table.dtype.names
+        "%.17g" if table.dtype[name].kind != "U" and name not in shared and name not in per_block
+        else "%s"
+        for name in table.dtype.names
     )
     lines = []
     for b in range(blocks):
@@ -172,23 +164,17 @@ def _block_rows(table: np.ndarray) -> list[str]:
     return lines
 
 
-def write_csv(path: str, command: str, config: dict, table):
-    """Write a table (see _columns) as a CSV with the schema version, command
-    and config as "# " lines above the header. A 2-D structured array is
-    written block by block (see _block_rows)."""
+def write_csv(path: str, command: str, config: dict, table: np.ndarray):
+    """Write a 1-D or 2-D structured array as a CSV with the schema version,
+    command and config as "# " lines above the header. The rows are written
+    block by block (see _block_rows); a 1-D table is one block."""
     lines = [
         f"# schema_version: {SCHEMA_VERSION}",
         f"# command: {command}",
         "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")),
-        ",".join(table.dtype.names if isinstance(table, np.ndarray) else table),
+        ",".join(table.dtype.names),
+        *_block_rows(np.atleast_2d(table)),
     ]
-    if isinstance(table, np.ndarray) and table.ndim == 2:
-        lines += _block_rows(table)
-    else:
-        columns = _columns(table)
-        # one format per column, read off its first cell (an empty table has no rows)
-        template = ",".join(_cell_format(cells[0] if cells else "") for cells in columns.values())
-        lines += [template % row for row in zip(*columns.values())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -201,19 +187,18 @@ def write_json(path: str, payload: dict):
 
 
 def write_table(path, output_format, command, config, table, summary=None):
-    """Write a table (see _columns) as a CSV or as one JSON object; return
-    the paths written.
+    """Write a structured array as a CSV (see write_csv) or as one JSON
+    object with its rows in row-major order; return the paths written.
 
     A summary goes into the JSON object, or beside a CSV as
     <root>.summary.json.
     """
     if output_format == "json":
-        columns = _columns(table)
         payload = {
             "command": command,
             "config": config,
-            "columns": list(columns),
-            "rows": list(zip(*columns.values())),
+            "columns": list(table.dtype.names),
+            "rows": table.ravel().tolist(),
         }
         if summary is not None:
             payload["summary"] = summary
@@ -323,12 +308,10 @@ def cmd_simulate_drs(args) -> int:
     result = run_drs_simulation(cfg)
     out = resolve_out(args, f"drs.{args.format}")
     config = {**dataclasses.asdict(cfg), "out": out, "format": args.format}
-    table = {
-        "day": range(cfg.days),
-        "static_volume": result.static_series,
-        "dynamic_volume": result.dynamic_series,
-        "rho_applied": result.rho_series,
-    }
+    table = np.rec.fromarrays(
+        [np.arange(cfg.days), result.static_series, result.dynamic_series, result.rho_series],
+        names=["day", "static_volume", "dynamic_volume", "rho_applied"],
+    )
     paths = write_table(out, args.format, "simulate-drs", config, table, summary=result.summary)
     print("wrote " + " and ".join(paths))
     return 0
@@ -367,11 +350,14 @@ def cmd_market_loop(args) -> int:
     }
     write_json(out, {"command": "market-loop", "config": config, "metrics": metrics})
     reports = result.epoch_reports
-    table = {
-        "epoch": [er.epoch_id for er in reports for _ in er.payouts],
-        "trader": [trader for er in reports for trader, _ in er.payouts],
-        "reward": [reward for er in reports for _, reward in er.payouts],
-    }
+    table = np.rec.fromarrays(
+        [
+            [er.epoch_id for er in reports for _ in er.payouts],
+            [trader for er in reports for trader, _ in er.payouts],
+            [reward for er in reports for _, reward in er.payouts],
+        ],
+        names=["epoch", "trader", "reward"],
+    )
     epochs_csv = os.path.splitext(out)[0] + ".epochs.csv"
     ledger_config = {**config, "ledger_of": out}
     write_csv(epochs_csv, "market-loop", ledger_config, table)

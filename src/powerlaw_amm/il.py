@@ -16,7 +16,8 @@ The domains are the pool's: a bad exponent n or a price multiplier (m, or
 1+eps) that is not positive and finite raises PoolError from
 pool._check_exponent or pool._check_multiplier. A scalar eps is bounded by
 pool.FLOAT_MAX before 1+eps is formed, and an eps whose square overflows
-in il_powerlaw_taylor is a PoolError too.
+in il_powerlaw_taylor is a PoolError too, for a float, a numpy float or an
+array.
 
 m and eps are a float or a 1-D float array; n is one exponent. A float
 argument returns a Python float, an array an array of the same length. The
@@ -81,15 +82,21 @@ def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
     return 1.0 - (n + 1) * _pow(m, n / (n + 1)) / (n * m + 1.0)
 
 
-def il_powerlaw_taylor(epsilon: float, n: int) -> float:
+def il_powerlaw_taylor(epsilon: float | np.ndarray, n: int) -> float | np.ndarray:
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
     _check_exponent(n)
     _eps_multiplier(epsilon)
-    try:
-        return epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
-    except OverflowError:
-        raise PoolError(f"eps**2 overflows a float in the Taylor expansion, got eps = {epsilon}") from None
+    # eps > -1, so the expansion is finite exactly when eps**2 is: a Python
+    # float or int raises OverflowError there, a numpy float gives inf
+    with np.errstate(over="ignore"):
+        try:
+            taylor = epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
+        except OverflowError:
+            taylor = -math.inf
+    if not np.isfinite(taylor).all():
+        raise PoolError(f"eps**2 overflows a float in the Taylor expansion, got eps = {epsilon}")
+    return taylor
 
 
 def _eps_multiplier(epsilon: float | np.ndarray) -> float | np.ndarray:

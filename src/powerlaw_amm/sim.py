@@ -70,7 +70,7 @@ from .fees import (
     dynamic_rebate,
     settle_epoch,
 )
-from .pool import Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
+from .pool import FLOAT_MAX, Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
 from .pool import _check_exponent, _check_fields, _is_reserve
 
 # The public fee and swap functions stay importable from this module although
@@ -561,9 +561,9 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     loop then keeps the reserves and the price as plain floats and calls the
     pool and fee kernels directly; an epoch's volumes are keyed by trader
     id, and named "t{i}" when the epoch closes. A trade above the input cap
-    is rejected and counted; a trade whose size overflows a float, or that
-    would drain a reserve (its price n*y/x leaving (0, inf)), stops the run
-    with a PoolError.
+    is rejected and counted; a trade whose size overflows a float or
+    underflows to 0, or that would drain a reserve (its price n*y/x leaving
+    (0, inf)), stops the run with a PoolError.
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
@@ -614,6 +614,16 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 except OverflowError:
                     raise PoolError(
                         f"trade size overflows a float: size_sigma {size_sigma} is too large"
+                    ) from None
+                except PoolError:
+                    # the kernel names its argument (dy_in, dx_in); a size
+                    # that underflowed to 0 or overflowed comes from the stream
+                    amount = volume if buy_side else size
+                    if 0.0 < amount <= FLOAT_MAX:
+                        raise
+                    raise PoolError(
+                        f"trade size {amount} leaves (0, inf): stream.size_median_frac {size_frac}"
+                        f" and stream.size_sigma {size_sigma} are too extreme"
                     ) from None
                 executed += 1
                 lp, rebate, protocol = _split(fee, rho)

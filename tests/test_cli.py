@@ -286,6 +286,22 @@ class TestMarketLoop:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "size_sigma" in err
 
+    @pytest.mark.parametrize(
+        "stream",
+        [{"size_sigma": 300.0}, {"size_sigma": 400.0}, {"size_median_frac": 1e305}],
+        ids=["buy-underflow", "sell-underflow", "product-overflow"],
+    )
+    def test_size_out_of_float_range_names_the_stream(self, tmp_path, capsys, stream):
+        # at seed 1 a size underflows to 0 (on a buy, then a sell) or the
+        # median size times the reserve overflows to inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stream": stream, "epochs": 2, "periods_per_epoch": 30}))
+        out = tmp_path / "o.json"
+        assert run(["market-loop", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trade size ") and "stream.size_sigma" in err
+        assert "dy_in" not in err and "dx_in" not in err and "Traceback" not in err
+
 
 class TestOutDirEnv:
     def test_env_var_sets_default_dir(self, tmp_path, monkeypatch):

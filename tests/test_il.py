@@ -204,3 +204,20 @@ class TestDomain:
     def test_exponent_domain_is_the_pools(self, call, n):
         with pytest.raises(PoolError, match="exponent"):
             call(n)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [np.float64(1e200), np.array([0.1, 1e200])],
+        ids=["np.float64", "array"],
+    )
+    def test_taylor_square_overflow_is_a_pool_error(self, eps):
+        # numpy squares to inf (with a RuntimeWarning) where a Python float
+        # raises OverflowError; the float and int cases are in test_pool.py
+        with pytest.raises(PoolError, match="overflows"):
+            il_powerlaw_taylor(eps, 4)
+
+    def test_taylor_keeps_numpy_input(self):
+        eps = np.array([0.1, 0.01, -0.5])
+        want = [il_powerlaw_taylor(float(e), 4) for e in eps]
+        assert il_powerlaw_taylor(eps, 4).tolist() == want
+        assert il_powerlaw_taylor(np.float64(0.01), 4) == il_powerlaw_taylor(0.01, 4)

@@ -419,6 +419,20 @@ class TestMarketLoop:
         with pytest.raises(PoolError, match="size_sigma"):
             run_market_loop(cfg)
 
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            {"size_sigma": 300.0},  # underflows to 0 on a buy (dy_in)
+            {"size_sigma": 400.0},  # underflows to 0 on a sell (dx_in)
+            {"size_median_frac": 1e305},  # the product overflows to inf
+        ],
+        ids=["buy-underflow", "sell-underflow", "product-overflow"],
+    )
+    def test_size_out_of_float_range_names_the_stream(self, stream):
+        cfg = MarketLoopConfig(epochs=2, periods_per_epoch=30, seed=1, stream=TradeStreamConfig(**stream))
+        with pytest.raises(PoolError, match=r"^trade size .* stream\.size_median_frac .* stream\.size_sigma"):
+            run_market_loop(cfg)
+
     def test_sigma_series_recorded_per_period(self):
         cfg = MarketLoopConfig(epochs=2, periods_per_epoch=10, seed=6)
         res = run_market_loop(cfg)

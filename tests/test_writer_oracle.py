@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_amm import il, pool
 from powerlaw_amm.cli import SCHEMA_VERSION, build_config, main, write_csv
@@ -145,6 +147,73 @@ def test_thirty_day_drs_run(tmp_path, output_format):
         expected = old_csv("simulate-drs", config, columns, rows)
     with open(out, "rb") as fh:
         assert fh.read() == expected
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_drs_run_with_columns_constant_in_its_block(tmp_path, output_format):
+    # noise-free with a target out of reach: the rebate stays at its 0.4 cap
+    # and the static arm is flat, so the writer formats those columns once
+    data = {"days": 30, "noise_std": 0.0, "target_volume": 1e300}
+    out = str(tmp_path / f"drs.{output_format}")
+    run_cli(tmp_path, ["simulate-drs", "--seed", "5", "--out", out, "--format", output_format], data)
+    cfg = DrsSimConfig(**data, seed=5)
+    result = run_drs_simulation(cfg)
+    assert set(result.rho_series.tolist()) == {0.4} and len(set(result.static_series.tolist())) == 1
+    config = {**dataclasses.asdict(cfg), "out": out, "format": output_format}
+    columns = ["day", "static_volume", "dynamic_volume", "rho_applied"]
+    series = zip(range(cfg.days), result.static_series, result.dynamic_series, result.rho_series)
+    rows = [dict(zip(columns, cells)) for cells in series]
+    if output_format == "json":
+        want = {**json.loads(old_json("simulate-drs", config, columns, rows)), "summary": result.summary}
+        expected = (json.dumps(want, sort_keys=True, indent=2) + "\n").encode()
+    else:
+        expected = old_csv("simulate-drs", config, columns, rows)
+    with open(out, "rb") as fh:
+        assert fh.read() == expected
+
+
+CELLS = {
+    "i": st.integers(-(2**63), 2**63 - 1),
+    "f": st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308]), st.floats()),
+    "U": st.text("t0123456789", max_size=4),
+}
+DTYPES = {"i": np.int64, "f": np.float64, "U": "U4"}
+
+
+@st.composite
+def small_tables(draw):
+    """A 2-D structured array of int and float columns, or a 1-D one that
+    may hold a str column too. A column draws its cells from one to three
+    values (a float column from their negations too), and a 2-D column may
+    repeat its first block in every block or be constant within each block,
+    so every path of the writer is taken."""
+    two_d = draw(st.booleans())
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5))) if two_d else (draw(st.integers(0, 6)),)
+    kinds = draw(st.lists(st.sampled_from("if" if two_d else "ifU"), min_size=1, max_size=4))
+    table = np.zeros(shape, [(f"c{i}", DTYPES[kind]) for i, kind in enumerate(kinds)])
+    for name, kind in zip(table.dtype.names, kinds):
+        values = draw(st.lists(CELLS[kind], min_size=1, max_size=3))
+        if kind == "f":  # so -0.0 meets 0.0: equal, yet printed differently
+            values += [-v for v in values]
+        cells = draw(st.lists(st.sampled_from(values), min_size=table.size, max_size=table.size))
+        column = np.array(cells, dtype=DTYPES[kind]).reshape(shape)
+        pattern = draw(st.sampled_from(["free", "same-blocks", "constant-blocks"])) if two_d else "free"
+        if pattern == "same-blocks":
+            column[1:] = column[0]
+        elif pattern == "constant-blocks":
+            column[:] = column[:, :1]
+        table[name] = column
+    return table
+
+
+@given(table=small_tables())
+@settings(max_examples=300, deadline=None)
+def test_small_tables_are_written_as_the_per_cell_writer_wrote_them(tmp_path_factory, table):
+    path = tmp_path_factory.getbasetemp() / "small_table.csv"
+    write_csv(str(path), "table", {"shape": list(table.shape)}, table)
+    rows = [dict(zip(table.dtype.names, cells)) for cells in table.ravel().tolist()]
+    expected = old_csv("table", {"shape": list(table.shape)}, list(table.dtype.names), rows)
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize(
