@@ -124,10 +124,11 @@ def resolve_out(args, default_name: str) -> str:
 
 
 def _block_rows(table: np.ndarray) -> list[str]:
-    """The CSV rows of a 2-D structured array of 8-byte numbers and strings,
-    read as blocks of rows (a sweep: one block of m-grid rows per exponent).
-    Numbers get 17 significant digits (integer cells are days, epoch ids and
-    exponents, well below 1e17), strings are written as they are.
+    """The CSV rows of a 2-D structured array of 8-byte numbers and strings
+    (a numpy str column or an object column of str), read as blocks of rows
+    (a sweep: one block of m-grid rows per exponent). Numbers get 17
+    significant digits (integer cells are days, epoch ids and exponents,
+    well below 1e17), strings are written as they are.
 
     A number column whose blocks are bit-identical is formatted once and its
     strings repeated in every block; one constant within each block (n)
@@ -140,15 +141,15 @@ def _block_rows(table: np.ndarray) -> list[str]:
     per_block = {}  # name -> one string per block
     for name in table.dtype.names:
         column = table[name]
-        if column.dtype.kind == "U" or not size:
-            continue  # strings have no 8-byte bits to compare; no rows, no cells
+        if column.dtype.kind in "OU" or not size:
+            continue  # strings have no number bits to compare; no rows, no cells
         bits = column.view(np.uint64)
         if blocks > 1 and (bits == bits[0]).all():
             shared[name] = ["%.17g" % v for v in column[0].tolist()]
         elif (bits == bits[:, :1]).all():
             per_block[name] = ["%.17g" % v for v in column[:, 0].tolist()]
     template = ",".join(
-        "%.17g" if table.dtype[name].kind != "U" and name not in shared and name not in per_block
+        "%.17g" if table.dtype[name].kind not in "OU" and name not in shared and name not in per_block
         else "%s"
         for name in table.dtype.names
     )
@@ -349,14 +350,9 @@ def cmd_market_loop(args) -> int:
         ],
     }
     write_json(out, {"command": "market-loop", "config": config, "metrics": metrics})
-    reports = result.epoch_reports
-    table = np.rec.fromarrays(
-        [
-            [er.epoch_id for er in reports for _ in er.payouts],
-            [trader for er in reports for trader, _ in er.payouts],
-            [reward for er in reports for _, reward in er.payouts],
-        ],
-        names=["epoch", "trader", "reward"],
+    table = np.array(
+        [(er.epoch_id, trader, reward) for er in result.epoch_reports for trader, reward in er.payouts],
+        dtype=[("epoch", int), ("trader", object), ("reward", float)],
     )
     epochs_csv = os.path.splitext(out)[0] + ".epochs.csv"
     ledger_config = {**config, "ledger_of": out}

@@ -15,11 +15,11 @@ finite nonnegative reserves and an integer exponent in [MIN_EXPONENT,
 MAX_EXPONENT] (a numpy integer counts, 4.0 does not), spot_price is the one
 check of pool state (active, with a price n*Y/X in (0, inf)) and every
 function taking a Pool calls it, and the swap functions check the fee rate.
-The swap arithmetic itself lives once, in the float kernels _buy_x and
-_sell_x, which assume a checked pool and fee and keep only the guards a
-trade can trip: the input must be positive and finite, at most
-SWAP_INPUT_CAP times the matching reserve, and must leave a price in
-(0, inf). The market loop calls the kernels directly on plain floats.
+The swap arithmetic lives once, in the float kernels _buy_x and _sell_x.
+They take the fee rate and return the fee withheld from the input, assume
+a checked pool and fee rate, and own the one check of a trade amount:
+positive and finite, at most SWAP_INPUT_CAP times the matching reserve,
+leaving a price in (0, inf). The market loop calls them on plain floats.
 
 The closed forms (depleted_reserves, retention_ratio) take the price
 multiplier m as a float or as a 1-D float array, so a sweep makes one call
@@ -137,40 +137,42 @@ def spot_price(pool: Pool) -> float:
     return price
 
 
-def _buy_x(x: float, y: float, n: int, dy_in: float, fee: float) -> tuple[float, float, float]:
-    """Kernel of swap_y_for_x: (new_x, new_y, new_price) after dy_in of Y,
-    less the withheld fee, enters a pool with reserves x, y.
+def _buy_x(x: float, y: float, n: int, dy_in: float, fee_rate: float) -> tuple[float, float, float, float]:
+    """Kernel of swap_y_for_x: (new_x, new_y, new_price, fee) after dy_in of
+    Y, less the fee fee_rate * dy_in withheld from it, enters reserves x, y.
 
-    Assumes x, y finite and positive, n a valid exponent and fee in
-    [0, dy_in). Raises PoolError for an input that is not positive and finite
+    Assumes x, y finite and positive, n a valid exponent and fee_rate in
+    [0, 1). Raises PoolError for an input that is not positive and finite
     or a result whose price leaves (0, inf), and TradeTooLarge above the cap.
     """
     if not 0.0 < dy_in <= FLOAT_MAX:
         raise PoolError(f"swap input dy_in must be positive and finite, got {dy_in}")
     if dy_in > SWAP_INPUT_CAP * y:
         raise TradeTooLarge(f"buy input {dy_in} exceeds {SWAP_INPUT_CAP}x the reserve {y}")
+    fee = fee_rate * dy_in
     dy_eff = dy_in - fee
     new_x = x * (y / (y + dy_eff)) ** (1.0 / n)
     new_y = y + dy_eff
     if new_x > 0.0:
         price = n * new_y / new_x
         if price <= FLOAT_MAX:
-            return new_x, new_y, price
+            return new_x, new_y, price, fee
     raise PoolError("swap would drain the X reserve: the price n*y/x leaves (0, inf)")
 
 
-def _sell_x(x: float, y: float, n: int, dx_in: float, fee: float) -> tuple[float, float, float]:
-    """Kernel of swap_x_for_y, the mirror of _buy_x: (new_x, new_y,
-    new_price) after dx_in of X, less the withheld fee, enters the pool."""
+def _sell_x(x: float, y: float, n: int, dx_in: float, fee_rate: float) -> tuple[float, float, float, float]:
+    """Kernel of swap_x_for_y, the mirror of _buy_x: (new_x, new_y, new_price,
+    fee) after dx_in of X, less the fee fee_rate * dx_in withheld, enters the pool."""
     if not 0.0 < dx_in <= FLOAT_MAX:
         raise PoolError(f"swap input dx_in must be positive and finite, got {dx_in}")
     if dx_in > SWAP_INPUT_CAP * x:
         raise TradeTooLarge(f"sell input {dx_in} exceeds {SWAP_INPUT_CAP}x the reserve {x}")
+    fee = fee_rate * dx_in
     new_x = x + (dx_in - fee)
     new_y = y * (x / new_x) ** n
     price = n * new_y / new_x
     if price > 0.0:
-        return new_x, new_y, price
+        return new_x, new_y, price, fee
     raise PoolError("swap would drain the Y reserve: the price n*y/x leaves (0, inf)")
 
 
@@ -180,10 +182,7 @@ def swap_y_for_x(pool: Pool, dy_in: float, fee_rate: float = 0.0) -> tuple[Pool,
     price_before = spot_price(pool)
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
-    if not 0.0 < dy_in <= FLOAT_MAX:  # before the fee: fee_rate * dy_in
-        raise PoolError(f"swap input dy_in must be positive and finite, got {dy_in}")
-    fee = fee_rate * dy_in
-    new_x, new_y, price_after = _buy_x(pool.x_reserve, pool.y_reserve, pool.n, dy_in, fee)
+    new_x, new_y, price_after, fee = _buy_x(pool.x_reserve, pool.y_reserve, pool.n, dy_in, fee_rate)
     slippage = (price_after - price_before) / price_before
     result = SwapResult(pool.x_reserve - new_x, fee, price_before, price_after, slippage)
     return Pool(new_x, new_y, pool.n), result
@@ -194,10 +193,7 @@ def swap_x_for_y(pool: Pool, dx_in: float, fee_rate: float = 0.0) -> tuple[Pool,
     price_before = spot_price(pool)
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
-    if not 0.0 < dx_in <= FLOAT_MAX:  # before the fee: fee_rate * dx_in
-        raise PoolError(f"swap input dx_in must be positive and finite, got {dx_in}")
-    fee = fee_rate * dx_in
-    new_x, new_y, price_after = _sell_x(pool.x_reserve, pool.y_reserve, pool.n, dx_in, fee)
+    new_x, new_y, price_after, fee = _sell_x(pool.x_reserve, pool.y_reserve, pool.n, dx_in, fee_rate)
     slippage = (price_after - price_before) / price_before
     result = SwapResult(pool.y_reserve - new_y, fee, price_before, price_after, slippage)
     return Pool(new_x, new_y, pool.n), result

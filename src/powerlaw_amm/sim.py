@@ -41,9 +41,10 @@ Validation happens once, at the boundary. Each config dataclass
 every rule for its fields: its __post_init__ applies the package's field
 type rule, pool._check_fields (integers for int fields, finite numbers for
 float fields, an instance of its class for a nested config), then its own
-range rules; MarketLoopConfig applies the pool's exponent and reserve
-rules to n, x_reserve and y_reserve, and SweepGridConfig the exponent rule
-to each entry of n_values, naming its index. The trade loop then runs on
+range rules; MarketLoopConfig applies the pool's exponent, reserve and
+pool-state rules to n, x_reserve and y_reserve and checks that the median
+trade is a positive float, and SweepGridConfig the exponent rule to each
+entry of n_values, naming its index. The trade loop then runs on
 plain floats and the DRS recurrence on float arrays, through the pool and
 fee kernels (pool._buy_x, pool._sell_x, fees._rebate, fees._split), which
 assume checked inputs.
@@ -100,8 +101,9 @@ class DrsSimConfig:
             raise ValueError("days must be >= 1")
         if not (self.initial_volume > 0 and self.target_volume > 0):
             raise ValueError("initial_volume and target_volume must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        # numpy's normal rejects a scale whose sign bit is set, -0.0 too
+        if math.copysign(1.0, self.noise_std) < 0:
+            raise ValueError(f"noise_std must be nonnegative and not -0.0, got {self.noise_std}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # the seeding kernel, _seed_words, holds a replication index in one
@@ -433,6 +435,11 @@ def sweep_il(m_grid=None, n_values=None) -> np.ndarray:
 # Integrated pool + fee-engine market loop
 # ---------------------------------------------------------------------------
 
+# The largest Poisson mean numpy's Generator.poisson takes
+# (int64 max - 10 * sqrt(int64 max)); above it numpy raises "lam value too large".
+_POISSON_LAM_MAX = 2**63 - 1 - math.sqrt(2**63 - 1) * 10
+
+
 @dataclass(frozen=True)
 class TradeStreamConfig:
     """Synthetic order flow: Poisson trade counts per period (exponential
@@ -446,8 +453,11 @@ class TradeStreamConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.trades_per_period < 0:
-            raise ValueError("trades_per_period must be nonnegative")
+        if not 0 <= self.trades_per_period <= _POISSON_LAM_MAX:
+            raise ValueError(
+                f"trades_per_period must be in [0, {_POISSON_LAM_MAX:.17g}], numpy's largest"
+                f" Poisson mean, got {self.trades_per_period}"
+            )
         if not (self.size_median_frac > 0 and self.size_sigma >= 0):
             raise ValueError("size_median_frac must be positive and size_sigma nonnegative")
         # the trader draw, _trader_ids, draws from 32-bit values
@@ -485,6 +495,16 @@ class MarketLoopConfig:
             raise ValueError("vol_window must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        try:
+            spot_price(Pool(self.x_reserve, self.y_reserve, self.n))
+        except PoolError as exc:
+            raise ValueError(f"x_reserve and y_reserve: {exc}") from None
+        median = self.stream.size_median_frac * self.y_reserve
+        if not 0.0 < median <= FLOAT_MAX:
+            raise ValueError(
+                f"stream.size_median_frac {self.stream.size_median_frac} times y_reserve"
+                f" {self.y_reserve} is a median trade of {median}, outside (0, inf)"
+            )
 
 
 @dataclass(frozen=True)
@@ -557,13 +577,17 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     At each epoch close, a tenth of the epoch's fees moves from the protocol
     share into the reward pool and settles pro-rata to trader volume.
 
-    The config and the initial Pool are validated once, up front; the trade
-    loop then keeps the reserves and the price as plain floats and calls the
-    pool and fee kernels directly; an epoch's volumes are keyed by trader
-    id, and named "t{i}" when the epoch closes. A trade above the input cap
-    is rejected and counted; a trade whose size overflows a float or
-    underflows to 0, or that would drain a reserve (its price n*y/x leaving
-    (0, inf)), stops the run with a PoolError.
+    The config, the initial pool state included, is validated once, up
+    front; the trade loop then keeps the reserves and the price as plain
+    floats and calls the pool and fee kernels directly; an epoch's volumes
+    are keyed by trader id, and named "t{i}" when the epoch closes. The swap
+    kernels get the rate gamma and withhold gamma times their input (Y on a
+    buy, X on a sell); the fee buckets take gamma times the trade's
+    stablecoin value, once the swap has succeeded. A trade above the input
+    cap is rejected and counted. A trade that would drain a reserve (its
+    price n*y/x leaving (0, inf)) stops the run with the kernel's PoolError,
+    and a size outside (0, inf), an exp that overflows included, with one
+    PoolError naming the stream fields.
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
@@ -599,33 +623,29 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             for _ in range(n_trades):
                 buy_side = raw() < _HALF_WORD
                 trader = next_trader()
+                volume = math.inf  # the size an exp that overflows leaves
                 try:
                     # both sides sized by stablecoin value, median 0.1% of Y
                     volume = size_frac * y * math.exp(size_sigma * normal())
-                    fee = gamma * volume
                     if buy_side:
-                        x, y, price = _buy_x(x, y, n, volume, fee)
+                        x, y, price, _ = _buy_x(x, y, n, volume, gamma)
                     else:
-                        size = volume / price
-                        x, y, price = _sell_x(x, y, n, size, gamma * size)
+                        x, y, price, _ = _sell_x(x, y, n, volume / price, gamma)
                 except TradeTooLarge:
                     rejected += 1
                     continue
-                except OverflowError:
-                    raise PoolError(
-                        f"trade size overflows a float: size_sigma {size_sigma} is too large"
-                    ) from None
-                except PoolError:
+                except (OverflowError, PoolError):
                     # the kernel names its argument (dy_in, dx_in); a size
-                    # that underflowed to 0 or overflowed comes from the stream
-                    amount = volume if buy_side else size
-                    if 0.0 < amount <= FLOAT_MAX:
+                    # outside (0, inf) comes from the stream
+                    size = volume if buy_side else volume / price
+                    if 0.0 < size <= FLOAT_MAX:
                         raise
                     raise PoolError(
-                        f"trade size {amount} leaves (0, inf): stream.size_median_frac {size_frac}"
+                        f"trade size {size} leaves (0, inf): stream.size_median_frac {size_frac}"
                         f" and stream.size_sigma {size_sigma} are too extreme"
                     ) from None
                 executed += 1
+                fee = gamma * volume
                 lp, rebate, protocol = _split(fee, rho)
                 total_volume += volume
                 total_fees += fee

@@ -1,15 +1,25 @@
 """CLI surface: output determinism, round-trip parsing, exit codes."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerlaw_amm import sweep_retention
 from powerlaw_amm.cli import main, read_table
+from powerlaw_amm.sim import DrsSimConfig, MarketLoopConfig
 
 
 def run(args):
@@ -278,22 +288,25 @@ class TestMarketLoop:
         assert not out.exists()
 
     def test_size_overflow_exits_2_without_traceback(self, tmp_path, capsys):
-        # at seed 2 the first trade's exp(size_sigma * z) overflows a float
+        # at seed 2 the first trade's exp(size_sigma * z) overflows a float:
+        # one message for every size outside (0, inf)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1, "periods_per_epoch": 2, "stream": {"size_sigma": 1000.0}}))
         out = tmp_path / "o.json"
         assert run(["market-loop", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "size_sigma" in err
+        assert capsys.readouterr().err == (
+            "error: trade size inf leaves (0, inf): stream.size_median_frac 0.001 and"
+            " stream.size_sigma 1000.0 are too extreme\n"
+        )
 
     @pytest.mark.parametrize(
         "stream",
-        [{"size_sigma": 300.0}, {"size_sigma": 400.0}, {"size_median_frac": 1e305}],
+        [{"size_sigma": 300.0}, {"size_sigma": 400.0}, {"size_median_frac": 1e303}],
         ids=["buy-underflow", "sell-underflow", "product-overflow"],
     )
     def test_size_out_of_float_range_names_the_stream(self, tmp_path, capsys, stream):
-        # at seed 1 a size underflows to 0 (on a buy, then a sell) or the
-        # median size times the reserve overflows to inf
+        # at seed 1 a size underflows to 0 (on a buy, then a sell) or a size
+        # around the finite median 1e308 overflows to inf
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"stream": stream, "epochs": 2, "periods_per_epoch": 30}))
         out = tmp_path / "o.json"
@@ -384,6 +397,28 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("market-loop", '{"x_reserve": 0}', "x_reserve and y_reserve: pool is inactive"),
+            ("market-loop", '{"y_reserve": 0.0}', "x_reserve and y_reserve: pool is inactive"),
+            ("market-loop", '{"x_reserve": 1e-320}', r"x_reserve and y_reserve: pool price n*y/x is inf"),
+            (
+                "market-loop",
+                '{"stream": {"size_median_frac": 1e305}}',
+                "stream.size_median_frac 1e+305 times y_reserve 100000.0 is a median trade of inf",
+            ),
+            ("market-loop", '{"stream": {"trades_per_period": 1e300}}', "stream.trades_per_period must be in [0, "),
+            ("market-loop", '{"stream": {"trades_per_period": 2e19}}', "stream.trades_per_period must be in [0, "),
+            ("market-loop", '{"stream": {"trades_per_period": 9.3e18}}', "stream.trades_per_period must be in [0, "),
+            ("simulate-drs", '{"noise_std": -0.0}', "noise_std must be nonnegative and not -0.0"),
+        ],
+    )
+    def test_config_that_cannot_run_rejected_up_front(self, tmp_path, capsys, command, text, message):
+        assert run_config(tmp_path, command, text) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad config: {message}")
+        assert not (tmp_path / "o.json").exists()
+
     def test_rho_max_below_rebate_floor_exits_2(self, tmp_path, capsys):
         text = '{"schedule": {"low": {"gamma": 0.003, "rho_max": 0.2}}}'
         assert run_config(tmp_path, "market-loop", text) == 2
@@ -428,3 +463,150 @@ class TestConfigValidation:
         config = json.loads((tmp_path / "o.json").read_text())["config"]
         assert config["schedule"]["low"] == {"gamma": 0.002, "rho_max": 0.35}
         assert config["schedule"]["high"] == {"gamma": 0.01, "rho_max": 0.4}
+
+
+# The extreme-value alphabet of the config property below: signed zeros,
+# subnormals, huge floats, the largest float, NaN, the infinities, ints past
+# int64 and past the float range, and values of the wrong type.
+EXTREMES = [
+    0.0, -0.0, 5e-324, 1e-320, 1e300, 1e305, sys.float_info.max, math.nan, math.inf, -math.inf,
+    2**63, 10**400, True, "1", None, [1.0], {},
+]
+extreme = st.sampled_from(EXTREMES)
+
+
+def counts(limit, big_ints=False):
+    """A count field: a small valid value (at most limit) or one the config
+    rejects. The big ints of the alphabet go in only where the config
+    rejects them (big_ints), so every config that builds runs in
+    milliseconds."""
+    return st.integers(-1, limit) | st.sampled_from(
+        [v for v in EXTREMES if big_ints or type(v) is not int]
+    )
+
+
+def regime():
+    return st.fixed_dictionaries({"gamma": extreme | st.just(0.003), "rho_max": extreme | st.just(0.35)})
+
+
+def configs(base, fields):
+    """Configs that set up to three of fields (dotted key -> strategy) over
+    base, so that most of them build and run."""
+    def nest(flat):
+        config = dict(base)
+        for key, value in flat.items():
+            *path, name = key.split(".")
+            node = config
+            for part in path:
+                node = node.setdefault(part, {})
+            node[name] = value
+        return config
+
+    keys = st.lists(st.sampled_from(sorted(fields)), max_size=3, unique=True)
+    return keys.flatmap(lambda keys: st.fixed_dictionaries({k: fields[k] for k in keys})).map(nest)
+
+
+# Market loops of at most 3 epochs x 10 periods x 20 trades.
+LOOP_CONFIGS = configs(
+    {"epochs": 2, "periods_per_epoch": 5},
+    {
+        "x_reserve": extreme,
+        "y_reserve": extreme,
+        "n": extreme | st.integers(1, 8),
+        "epochs": counts(3),
+        "periods_per_epoch": counts(10),
+        "target_volume": extreme,
+        "vol_window": extreme | st.integers(2, 5),
+        "seed": extreme,
+        "stream.trades_per_period": counts(20, big_ints=True),  # past numpy's Poisson limit
+        "stream.size_median_frac": extreme,
+        "stream.size_sigma": extreme,
+        "stream.num_traders": extreme | st.integers(1, 5),
+        "schedule.sigma_low": extreme,
+        "schedule.sigma_high": extreme,
+        "schedule.low": regime(),
+        "schedule.moderate": regime(),
+        "schedule.high": regime(),
+    },
+)
+
+# DRS runs of at most 3 replications x 100 days.
+DRS_CONFIGS = configs(
+    {},
+    {
+        "days": counts(100),
+        "replications": counts(3, big_ints=True),  # past 2**32
+        **dict.fromkeys(
+            ["initial_volume", "target_volume", "static_rebate", "sensitivity", "noise_std",
+             "seed", "volume_floor"],
+            extreme,
+        ),
+    },
+)
+
+# The run-time errors a config that builds may still end in: a trade size
+# drawn outside (0, inf), a trade that would drain a reserve, and DRS
+# volumes past the float range.
+RUNTIME_ERRORS = [
+    r"trade size \S+ leaves \(0, inf\): stream\.size_median_frac \S+ and stream\.size_sigma \S+"
+    r" are too extreme",
+    r"swap would drain the [XY] reserve: the price n\*y/x leaves \(0, inf\)",
+    r"DRS volumes overflow a float in replication \d+",
+    r"DRS summary value \w+ overflows a float: \S+",
+]
+
+
+def dotted_keys(cls, where=""):
+    """Every config key of dataclass cls, nested ones as dotted paths."""
+    keys = set()
+    for f in dataclasses.fields(cls):
+        keys.add(where + f.name)
+        if dataclasses.is_dataclass(f.type):
+            keys |= dotted_keys(f.type, f"{where}{f.name}.")
+    return keys
+
+
+def run_in_process(command, config):
+    """(exit code, stderr) of cli.main running command on a config file
+    holding config, with every warning an error."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o.json")])
+    return code, err.getvalue()
+
+
+class TestConfigThatBuildsRuns:
+    """A config that builds is a config that runs: over the extreme-value
+    alphabet, market-loop and simulate-drs exit 0, or exit 2 naming the key
+    at fault, or exit 2 with one of the run-time errors above. Never a numpy
+    message, an inactive pool, a warning or a traceback. 500 examples per
+    command."""
+
+    def check(self, cls, command, config):
+        code, err = run_in_process(command, config)
+        if code == 0:
+            assert err == ""
+            return
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        message = err[len("error: "):-1]
+        key = re.match(r"bad config: ([\w.]+)", message)
+        if key:
+            assert key.group(1) in dotted_keys(cls), err
+        else:
+            assert any(re.fullmatch(pattern, message) for pattern in RUNTIME_ERRORS), err
+
+    @settings(max_examples=500, deadline=None)
+    @given(LOOP_CONFIGS)
+    def test_market_loop(self, config):
+        self.check(MarketLoopConfig, "market-loop", config)
+
+    @settings(max_examples=500, deadline=None)
+    @given(DRS_CONFIGS)
+    def test_simulate_drs(self, config):
+        self.check(DrsSimConfig, "simulate-drs", config)

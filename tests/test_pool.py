@@ -19,6 +19,8 @@ from powerlaw_amm.pool import (
     PoolError,
     SwapResult,
     TradeTooLarge,
+    _buy_x,
+    _sell_x,
     depleted_reserves,
     min_arbitrage_size,
     price_elasticity,
@@ -426,6 +428,20 @@ class TestIntegersPastFloatRange:
         with pytest.raises(error, match=name):
             call()
 
+
+
+class TestSwapKernels:
+    """_buy_x and _sell_x take the fee rate, withhold fee_rate * amount and
+    return it; the public swaps read fee_paid from them. The amount checks
+    the kernels own are tested through the swaps (test_bad_swap_input_is_named,
+    TestIntegersPastFloatRange)."""
+
+    @pytest.mark.parametrize("kernel, swap", [(_buy_x, swap_y_for_x), (_sell_x, swap_x_for_y)])
+    def test_kernel_fee_is_the_swaps_fee_paid(self, kernel, swap):
+        new_x, new_y, price, fee = kernel(100.0, 1000.0, 4, 7.0, 0.003)
+        new_pool, res = swap(Pool(100.0, 1000.0, 4), 7.0, 0.003)
+        assert fee == 0.003 * 7.0 == res.fee_paid
+        assert (new_x, new_y, price) == (new_pool.x_reserve, new_pool.y_reserve, res.price_after)
 
 
 class TestValueSemantics:

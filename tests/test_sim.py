@@ -127,6 +127,13 @@ class TestDrsSimulation:
         with pytest.raises(ValueError):
             DrsSimConfig(replications=0)
 
+    @pytest.mark.parametrize("value", [-0.0, -1e-320, np.float64(-0.0)])
+    def test_negative_signed_noise_std_rejected(self, value):
+        # numpy's normal checks the sign bit, so -0.0 is rejected here, not in the run
+        with pytest.raises(ValueError, match=r"^noise_std must be nonnegative and not -0\.0"):
+            DrsSimConfig(noise_std=value)
+        assert DrsSimConfig(noise_std=0.0).noise_std == 0.0
+
     def test_replications_fit_one_seed_word(self):
         # the seeding kernel holds a replication index in one 32-bit word
         assert DrsSimConfig(replications=2**32).replications == 2**32
@@ -413,18 +420,24 @@ class TestMarketLoop:
         assert res.rejected_trades > 0
 
     def test_size_overflow_is_a_pool_error(self):
+        # at seed 2 the first trade's exp(size_sigma * z) overflows: a size of
+        # inf, reported like any size outside (0, inf)
         cfg = MarketLoopConfig(
             epochs=1, periods_per_epoch=2, seed=2, stream=TradeStreamConfig(size_sigma=1000.0)
         )
-        with pytest.raises(PoolError, match="size_sigma"):
+        with pytest.raises(PoolError) as exc:
             run_market_loop(cfg)
+        assert str(exc.value) == (
+            "trade size inf leaves (0, inf): stream.size_median_frac 0.001 and"
+            " stream.size_sigma 1000.0 are too extreme"
+        )
 
     @pytest.mark.parametrize(
         "stream",
         [
             {"size_sigma": 300.0},  # underflows to 0 on a buy (dy_in)
             {"size_sigma": 400.0},  # underflows to 0 on a sell (dx_in)
-            {"size_median_frac": 1e305},  # the product overflows to inf
+            {"size_median_frac": 1e303},  # a finite median whose first sizes overflow to inf
         ],
         ids=["buy-underflow", "sell-underflow", "product-overflow"],
     )
@@ -469,6 +482,45 @@ class TestMarketLoop:
     def test_pool_fields_checked_and_named(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}[ :]"):
             MarketLoopConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "reserves, message",
+        [
+            ({"x_reserve": 0}, "pool is inactive"),
+            ({"y_reserve": 0.0}, "pool is inactive"),
+            ({"x_reserve": -0.0}, "pool is inactive"),
+            ({"x_reserve": 1e-320}, r"pool price n\*y/x is inf"),
+            ({"y_reserve": 5e-324}, r"pool price n\*y/x is 0\.0"),
+        ],
+    )
+    def test_pool_state_checked_and_named(self, reserves, message):
+        # the run's first spot_price would reject these; the config does it first
+        with pytest.raises(ValueError, match=f"^x_reserve and y_reserve: {message}"):
+            MarketLoopConfig(**reserves)
+
+    @pytest.mark.parametrize(
+        "frac, y_reserve", [(1e305, 100_000.0), (1e10, 1e299), (1e-300, 1e-30), (10**200, 10**200)]
+    )
+    def test_median_trade_must_be_a_positive_float(self, frac, y_reserve):
+        stream = TradeStreamConfig(size_median_frac=frac)
+        with pytest.raises(ValueError, match=r"^stream\.size_median_frac .* outside \(0, inf\)$"):
+            MarketLoopConfig(y_reserve=y_reserve, stream=stream)
+
+    @pytest.mark.parametrize(
+        "value", [1e300, 2e19, 9.3e18, 2**63, math.nextafter(sim._POISSON_LAM_MAX, math.inf)]
+    )
+    def test_trades_per_period_past_numpys_poisson_limit_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^trades_per_period must be in \[0, 9\.22337200648"):
+            TradeStreamConfig(trades_per_period=value)
+
+    def test_poisson_limit_is_numpys(self):
+        # numpy draws at the limit and rejects the next float up
+        limit = sim._POISSON_LAM_MAX
+        assert TradeStreamConfig(trades_per_period=limit).trades_per_period == limit
+        rng = np.random.default_rng(0)
+        rng.poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(limit, math.inf))
 
 
 def reference_market_loop(cfg: MarketLoopConfig) -> dict:
