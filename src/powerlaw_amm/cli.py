@@ -194,22 +194,17 @@ def write_table(path, output_format, command, config, table, summary=None):
     A summary goes into the JSON object, or beside a CSV as
     <root>.summary.json.
     """
+    record = {"command": command, "config": config}
+    if summary is not None:
+        record["summary"] = summary
     if output_format == "json":
-        payload = {
-            "command": command,
-            "config": config,
-            "columns": list(table.dtype.names),
-            "rows": table.ravel().tolist(),
-        }
-        if summary is not None:
-            payload["summary"] = summary
-        write_json(path, payload)
+        write_json(path, {**record, "columns": list(table.dtype.names), "rows": table.ravel().tolist()})
         return [path]
     write_csv(path, command, config, table)
     if summary is None:
         return [path]
     sidecar = os.path.splitext(path)[0] + ".summary.json"
-    write_json(sidecar, {"command": command, "config": config, "summary": summary})
+    write_json(sidecar, record)
     return [path, sidecar]
 
 

@@ -160,17 +160,17 @@ def split_fee(fee: float, rho: float) -> FeeSplit:
 class EpochLedger:
     """Per-trader volume accumulation for one reward epoch.
 
-    Single-writer: record trades in order, then settle once the epoch closes.
-    Payout order follows first-trade order, which keeps settlement
-    deterministic.
+    Single-writer: record trades in order, or pass the epoch's trader ->
+    volume dict as volumes (default {}), then settle once the epoch closes.
+    Payouts follow first-trade order, which keeps settlement deterministic.
     """
 
-    def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0):
+    def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0, volumes: dict | None = None):
         if not 0.0 <= reward_pool <= FLOAT_MAX:
             raise ValueError(f"reward_pool must be finite and nonnegative, got {reward_pool}")
         self.epoch_id = epoch_id
         self.reward_pool = reward_pool
-        self.volumes: dict[str, float] = {}
+        self.volumes: dict[str, float] = {} if volumes is None else volumes
 
     def record(self, trader: str, volume: float):
         if not 0.0 <= volume <= FLOAT_MAX:

@@ -303,8 +303,8 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
         "replications": cfg.replications,
         "mean_volume_static": float(np.mean(static0)),
         "mean_volume_dynamic": float(np.mean(dynamic0)),
-        "final_ratio_static": float(static0[-1] / cfg.initial_volume),
-        "final_ratio_dynamic": float(dynamic0[-1] / cfg.initial_volume),
+        "final_ratio_static": float(final_static[0]),
+        "final_ratio_dynamic": float(final_dynamic[0]),
         "volatility_static": _log_change_vol(static0),
         "volatility_dynamic": _log_change_vol(dynamic0),
         "mean_final_ratio_static": float(np.mean(final_static)),
@@ -580,14 +580,15 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     The config, the initial pool state included, is validated once, up
     front; the trade loop then keeps the reserves and the price as plain
     floats and calls the pool and fee kernels directly; an epoch's volumes
-    are keyed by trader id, and named "t{i}" when the epoch closes. The swap
-    kernels get the rate gamma and withhold gamma times their input (Y on a
-    buy, X on a sell); the fee buckets take gamma times the trade's
-    stablecoin value, once the swap has succeeded. A trade above the input
-    cap is rejected and counted. A trade that would drain a reserve (its
-    price n*y/x leaving (0, inf)) stops the run with the kernel's PoolError,
-    and a size outside (0, inf), an exp that overflows included, with one
-    PoolError naming the stream fields.
+    are keyed by trader id and named "t{i}" in the EpochLedger built with
+    them at the epoch close. The swap kernels get the rate gamma and withhold
+    gamma times their input (Y on a buy, X on a sell); the fee buckets take
+    gamma times the trade's stablecoin value, once the swap has succeeded. A
+    trade above the input cap is rejected and counted. A PoolError stops the
+    run if a trade would drain a reserve (the kernel's), if a size leaves
+    (0, inf), an overflowing exp included (naming the stream fields), or if
+    the total volume, the bound of every other sum, passes the largest float
+    at an epoch close (naming y_reserve and stream.size_median_frac).
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
@@ -658,10 +659,14 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 volumes[trader] = volumes.get(trader, 0.0) + volume
             prev_period_volume = period_volume
             price_history.append(price)
+        if not total_volume <= FLOAT_MAX:
+            raise PoolError(
+                f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"
+                f" stream.size_median_frac {size_frac} make trades too large to sum"
+            )
         reward_pool = REWARD_FRACTION * epoch_fees + carry
-        ledger = EpochLedger(epoch_id=epoch_id, reward_pool=reward_pool)
-        ledger.volumes = {f"t{i}": v for i, v in volumes.items()}
-        payouts = settle_epoch(ledger)
+        named = {f"t{i}": v for i, v in volumes.items()}
+        payouts = settle_epoch(EpochLedger(epoch_id, reward_pool, named))
         if payouts:
             rewards_distributed += reward_pool
             carry = 0.0

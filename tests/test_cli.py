@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm import sweep_retention
@@ -224,6 +224,21 @@ class TestSimulateDrs:
         assert not (tmp_path / "o.csv").exists()
 
 
+# Market loops at seed 0 whose summed trade volume passes the largest float:
+# sizes near 5e304, and sizes near 1e306 with a 99% fee in every regime.
+OVERFLOW_VOLUME = {
+    "x_reserve": 1.0050559575135922e301, "y_reserve": 6.964825529160703e304, "n": 1,
+    "epochs": 2, "periods_per_epoch": 10,
+    "stream": {"trades_per_period": 20.0, "size_median_frac": 0.6821472032286585},
+}
+OVERFLOW_FEES = {
+    "x_reserve": 4.3972307153698604e303, "y_reserve": 2.1535942670545874e306, "n": 5,
+    "epochs": 2, "periods_per_epoch": 10,
+    "stream": {"trades_per_period": 20.0, "size_median_frac": 0.48115646257296785},
+    "schedule": dict.fromkeys(["low", "moderate", "high"], {"gamma": 0.99, "rho_max": 0.4}),
+}
+
+
 class TestMarketLoop:
     def test_zero_intensity_all_zero(self, tmp_path):
         out = tmp_path / "loop.json"
@@ -298,6 +313,20 @@ class TestMarketLoop:
             "error: trade size inf leaves (0, inf): stream.size_median_frac 0.001 and"
             " stream.size_sigma 1000.0 are too extreme\n"
         )
+
+    @pytest.mark.parametrize("config", [OVERFLOW_VOLUME, OVERFLOW_FEES], ids=["volume", "volume-and-fees"])
+    def test_total_volume_overflow_exits_2_and_writes_nothing(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["market-loop", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: total volume inf overflows a float: y_reserve \S+ and stream\.size_median_frac \S+"
+            r" make trades too large to sum\n",
+            err,
+        ), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "stream",
@@ -545,12 +574,14 @@ DRS_CONFIGS = configs(
 )
 
 # The run-time errors a config that builds may still end in: a trade size
-# drawn outside (0, inf), a trade that would drain a reserve, and DRS
-# volumes past the float range.
+# drawn outside (0, inf), a trade that would drain a reserve, a market-loop
+# volume past the float range, and DRS volumes past it.
 RUNTIME_ERRORS = [
     r"trade size \S+ leaves \(0, inf\): stream\.size_median_frac \S+ and stream\.size_sigma \S+"
     r" are too extreme",
     r"swap would drain the [XY] reserve: the price n\*y/x leaves \(0, inf\)",
+    r"total volume \S+ overflows a float: y_reserve \S+ and stream\.size_median_frac \S+"
+    r" make trades too large to sum",
     r"DRS volumes overflow a float in replication \d+",
     r"DRS summary value \w+ overflows a float: \S+",
 ]
@@ -567,8 +598,9 @@ def dotted_keys(cls, where=""):
 
 
 def run_in_process(command, config):
-    """(exit code, stderr) of cli.main running command on a config file
-    holding config, with every warning an error."""
+    """(exit code, stderr, outputs) of cli.main running command on a config
+    file holding config, with every warning an error; outputs maps the name
+    of each file the run wrote to its text."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -578,21 +610,35 @@ def run_in_process(command, config):
                 contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
             code = main([command, "--config", path, "--out", os.path.join(tmp, "o.json")])
-    return code, err.getvalue()
+        outputs = {
+            name: Path(tmp, name).read_text(encoding="utf-8")
+            for name in os.listdir(tmp) if name != "cfg.json"
+        }
+    return code, err.getvalue(), outputs
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in a JSON output")
 
 
 class TestConfigThatBuildsRuns:
     """A config that builds is a config that runs: over the extreme-value
     alphabet, market-loop and simulate-drs exit 0, or exit 2 naming the key
-    at fault, or exit 2 with one of the run-time errors above. Never a numpy
-    message, an inactive pool, a warning or a traceback. 500 examples per
-    command."""
+    at fault, or exit 2 with one of the run-time errors above and no file
+    written. Never a numpy message, an inactive pool, a warning, a traceback,
+    or an output holding inf or NaN. 500 examples per command."""
 
     def check(self, cls, command, config):
-        code, err = run_in_process(command, config)
+        code, err, outputs = run_in_process(command, config)
         if code == 0:
             assert err == ""
+            for name, text in outputs.items():
+                if text.startswith("# "):  # a CSV
+                    assert not re.search(r"(^|,)-?(inf|nan)(,|$)", text, re.M), name
+                else:
+                    json.loads(text, parse_constant=reject_constant)
             return
+        assert not outputs, sorted(outputs)
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
         message = err[len("error: "):-1]
         key = re.match(r"bad config: ([\w.]+)", message)
@@ -603,6 +649,7 @@ class TestConfigThatBuildsRuns:
 
     @settings(max_examples=500, deadline=None)
     @given(LOOP_CONFIGS)
+    @example(OVERFLOW_VOLUME)
     def test_market_loop(self, config):
         self.check(MarketLoopConfig, "market-loop", config)
 

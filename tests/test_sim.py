@@ -17,6 +17,7 @@ from powerlaw_amm.fees import (
     EpochLedger,
     FeeSchedule,
     RebateContext,
+    RegimeParams,
     classify_regime,
     compute_fee,
     dynamic_rebate,
@@ -444,6 +445,30 @@ class TestMarketLoop:
     def test_size_out_of_float_range_names_the_stream(self, stream):
         cfg = MarketLoopConfig(epochs=2, periods_per_epoch=30, seed=1, stream=TradeStreamConfig(**stream))
         with pytest.raises(PoolError, match=r"^trade size .* stream\.size_median_frac .* stream\.size_sigma"):
+            run_market_loop(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # sizes near 5e304: the sum of the trades passes the largest float
+            MarketLoopConfig(
+                x_reserve=1.0050559575135922e301, y_reserve=6.964825529160703e304, n=1,
+                epochs=2, periods_per_epoch=10,
+                stream=TradeStreamConfig(trades_per_period=20.0, size_median_frac=0.6821472032286585),
+            ),
+            # a 99% fee on sizes near 1e306: the fees pass it too
+            MarketLoopConfig(
+                x_reserve=4.3972307153698604e303, y_reserve=2.1535942670545874e306, n=5,
+                epochs=2, periods_per_epoch=10,
+                stream=TradeStreamConfig(trades_per_period=20.0, size_median_frac=0.48115646257296785),
+                schedule=FeeSchedule(**dict.fromkeys(["low", "moderate", "high"], RegimeParams(0.99, 0.4))),
+            ),
+        ],
+        ids=["volume", "volume-and-fees"],
+    )
+    def test_total_volume_overflow_names_the_reserve_and_stream(self, cfg):
+        message = r"^total volume inf overflows a float: y_reserve \S+ and stream\.size_median_frac \S+ "
+        with pytest.raises(PoolError, match=message):
             run_market_loop(cfg)
 
     def test_sigma_series_recorded_per_period(self):

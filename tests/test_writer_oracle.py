@@ -145,6 +145,15 @@ def test_thirty_day_drs_run(tmp_path, output_format):
         expected = (json.dumps(want, sort_keys=True, indent=2) + "\n").encode()
     else:
         expected = old_csv("simulate-drs", config, columns, rows)
+        # the summary goes beside the CSV with the same metadata
+        sidecar = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "simulate-drs",
+            "config": config,
+            "summary": result.summary,
+        }
+        with open(tmp_path / "drs.summary.json", "rb") as fh:
+            assert fh.read() == (json.dumps(sidecar, sort_keys=True, indent=2) + "\n").encode()
     with open(out, "rb") as fh:
         assert fh.read() == expected
 
