@@ -45,6 +45,7 @@ import sys
 import numpy as np
 
 from . import sim
+from .fees import _sum_left
 from .pool import (
     Pool,
     PoolError,
@@ -339,7 +340,7 @@ def cmd_market_loop(args) -> int:
                 "volume": er.volume,
                 "reward_pool": er.reward_pool,
                 "carried": er.carried,
-                "payout_total": sum(p for _, p in er.payouts),
+                "payout_total": _sum_left(p for _, p in er.payouts),
             }
             for er in result.epoch_reports
         ],

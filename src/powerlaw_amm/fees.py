@@ -157,6 +157,16 @@ def split_fee(fee: float, rho: float) -> FeeSplit:
     return FeeSplit(fee, *_split(fee, rho))
 
 
+def _sum_left(values):
+    """values added left to right, starting from the int 0: what the builtin
+    sum gives for floats up to Python 3.11 (3.12 compensates the rounding),
+    so settlement has the same bits on every Python. Empty, it is the int 0."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 class EpochLedger:
     """Per-trader volume accumulation for one reward epoch.
 
@@ -184,7 +194,7 @@ class EpochLedger:
 
     @property
     def total_volume(self) -> float:
-        return sum(self.volumes.values())
+        return _sum_left(self.volumes.values())
 
 
 def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
@@ -199,6 +209,6 @@ def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
         return []
     traders = list(ledger.volumes)
     payouts = [(t, ledger.volumes[t] / total * ledger.reward_pool) for t in traders[:-1]]
-    paid = sum(p for _, p in payouts)
+    paid = _sum_left(p for _, p in payouts)
     payouts.append((traders[-1], ledger.reward_pool - paid))
     return payouts

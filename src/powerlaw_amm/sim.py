@@ -25,7 +25,11 @@ is below (2**32 - num_traders) % num_traders, and the trader is
 gives each replication its own generator and one (days-1, 2) normal draw,
 then runs the recurrence across a block of replications at once as numpy
 arrays, with the same elementwise operations in the same order as one
-replication at a time; a block holds DRS_BLOCK_CELLS // days replications.
+replication at a time. A block is two (block, days) volume arrays of
+DRS_BLOCK_CELLS cells, DRS_BLOCK_CELLS // days replications: each draw is
+written into its replication's future days, and each day's step reads that
+day's noise and overwrites it with the day's volume. The rebate series is
+rebuilt from replication 0's dynamic volumes after the run.
 A block's generators are seeded at once: _seed_words runs SeedSequence's
 hash (O'Neill's seed_seq: the same 32-bit multiplies, xors and shifts, in
 the same order, with the same constants) on uint32 arrays holding one lane
@@ -123,10 +127,10 @@ class DrsSimResult:
     config: DrsSimConfig
 
 
-# Cells in each (block, days) array of run_drs_simulation: a block holds
-# DRS_BLOCK_CELLS // days replications, so a long run gets a narrower block
-# rather than more memory.
-DRS_BLOCK_CELLS = 2**14
+# Cells in each of run_drs_simulation's two (block, days) volume arrays: a
+# block holds DRS_BLOCK_CELLS // days replications, so a long run gets a
+# narrower block rather than more memory.
+DRS_BLOCK_CELLS = 5 * 2**13
 
 
 def replication_rng(seed: int, replication: int) -> "np.random.Generator":
@@ -245,15 +249,21 @@ def _log_change_vol(series) -> float:
 def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     """Run the static-vs-dynamic rebate experiment.
 
-    Replications run a block at a time as the rows of (block, days) arrays,
-    each day one elementwise step of the recurrence across the block. Day 0
-    holds the initial volume; days 1..days-1 are updates. Each replication
-    draws its (days-1, 2) normal noise from its own generator, the one
-    replication_rng(seed, rep) gives, built a block at a time by
-    _replication_rngs: column 0 drives the static arm, column 1 the dynamic
-    arm. The dynamic arm's rebate is evaluated on the previous day's volume.
+    Replications run a block at a time as the rows of two (block, days)
+    arrays, static and dynamic volumes, each day one elementwise step of the
+    recurrence across the block. Day 0 holds the initial volume; days
+    1..days-1 are updates. Each replication draws its (days-1, 2) normal
+    noise from its own generator, the one replication_rng(seed, rep) gives,
+    built a block at a time by _replication_rngs: column 0 drives the static
+    arm and is written into its days 1..days-1 (then turned into the growth
+    factor 1 + e once per block), column 1 drives the dynamic arm and is
+    written into its days. The step for day t reads day t's noise and
+    overwrites it with day t's volume. The dynamic arm's rebate is evaluated
+    on the previous day's volume into a one-day scratch row.
 
-    The stored series come from replication 0; the summary additionally
+    The stored series come from replication 0; its rho_series is rebuilt
+    after the run from its dynamic volumes with the same rebate kernel, so
+    it holds the bits the recurrence used. The summary additionally
     aggregates final/initial ratios and the dynamic-beats-static fraction
     across all replications. A run whose volumes overflow a float (a
     replication's mean volume or a summary value not finite) raises
@@ -263,10 +273,8 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     width = max(1, min(reps, DRS_BLOCK_CELLS // days))
     static = np.empty((width, days))
     dynamic = np.empty((width, days))
-    rho = np.empty((width, days))
-    noise = np.empty((width, days - 1, 2))
+    rho = np.empty(width)  # one day's rebates across the block
     static[:, 0] = dynamic[:, 0] = cfg.initial_volume
-    rho[:, 0] = _rebate(cfg.initial_volume, cfg.target_volume, REBATE_CAP)
     floor, target, k, static_rebate = (
         cfg.volume_floor, cfg.target_volume, cfg.sensitivity, cfg.static_rebate
     )
@@ -276,19 +284,21 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     for start in range(0, reps, width):
         stop = min(start + width, reps)
         rows = stop - start
-        for i, rng in enumerate(_replication_rngs(cfg.seed, start, rows)):
-            noise[i] = rng.normal(0.0, cfg.noise_std, size=(days - 1, 2))
         s, d, r = static[:rows], dynamic[:rows], rho[:rows]
+        # each replication's noise waits in the days it drives: column 0 in
+        # the static arm, column 1 in the dynamic arm
+        for i, rng in enumerate(_replication_rngs(cfg.seed, start, rows)):
+            noise = rng.normal(0.0, cfg.noise_std, size=(days - 1, 2))
+            s[i, 1:], d[i, 1:] = noise.T
         # the static arm's factor 1 + e, once per block, in place of its noise
-        growth = np.add(1.0, noise[:rows, :, 0], out=noise[:rows, :, 0])
-        # Column views of day t-1 and day t; every step keeps the operands
-        # and order of max(v * ((1 + k*(rho - static_rebate)) + e), floor).
-        for s0, s1, d0, d1, r1, g, e in zip(
-            s.T, s.T[1:], d.T, d.T[1:], r.T[1:], growth.T, noise[:rows, :, 1].T
-        ):
-            np.maximum(s0 * g, floor, out=s1)
-            _rebate(d0, target, REBATE_CAP, out=r1)
-            np.maximum(d0 * ((1.0 + k * (r1 - static_rebate)) + e), floor, out=d1)
+        np.add(1.0, s[:, 1:], out=s[:, 1:])
+        # Column views of day t-1 and day t; each step reads day t's noise and
+        # overwrites it with day t's volume, keeping the operands and order of
+        # max(v * ((1 + k*(rho - static_rebate)) + e), floor).
+        for s0, s1, d0, d1 in zip(s.T, s.T[1:], d.T, d.T[1:]):
+            np.maximum(s0 * s1, floor, out=s1)
+            _rebate(d0, target, REBATE_CAP, out=r)
+            np.maximum(d0 * ((1.0 + k * (r - static_rebate)) + d1), floor, out=d1)
         final_static[start:stop] = s[:, -1] / cfg.initial_volume
         final_dynamic[start:stop] = d[:, -1] / cfg.initial_volume
         static_means, dynamic_means = np.mean(s, axis=1), np.mean(d, axis=1)
@@ -297,7 +307,11 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
             raise ValueError(f"DRS volumes overflow a float in replication {start + bad.argmax()}")
         beats += int(np.count_nonzero(dynamic_means > static_means))
         if start == 0:
-            static0, dynamic0, rho0 = s[0].copy(), d[0].copy(), r[0].copy()
+            static0, dynamic0 = s[0].copy(), d[0].copy()
+    # replication 0's rebates, from the volumes they were evaluated on
+    rho0 = np.empty(days)
+    rho0[0] = _rebate(cfg.initial_volume, target, REBATE_CAP)
+    rho0[1:] = _rebate(dynamic0[:-1], target, REBATE_CAP)
     summary = {
         "days": cfg.days,
         "replications": cfg.replications,

@@ -224,6 +224,15 @@ class TestEpochSettlement:
         assert ledger.volumes["a"] == 3.0
         assert ledger.total_volume == pytest.approx(7.0)
 
+    def test_total_volume_adds_left_to_right(self):
+        # a compensated sum (the builtin sum from Python 3.12) gives 1e16 + 2
+        ledger = EpochLedger(0, 0.0, {"a": 1e16, "b": 1.0, "c": 1.0})
+        assert ledger.total_volume == 1e16
+
+    def test_empty_total_volume_is_the_int_zero(self):
+        total = EpochLedger().total_volume
+        assert total == 0 and type(total) is int
+
     @given(
         volumes=st.lists(st.floats(0.0, 1e9), min_size=1, max_size=50),
         pool=st.floats(0.0, 1e9),

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -248,6 +249,14 @@ class TestBlockedDrs:
             (4, 2, 0.01, 1),
             (5, LONG_DAYS, 0.01, 9),
             (5, LONG_DAYS, 0.0, 9),
+            # the edges of 2**14-cell blocks: sizes inside one block here
+            (162, 100, 0.01, 0),
+            (163, 100, 0.0, 11),
+            (163, 100, 0.05, 11),
+            (164, 100, 0.01, 2024),
+            (327, 100, 0.05, 5),
+            (5, 5462, 0.01, 9),
+            (5, 5462, 0.0, 9),
         ],
     )
     def test_bit_identical_to_scalar_reference(self, replications, days, noise_std, seed):
@@ -261,6 +270,18 @@ class TestBlockedDrs:
         )
         res = self.assert_matches_reference(cfg)
         assert np.any(res.static_series == 9e5) and np.any(res.dynamic_series == 9e5)
+
+    def test_a_2000_by_100_run_allocates_at_most_1_mib(self):
+        # two (block, days) float arrays of DRS_BLOCK_CELLS cells are 640 KiB;
+        # a first small run loads numpy.random outside the trace
+        run_drs_simulation(DrsSimConfig(replications=2, days=2))
+        tracemalloc.start()
+        try:
+            run_drs_simulation(DrsSimConfig(replications=2000, days=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     @staticmethod
     def assert_matches_reference(cfg):
