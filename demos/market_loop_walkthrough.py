@@ -5,7 +5,7 @@ books: every fee must land in exactly one of the three buckets, and each
 epoch's reward pool must pay out to the traders who generated the volume.
 """
 
-from powerlaw_amm import MarketLoopConfig, run_market_loop
+from powerlaw_amm import MarketLoopConfig, run_market_loop, spot_price
 
 cfg = MarketLoopConfig(seed=2024)
 res = run_market_loop(cfg)
@@ -33,6 +33,6 @@ for er in res.epoch_reports:
           f"paid {paid:8.2f}  top trader {top[0]} ({top[1]:.2f})")
 
 print(f"\nFinal pool: X={res.final_pool.x_reserve:,.2f}, Y={res.final_pool.y_reserve:,.2f}, "
-      f"price {res.final_pool.price:.4f}")
+      f"price {spot_price(res.final_pool):.4f}")
 sig = res.sigma_series
 print(f"Realized per-period volatility: min {min(sig):.4f}, max {max(sig):.4f}")

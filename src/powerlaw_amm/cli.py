@@ -46,13 +46,7 @@ import numpy as np
 
 from . import sim
 from .fees import _sum_left
-from .pool import (
-    Pool,
-    PoolError,
-    slippage_first_order,
-    swap_x_for_y,
-    swap_y_for_x,
-)
+from .pool import Pool, slippage_first_order, swap_x_for_y, swap_y_for_x
 from .sim import (
     MarketLoopConfig,
     run_drs_simulation,
@@ -401,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PoolError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and PoolError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as exc:

@@ -9,7 +9,8 @@ volume.
 
 Validation happens at the public boundary: the dataclass constructors,
 compute_fee, classify_regime, dynamic_rebate, split_fee and the EpochLedger
-methods reject NaN, infinite and out-of-range arguments. The dataclasses
+methods reject NaN, infinite and out-of-range arguments; an EpochLedger
+built from a volumes dict checks each volume by record's rule. The dataclasses
 (RegimeParams, FeeSchedule, RebateContext) first apply the package's field
 type rule, pool._check_fields, so every number they hold is finite. The
 rebate and split arithmetic lives once, in the kernels _rebate (elementwise,
@@ -172,15 +173,22 @@ class EpochLedger:
 
     Single-writer: record trades in order, or pass the epoch's trader ->
     volume dict as volumes (default {}), then settle once the epoch closes.
-    Payouts follow first-trade order, which keeps settlement deterministic.
+    A given dict is checked by record's rule, every volume finite and
+    nonnegative, in one pass, and then kept. Payouts follow first-trade
+    order, which keeps settlement deterministic.
     """
 
     def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0, volumes: dict | None = None):
         if not 0.0 <= reward_pool <= FLOAT_MAX:
             raise ValueError(f"reward_pool must be finite and nonnegative, got {reward_pool}")
+        if volumes is None:
+            volumes = {}
+        for trader, volume in volumes.items():
+            if not 0.0 <= volume <= FLOAT_MAX:
+                raise ValueError(f"trade volume of {trader!r} must be finite and nonnegative, got {volume}")
         self.epoch_id = epoch_id
         self.reward_pool = reward_pool
-        self.volumes: dict[str, float] = {} if volumes is None else volumes
+        self.volumes: dict[str, float] = volumes
 
     def record(self, trader: str, volume: float):
         if not 0.0 <= volume <= FLOAT_MAX:

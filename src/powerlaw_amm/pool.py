@@ -101,10 +101,6 @@ class Pool:
             pass
         raise PoolError(f"invariant K = X^n * Y overflows a float for {self}")
 
-    @property
-    def price(self) -> float:
-        return spot_price(self)
-
 
 @dataclass(frozen=True)
 class SwapResult:
@@ -285,7 +281,8 @@ def _check_multiplier(m: float | np.ndarray):
     An array is checked with one mask, and the error names its first bad
     value."""
     if isinstance(m, np.ndarray):
-        bad = ~((m > 0.0) & (m <= FLOAT_MAX))
+        # a float64 bound: FLOAT_MAX cast to a narrower float is inf
+        bad = ~((m > 0.0) & (m <= np.float64(FLOAT_MAX)))
         if bad.any():
             i = int(bad.argmax())
             raise PoolError(
@@ -307,13 +304,17 @@ def _is_integer(value) -> bool:
 def _check_fields(obj):
     """Type rule of a config dataclass, called first by its __post_init__:
     an int field takes an integer, a float field a finite real number (bools
-    are neither; numpy scalars are both) and a dataclass field an instance of
-    its class. The config modules do not postpone annotations, so each
-    field's type is the class itself. Values are kept as given, so an int in
-    a float field stays an int."""
+    are neither) and a dataclass field an instance of its class. The config
+    modules do not postpone annotations, so each field's type is the class
+    itself. A numpy scalar is first stored as the equal Python number (its
+    item()), so a float32 field is checked and run as a float; other values
+    are kept as given, so an int in a float field stays an int."""
     for f in dataclasses.fields(obj):
         kind = f.type
         value = getattr(obj, f.name)
+        if isinstance(value, np.generic):
+            value = value.item()
+            object.__setattr__(obj, f.name, value)
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if kind is float and not (

@@ -124,7 +124,6 @@ class DrsSimResult:
     dynamic_series: np.ndarray
     rho_series: np.ndarray
     summary: dict
-    config: DrsSimConfig
 
 
 # Cells in each of run_drs_simulation's two (block, days) volume arrays: a
@@ -333,7 +332,6 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
         dynamic_series=dynamic0,
         rho_series=rho0,
         summary=summary,
-        config=cfg,
     )
 
 
@@ -546,7 +544,6 @@ class MarketLoopResult:
     final_pool: Pool
     sigma_series: list
     epoch_reports: list
-    config: MarketLoopConfig
 
 
 # Generator.random() is (word >> 11) * 2**-53 of one PCG64 word, so
@@ -610,7 +607,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     stream = cfg.stream
     size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
     raw = rng.bit_generator.random_raw
-    next_trader = _trader_ids(raw, int(stream.num_traders)).__next__
+    next_trader = _trader_ids(raw, stream.num_traders).__next__
     normal = rng.standard_normal
     price_history = [price]
     sigma_series = []
@@ -711,5 +708,4 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         final_pool=Pool(x, y, n),
         sigma_series=sigma_series,
         epoch_reports=epoch_reports,
-        config=cfg,
     )

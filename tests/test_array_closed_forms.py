@@ -47,10 +47,15 @@ def test_array_call_matches_float_calls_bit_for_bit(form, n):
 
 
 @FORMS
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, 0.0, -1.0, np.float32(np.nan), np.float32(np.inf)],
+    ids=["nan", "inf", "zero", "negative", "float32-nan", "float32-inf"],
+)
 def test_bad_entry_is_named(form, bad):
-    m = np.array([2.0, 3.0, 0.5, bad, 5.0, -7.0])
-    with pytest.raises(PoolError, match=rf"multiplier .*got {bad!r} at index 3"):
+    # a float32 entry makes a float32 array, bounded like a float64 one
+    m = np.array([2.0, 3.0, 0.5, bad, 5.0, -7.0], dtype=np.result_type(bad))
+    with pytest.raises(PoolError, match=rf"multiplier .*got {float(bad)!r} at index 3"):
         form(m, 4)
 
 

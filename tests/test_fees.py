@@ -273,7 +273,11 @@ class TestFieldTypes:
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
     @pytest.mark.parametrize(
         "value",
-        [True, "1", math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float")],
+        [
+            True, "1", math.nan, math.inf, -math.inf, pytest.param(10**400, id="int-past-float"),
+            pytest.param(np.float32("inf"), id="float32-inf"),
+            pytest.param(np.float16("nan"), id="float16-nan"),
+        ],
     )
     def test_bad_value_rejected(self, cls, name, kind, value):
         with pytest.raises(ValueError, match=name):
@@ -281,13 +285,19 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
     def test_numpy_scalar_accepted_as_given(self, cls, name, kind):
+        # stored as the equal Python number
         base = BASE_ARGS[cls]
-        value = np.float64(getattr(cls(**base), name))
-        assert getattr(cls(**{**base, name: value}), name) is value
+        default = getattr(cls(**base), name)
+        for value in (np.float64(default), np.float32(default)):
+            stored = getattr(cls(**{**base, name: value}), name)
+            assert stored == value and type(stored) is float
 
     def test_infinite_high_threshold_rejected(self):
         with pytest.raises(ValueError, match="sigma_high"):
             FeeSchedule(sigma_high=math.inf)
+
+
+BAD_VOLUMES = [("nan", math.nan), ("inf", math.inf), ("-1.0", -1.0), ("int-past-float", 10**400)]
 
 
 class TestLedgerInputs:
@@ -296,8 +306,17 @@ class TestLedgerInputs:
         with pytest.raises(ValueError, match="reward_pool"):
             EpochLedger(reward_pool=value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_record_volume_must_be_finite(self, value):
+    @pytest.mark.parametrize(
+        "value, given",
+        [pytest.param(value, False, id=name) for name, value in BAD_VOLUMES[:3]]
+        + [pytest.param(value, True, id=f"volumes-{name}") for name, value in BAD_VOLUMES],
+    )
+    def test_record_volume_must_be_finite(self, value, given):
+        # a volume recorded, or given in the volumes dict, passes one rule
+        if given:
+            with pytest.raises(ValueError, match="volume of 'b'"):
+                EpochLedger(0, 1.0, {"a": 1.0, "b": value})
+            return
         ledger = EpochLedger()
         with pytest.raises(ValueError, match="volume"):
             ledger.record("a", value)

@@ -413,6 +413,7 @@ class TestIntegersPastFloatRange:
             (lambda: split_fee(BIG, 0.35), ValueError, "fee"),
             (lambda: classify_regime(BIG, FeeSchedule()), ValueError, "volatility"),
             (lambda: EpochLedger(0, BIG), ValueError, "reward_pool"),
+            (lambda: EpochLedger(0, 1.0, {"t0": 1.0, "t1": BIG}), ValueError, "trade volume of 't1'"),
             (lambda: EpochLedger().record("t0", BIG), ValueError, "trade volume"),
             (lambda: EpochLedger().add_reward(BIG), ValueError, "reward amount"),
         ],
@@ -421,7 +422,8 @@ class TestIntegersPastFloatRange:
             "slippage_first_order", "retention_ratio", "depleted_reserves-y0", "depleted_reserves-m",
             "il_traditional", "il_hold", "il_powerlaw_exact", "il_powerlaw_taylor", "il_powerlaw_taylor-square",
             "il_powerlaw_taylor-int-square", "reserves_at_price", "min_arbitrage_size", "compute_fee",
-            "split_fee", "classify_regime", "EpochLedger", "EpochLedger.record", "EpochLedger.add_reward",
+            "split_fee", "classify_regime", "EpochLedger", "EpochLedger-volumes", "EpochLedger.record",
+            "EpochLedger.add_reward",
         ],
     )
     def test_rejected_with_a_named_value_error(self, call, error, name):

@@ -257,6 +257,7 @@ class TestBlockedDrs:
             (327, 100, 0.05, 5),
             (5, 5462, 0.01, 9),
             (5, 5462, 0.0, 9),
+            pytest.param(2, 100, 0.01, np.int64(3), id="2-100-0.01-int64-3"),
         ],
     )
     def test_bit_identical_to_scalar_reference(self, replications, days, noise_std, seed):
@@ -673,6 +674,18 @@ class TestTradeDraws:
         stream = TradeStreamConfig(trades_per_period=15.0, num_traders=np.int64(3 * 2**30))
         self.assert_matches_reference(MarketLoopConfig(epochs=2, periods_per_epoch=5, stream=stream))
 
+    def test_float32_config_runs_like_its_python_twin(self):
+        # numpy scalars are stored as Python numbers, so the loop runs in float64
+        def run(num, count):
+            stream = TradeStreamConfig(trades_per_period=num(100.0), num_traders=count(100))
+            cfg = MarketLoopConfig(
+                x_reserve=num(10_000.0), y_reserve=num(100_000.0), target_volume=num(1_000.0),
+                epochs=2, periods_per_epoch=50, seed=count(1), stream=stream,
+            )
+            return run_market_loop(cfg)
+
+        assert repr(run(np.float32, np.int32)) == repr(run(float, int))
+
     @staticmethod
     def assert_matches_reference(cfg):
         ref = reference_market_loop(cfg)
@@ -892,14 +905,19 @@ class TestConfigFieldTypes:
 
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
     def test_fraction_or_non_finite_rejected(self, cls, name, kind):
-        for value in [2.5, math.nan] if kind is int else [math.nan, math.inf, -math.inf, 10**400]:
+        narrow = [np.float32("inf"), np.float32("nan"), np.float16("inf"), np.float16("nan")]
+        for value in [2.5, math.nan] if kind is int else [math.nan, math.inf, -math.inf, 10**400, *narrow]:
             with pytest.raises(ValueError, match=name):
                 cls(**{name: value})
 
     @pytest.mark.parametrize("cls, name, kind", NUMERIC_FIELDS)
     def test_numpy_scalars_accepted_as_given(self, cls, name, kind):
-        value = np.int64(3) if kind is int else np.float64(getattr(cls(), name))
-        assert getattr(cls(**{name: value}), name) is value
+        # stored as the equal Python number
+        default = getattr(cls(), name)
+        values = (np.int64(3), np.uint16(3)) if kind is int else (np.float64(default), np.float32(default))
+        for value in values:
+            stored = getattr(cls(**{name: value}), name)
+            assert stored == value and type(stored) is kind
 
     @pytest.mark.parametrize(
         "cls, name, value",
