@@ -33,8 +33,6 @@ The POWERLAW_AMM_OUT_DIR environment variable overrides the default output
 directory (used when --out is not given).
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import itertools

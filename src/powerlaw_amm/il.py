@@ -25,8 +25,6 @@ power goes through pool._pow (libm pow, elementwise), so an array call
 gives the same bits as the per-point float calls.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

@@ -29,13 +29,13 @@ Python's float ** (libm pow) elementwise; every other operation is
 correctly rounded in numpy and in Python alike, so an array call and the
 per-point float calls give the same bits.
 
-The checks shared with the rest of the package live here too: one exponent
+The checks shared with the rest of the package live here too: one
+finiteness bound (FLOAT_MAX, a float subclass, which numpy compares with a
+float32 or float16 in float64, so their inf and NaN fail it), one exponent
 domain (_check_exponent), one price-multiplier rule for floats and arrays
 (_check_multiplier), one reserve rule (_is_reserve) and the type rule of
 every config dataclass field (_check_fields).
 """
-
-from __future__ import annotations
 
 import dataclasses
 import numbers
@@ -51,12 +51,17 @@ MAX_EXPONENT = 8
 # beyond that the first-order price-impact analysis is meaningless.
 SWAP_INPUT_CAP = 10.0
 
+
+class _Float64(float):
+    """A float that numpy does not treat as a weak Python scalar."""
+
+
 # The largest finite float. Every finiteness bound is an exact comparison
 # with it, False for NaN, for inf and for an int too large for a float (a
 # bound `< inf` passes such an int, and arithmetic on it then raises
 # OverflowError). No float lies between it and inf, so a float meets it
-# exactly when it is finite.
-FLOAT_MAX = sys.float_info.max
+# exactly when it is finite, and numpy casts it to no narrower float.
+FLOAT_MAX = _Float64(sys.float_info.max)
 
 
 class PoolError(ValueError):
@@ -281,8 +286,7 @@ def _check_multiplier(m: float | np.ndarray):
     An array is checked with one mask, and the error names its first bad
     value."""
     if isinstance(m, np.ndarray):
-        # a float64 bound: FLOAT_MAX cast to a narrower float is inf
-        bad = ~((m > 0.0) & (m <= np.float64(FLOAT_MAX)))
+        bad = ~((m > 0.0) & (m <= FLOAT_MAX))
         if bad.any():
             i = int(bad.argmax())
             raise PoolError(
@@ -304,8 +308,8 @@ def _is_integer(value) -> bool:
 def _check_fields(obj):
     """Type rule of a config dataclass, called first by its __post_init__:
     an int field takes an integer, a float field a finite real number (bools
-    are neither) and a dataclass field an instance of its class. The config
-    modules do not postpone annotations, so each field's type is the class
+    are neither) and a dataclass field an instance of its class. The package
+    does not postpone annotations, so each field's type is the class
     itself. A numpy scalar is first stored as the equal Python number (its
     item()), so a float32 field is checked and run as a float; other values
     are kept as given, so an int in a float field stays an int."""

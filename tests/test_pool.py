@@ -383,53 +383,61 @@ class TestNonFiniteArguments:
 
 BIG = 10**400  # an int past the largest float
 
+# Every finiteness bound, as (id, call taking the bad value, error, match).
+BOUND_SITES = [
+    ("Pool-x", lambda bad: Pool(bad, 1.0, 4), PoolError, "reserves"),
+    ("Pool-y", lambda bad: Pool(1.0, bad, 4), PoolError, "reserves"),
+    ("swap_y_for_x", lambda bad: swap_y_for_x(Pool(100.0, 100.0, 4), bad), PoolError, "dy_in"),
+    ("swap_y_for_x-fee", lambda bad: swap_y_for_x(Pool(100.0, 100.0, 4), bad, 0.01), PoolError, "dy_in"),
+    ("swap_x_for_y-fee", lambda bad: swap_x_for_y(Pool(100.0, 100.0, 4), bad, 0.01), PoolError, "dx_in"),
+    ("slippage_first_order", lambda bad: slippage_first_order(Pool(100.0, 100.0, 4), bad), PoolError, "dx"),
+    ("retention_ratio", lambda bad: retention_ratio(bad, 4), PoolError, "multiplier"),
+    ("depleted_reserves-y0", lambda bad: depleted_reserves(bad, 2.0, 4), PoolError, "initial reserve"),
+    ("depleted_reserves-m", lambda bad: depleted_reserves(1.0, bad, 4), PoolError, "multiplier"),
+    ("il_traditional", lambda bad: il_traditional(bad), PoolError, "multiplier"),
+    ("il_hold", lambda bad: il_hold(bad, 4), PoolError, "multiplier"),
+    ("il_powerlaw_exact", lambda bad: il_powerlaw_exact(bad, 4), PoolError, "multiplier"),
+    ("il_powerlaw_taylor", lambda bad: il_powerlaw_taylor(bad, 4), PoolError, "multiplier"),
+    ("reserves_at_price", lambda bad: reserves_at_price(Pool(100.0, 100.0, 4), bad), PoolError, "multiplier"),
+    ("min_arbitrage_size", lambda bad: min_arbitrage_size(Pool(100.0, 100.0, 4), bad), PoolError, "external_price"),
+    ("compute_fee", lambda bad: compute_fee(bad, 0.01), ValueError, "volume"),
+    ("split_fee", lambda bad: split_fee(bad, 0.35), ValueError, "fee"),
+    ("classify_regime", lambda bad: classify_regime(bad, FeeSchedule()), ValueError, "volatility"),
+    ("EpochLedger", lambda bad: EpochLedger(0, bad), ValueError, "reward_pool"),
+    ("EpochLedger-volumes", lambda bad: EpochLedger(0, 1.0, {"t0": 1.0, "t1": bad}), ValueError, "trade volume of 't1'"),
+    ("EpochLedger.record", lambda bad: EpochLedger().record("t0", bad), ValueError, "trade volume"),
+    ("EpochLedger.add_reward", lambda bad: EpochLedger().add_reward(bad), ValueError, "reward amount"),
+]
+# An int past the largest float (the bare site id), and a float32 inf and a
+# float16 NaN, which numpy would compare with a plain-float bound in their
+# own type, where the largest float is inf.
+BAD_VALUES = [(BIG, ""), (np.float32("inf"), "-float32-inf"), (np.float16("nan"), "-float16-nan")]
+
 
 class TestIntegersPastFloatRange:
-    """An int too large for a float is rejected by the finiteness bound,
-    which compares it exactly with the largest float, instead of passing a
-    bound `< inf` and raising OverflowError in the arithmetic after it."""
+    """A value that is not a finite float is rejected by the finiteness
+    bound, which compares it exactly with the largest float and in float64:
+    an int too large for a float does not pass a bound `< inf` and raise
+    OverflowError in the arithmetic after it, and a narrow numpy inf or NaN
+    is not compared in its own type."""
 
     @pytest.mark.parametrize(
-        "call, error, name",
+        "call, bad, error, name",
         [
-            (lambda: Pool(BIG, 1.0, 4), PoolError, "reserves"),
-            (lambda: Pool(1.0, BIG, 4), PoolError, "reserves"),
-            (lambda: swap_y_for_x(Pool(100.0, 100.0, 4), BIG), PoolError, "dy_in"),
-            (lambda: swap_y_for_x(Pool(100.0, 100.0, 4), BIG, 0.01), PoolError, "dy_in"),
-            (lambda: swap_x_for_y(Pool(100.0, 100.0, 4), BIG, 0.01), PoolError, "dx_in"),
-            (lambda: slippage_first_order(Pool(100.0, 100.0, 4), BIG), PoolError, "dx"),
-            (lambda: retention_ratio(BIG, 4), PoolError, "multiplier"),
-            (lambda: depleted_reserves(BIG, 2.0, 4), PoolError, "initial reserve"),
-            (lambda: depleted_reserves(1.0, BIG, 4), PoolError, "multiplier"),
-            (lambda: il_traditional(BIG), PoolError, "multiplier"),
-            (lambda: il_hold(BIG, 4), PoolError, "multiplier"),
-            (lambda: il_powerlaw_exact(BIG, 4), PoolError, "multiplier"),
-            (lambda: il_powerlaw_taylor(BIG, 4), PoolError, "multiplier"),
-            (lambda: il_powerlaw_taylor(1e200, 4), PoolError, "overflows"),
-            (lambda: il_powerlaw_taylor(10**200, 4), PoolError, "overflows"),
-            (lambda: reserves_at_price(Pool(100.0, 100.0, 4), BIG), PoolError, "multiplier"),
-            (lambda: min_arbitrage_size(Pool(100.0, 100.0, 4), BIG), PoolError, "external_price"),
-            (lambda: compute_fee(BIG, 0.01), ValueError, "volume"),
-            (lambda: split_fee(BIG, 0.35), ValueError, "fee"),
-            (lambda: classify_regime(BIG, FeeSchedule()), ValueError, "volatility"),
-            (lambda: EpochLedger(0, BIG), ValueError, "reward_pool"),
-            (lambda: EpochLedger(0, 1.0, {"t0": 1.0, "t1": BIG}), ValueError, "trade volume of 't1'"),
-            (lambda: EpochLedger().record("t0", BIG), ValueError, "trade volume"),
-            (lambda: EpochLedger().add_reward(BIG), ValueError, "reward amount"),
-        ],
-        ids=[
-            "Pool-x", "Pool-y", "swap_y_for_x", "swap_y_for_x-fee", "swap_x_for_y-fee",
-            "slippage_first_order", "retention_ratio", "depleted_reserves-y0", "depleted_reserves-m",
-            "il_traditional", "il_hold", "il_powerlaw_exact", "il_powerlaw_taylor", "il_powerlaw_taylor-square",
-            "il_powerlaw_taylor-int-square", "reserves_at_price", "min_arbitrage_size", "compute_fee",
-            "split_fee", "classify_regime", "EpochLedger", "EpochLedger-volumes", "EpochLedger.record",
-            "EpochLedger.add_reward",
+            pytest.param(call, bad, error, name, id=site + suffix)
+            for site, call, error, name in BOUND_SITES
+            for bad, suffix in BAD_VALUES
+        ]
+        + [
+            pytest.param(lambda _: il_powerlaw_taylor(1e200, 4), None, PoolError, "overflows",
+                         id="il_powerlaw_taylor-square"),
+            pytest.param(lambda _: il_powerlaw_taylor(10**200, 4), None, PoolError, "overflows",
+                         id="il_powerlaw_taylor-int-square"),
         ],
     )
-    def test_rejected_with_a_named_value_error(self, call, error, name):
+    def test_rejected_with_a_named_value_error(self, call, bad, error, name):
         with pytest.raises(error, match=name):
-            call()
-
+            call(bad)
 
 
 class TestSwapKernels:
