@@ -20,10 +20,12 @@ and seed yields byte-identical files.
 
 Every table is a numpy structured array (the sweeps, the simulate-drs
 series, the market-loop epochs), written as blocks of rows, a 1-D table as
-one block. Each column is turned into a list once, and each CSV row is
-formatted by one % template. A sweep is handed to the writer as one block
-of m-grid rows per entry of n_values, and repeated columns are formatted
-once per block: a column whose blocks are bit-identical (m, and
+one block. Each column is turned into a list once, and each block is
+formatted by one % call: the row template, repeated once per row, applied
+to the block's cells in row order, so the bytes are those of formatting
+every cell and no string is built per row. A sweep is handed to the writer
+as one block of m-grid rows per entry of n_values, and repeated columns are
+formatted once per block: a column whose blocks are bit-identical (m, and
 il_traditional in sweep-il) once for all blocks, a column constant within
 each block (n, or a DRS series that never moves) once per block.
 
@@ -119,10 +121,13 @@ def resolve_out(args, default_name: str) -> str:
 def _block_rows(table: np.ndarray) -> list[str]:
     """The CSV rows of a 2-D structured array of 8-byte numbers and strings
     (a numpy str column or an object column of str), read as blocks of rows
-    (a sweep: one block of m-grid rows per exponent). Numbers get 17
-    significant digits (integer cells are days, epoch ids and exponents,
-    well below 1e17), strings are written as they are.
+    (a sweep: one block of m-grid rows per exponent), one string per block.
+    Numbers get 17 significant digits (integer cells are days, epoch ids and
+    exponents, well below 1e17), strings are written as they are.
 
+    Each block is one % call: the row template with its newline, repeated
+    once per row, applied to the block's cells flattened row by row, so no
+    string is built per row and the bytes are those of formatting every cell.
     A number column whose blocks are bit-identical is formatted once and its
     strings repeated in every block; one constant within each block (n)
     becomes one string per block. Both enter the row template as %s. Cells
@@ -146,7 +151,8 @@ def _block_rows(table: np.ndarray) -> list[str]:
         else "%s"
         for name in table.dtype.names
     )
-    lines = []
+    block_template = (template + "\n") * size
+    texts = []
     for b in range(blocks):
         cells = [
             shared[name] if name in shared
@@ -154,23 +160,26 @@ def _block_rows(table: np.ndarray) -> list[str]:
             else table[name][b].tolist()
             for name in table.dtype.names
         ]
-        lines += [template % row for row in zip(*cells)]
-    return lines
+        texts.append(block_template % tuple(itertools.chain.from_iterable(zip(*cells))))
+    return texts
 
 
 def write_csv(path: str, command: str, config: dict, table: np.ndarray):
     """Write a 1-D or 2-D structured array as a CSV with the schema version,
     command and config as "# " lines above the header. The rows are written
-    block by block (see _block_rows); a 1-D table is one block."""
-    lines = [
+    block by block (see _block_rows); a 1-D table is one block. Every block
+    is formatted before the file is opened, so a table that cannot be
+    formatted leaves no file."""
+    header = [
         f"# schema_version: {SCHEMA_VERSION}",
         f"# command: {command}",
         "# config: " + json.dumps(config, sort_keys=True, separators=(",", ":")),
         ",".join(table.dtype.names),
-        *_block_rows(np.atleast_2d(table)),
     ]
+    blocks = _block_rows(np.atleast_2d(table))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.writelines(blocks)
 
 
 def write_json(path: str, payload: dict):

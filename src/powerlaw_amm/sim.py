@@ -234,10 +234,17 @@ def _replication_rngs(seed: int, first: int, count: int):
 
 def _log_change_vol(series) -> float:
     """Standard deviation of the log changes of a positive series; 0.0 for
-    fewer than two points (one change has a deviation of exactly 0.0)."""
+    fewer than two points (one change has a deviation of exactly 0.0).
+
+    The bits are np.std's: numpy's variance is this same sequence (an
+    add.reduce of the changes, their deviations, an add.reduce of the
+    squared deviations) and its sqrt is correctly rounded, as math.sqrt is,
+    without np.std's per-call dispatch."""
     if len(series) < 2:
         return 0.0
-    return float(np.std(np.diff(np.log(series))))
+    d = np.diff(np.log(series))
+    dev = d - d.sum() / d.size
+    return math.sqrt((dev * dev).sum() / d.size)
 
 
 # numpy's overflow warnings are off for the whole run: an overflow that matters

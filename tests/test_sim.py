@@ -386,6 +386,24 @@ class TestSweeps:
             assert row["il_exact"] == il_powerlaw_exact(row["m"] - 1.0, row["n"])
 
 
+class TestLogChangeVolatility:
+    # numpy sums in blocks of 8 below 128 elements and pairwise above, so the
+    # lengths cross both edges on either side
+    LENGTHS = [*range(2, 12), 16, 17, *range(126, 133), *range(255, 260), 1000, 2001]
+
+    def test_equals_np_std_of_the_log_changes(self):
+        rng = np.random.default_rng(20261019)
+        for length in self.LENGTHS:
+            for scale in (1e-6, 0.02, 3.0):
+                start = rng.uniform(1e-3, 1e6)
+                series = start * np.exp(np.cumsum(rng.normal(0.0, scale, length)))
+                want = float(np.std(np.diff(np.log(series))))
+                for s in (series, series.tolist()):
+                    got = sim._log_change_vol(s)
+                    assert type(got) is float
+                    assert got == want, (length, scale)
+
+
 class TestMarketLoop:
     def test_zero_trade_stream(self):
         cfg = MarketLoopConfig(stream=TradeStreamConfig(trades_per_period=0.0))

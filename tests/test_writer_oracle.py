@@ -8,6 +8,7 @@ and compares its file with the oracle's, byte for byte."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 
 from powerlaw_amm import il, pool
 from powerlaw_amm.cli import SCHEMA_VERSION, build_config, main, write_csv
-from powerlaw_amm.sim import DrsSimConfig, MarketLoopConfig, run_drs_simulation, run_market_loop
+from powerlaw_amm.sim import (
+    DrsSimConfig,
+    MarketLoopConfig,
+    SweepGridConfig,
+    run_drs_simulation,
+    run_market_loop,
+    sweep_il,
+)
 
 SWEEP = {"m_min": 1.5, "m_max": 150.0, "m_points": 2000, "n_values": list(range(1, 9))}
 
@@ -109,6 +117,22 @@ def test_sweep_on_a_grid_that_stresses_the_blocks(tmp_path, command, output_form
         assert fh.read() == OLD_WRITERS[output_format](command, config, columns, rows)
 
 
+def test_writing_a_sweep_peaks_below_twice_its_file(tmp_path):
+    # each block is one string and no per-row strings or whole-file join are
+    # held, so the writer's own peak stays near the file's bytes
+    grid = build_config(SweepGridConfig, SWEEP)
+    table = sweep_il(grid.m_grid(), grid.n_values).reshape(len(grid.n_values), -1)
+    path = tmp_path / "sweep.csv"
+    write_csv(str(path), "sweep-il", SWEEP, table)  # a first write outside the trace
+    tracemalloc.start()
+    try:
+        write_csv(str(path), "sweep-il", SWEEP, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+
+
 def test_blocks_differing_only_in_the_sign_of_zero(tmp_path):
     # -0.0 == 0.0, yet they print "-0" and "0": blocks are compared on bits
     table = np.zeros((2, 2), dtype=[("m", float), ("n", int), ("x", float)])
@@ -184,7 +208,8 @@ def test_drs_run_with_columns_constant_in_its_block(tmp_path, output_format):
 CELLS = {
     "i": st.integers(-(2**63), 2**63 - 1),
     "f": st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308]), st.floats()),
-    "U": st.text("t0123456789", max_size=4),
+    # % would be a conversion if a cell ever reached the format string
+    "U": st.text("t0123456789%", max_size=4),
 }
 DTYPES = {"i": np.int64, "f": np.float64, "U": "U4"}
 
