@@ -142,8 +142,9 @@ def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:
 
 def _split(fee: float, rho: float) -> tuple[float, float, float]:
     """Kernel of split_fee: (lp, rebate, protocol) shares of a checked fee.
-    The protocol share is computed by subtraction so the parts always sum to
-    the fee exactly."""
+    The protocol share is the remainder fee - lp - rebate in floating point,
+    so the parts sum to the fee only to within a few units in its last
+    place: those of split_fee(0.142, 0.38) sum to 0.14199999999999996."""
     lp = LP_SHARE * fee
     rebate = rho * fee
     return lp, rebate, fee - lp - rebate
@@ -208,9 +209,13 @@ class EpochLedger:
 def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
     """Pay reward_pool pro-rata to trader volume.
 
-    The last payout is set by subtraction (largest-remainder style) so the
-    payouts sum to the pool exactly. A zero-volume epoch settles to an empty
-    payout list; the caller carries the pool into the next epoch.
+    The last payout is the pool minus the left-to-right sum of the others.
+    That sum is rounded, so the payouts sum to the pool only to within
+    rounding, and a last payout whose share is below that rounding can come
+    out negative: EpochLedger(0, 0.0719, {"t0": 12.5, "t1": 1.89e13, "t2":
+    2.9e-12}) pays t2 -1.3877787807814457e-17. A zero-volume epoch settles
+    to an empty payout list; the caller carries the pool into the next
+    epoch.
     """
     total = ledger.total_volume
     if total <= 0:

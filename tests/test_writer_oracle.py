@@ -7,7 +7,11 @@ grid point. Each case runs a CLI command on a config other than the default
 and compares its file with the oracle's, byte for byte."""
 
 import dataclasses
+import decimal
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -270,3 +274,122 @@ def test_market_loop_epochs_csv(tmp_path, stream):
     config = {**dataclasses.asdict(cfg), "out": out, "format": "csv", "ledger_of": out}
     with open(tmp_path / "loop.epochs.csv", "rb") as fh:
         assert fh.read() == old_csv("market-loop", config, ["epoch", "trader", "reward"], rows)
+
+
+# The number cells: every cell against format(v, ".17g"), over families that
+# reach each branch of the writer's exact-digit path and its fallback. The
+# values are drawn with Python's float arithmetic, never numpy's dispatched
+# kernels, so a family holds the same values on every CPU.
+def _powers_of_ten_and_neighbours() -> np.ndarray:
+    values = []
+    for k in range(-5, 19):
+        below = above = float(f"1e{k}")
+        values.append(below)
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [below, above]
+    return np.array(values + [-v for v in values])
+
+
+def _half_way_cases() -> np.ndarray:
+    # N + 0.25 and N + 0.75 are exact doubles with 18 significant digits for
+    # N in [1e15, 2**51): the 17th digit is a tie, which rounds to even
+    whole = np.random.default_rng(2).integers(10**15, 2**51, 12000).tolist()
+    return np.array([n + 0.25 for n in whole] + [n + 0.75 for n in whole])
+
+
+def _log_uniform() -> np.ndarray:
+    rng = np.random.default_rng(1)
+    exponents, signs = rng.uniform(-6.0, 18.0, 200_000).tolist(), rng.choice([-1.0, 1.0], 200_000).tolist()
+    return np.array([sign * 10.0**e for sign, e in zip(signs, exponents)])
+
+
+KERNEL_FAMILIES = {
+    "bit-patterns": lambda: np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+    "log-uniform": _log_uniform,
+    "powers-of-ten": _powers_of_ten_and_neighbours,
+    "half-way": _half_way_cases,
+    "int64": lambda: np.array(
+        [-(2**63), -(2**63) + 1, -(2**53) - 1, -1, 0, 1, 2**53 + 1, 10**16 - 1, 10**17 - 1, 10**17, 2**63 - 1],
+        dtype=np.int64,
+    ),
+    "specials": lambda: np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan, -np.nan]
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(KERNEL_FAMILIES))
+def test_kernel_writes_each_number_as_format_does(tmp_path, family):
+    values = KERNEL_FAMILIES[family]()
+    table = np.zeros(values.shape, [("x", values.dtype)])
+    table["x"] = values
+    path = tmp_path / "cells.csv"
+    write_csv(str(path), "cells", {}, table)
+    got = path.read_bytes().split(b"\n")[4:-1]
+    want = [format(v, ".17g").encode() for v in values.tolist()]
+    wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong[:5]
+
+
+def test_kernel_half_way_family_holds_ties():
+    digits = [decimal.Decimal(v).as_tuple().digits for v in _half_way_cases().tolist()]
+    assert sum(len(d) == 18 and d[-1] == 5 for d in digits) >= 1000
+
+
+def test_kernel_writes_strings_as_utf8(tmp_path):
+    # % would be a conversion if a cell reached a format string
+    table = np.array(
+        [(0, "%s", 1.5), (1, "100%", -0.25), (1, "é%d", 1e-5), (2, "", 1e17)],
+        dtype=[("epoch", int), ("trader", object), ("reward", float)],
+    )
+    path = tmp_path / "strings.csv"
+    write_csv(str(path), "table", {}, table)
+    rows = [dict(zip(table.dtype.names, cells)) for cells in table.tolist()]
+    assert path.read_bytes() == old_csv("table", {}, ["epoch", "trader", "reward"], rows)
+
+
+def _avx512_targets() -> list:
+    """The AVX-512 targets numpy dispatches to on this CPU, by numpy's own names."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [
+        name
+        for name in __cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)
+    ]
+
+
+# Run in the child: check that numpy switched the named targets off, then run
+# the kernel tests. -W error makes numpy's ImportWarning for a name it cannot
+# disable an error.
+_WITHOUT_TARGETS = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+still_on = [name for name in sys.argv[1].split() if __cpu_features__[name]]
+if still_on:
+    sys.exit(f"still dispatched: {still_on}")
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_cells_do_not_depend_on_avx512(tmp_path):
+    # numpy's AVX-512 log10 rounds differently from its baseline one; the
+    # digits must not depend on it
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    names = " ".join(targets)
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error", "-c", _WITHOUT_TARGETS, names,
+            "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path / "child"),
+            "-k", "kernel", __file__,
+        ],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": names},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
