@@ -25,11 +25,17 @@ is below (2**32 - num_traders) % num_traders, and the trader is
 gives each replication its own generator and one (days-1, 2) normal draw,
 then runs the recurrence across a block of replications at once as numpy
 arrays, with the same elementwise operations in the same order as one
-replication at a time. A block is two (block, days) volume arrays of
-DRS_BLOCK_CELLS cells, DRS_BLOCK_CELLS // days replications: each draw is
-written into its replication's future days, and each day's step reads that
-day's noise and overwrites it with the day's volume. The rebate series is
-rebuilt from replication 0's dynamic volumes after the run.
+replication at a time. A block is one (block, days, 2) volume array,
+DRS_BLOCK_CELLS cells per arm and DRS_BLOCK_CELLS // days replications,
+[:, t, 0] the static arm and [:, t, 1] the dynamic arm: each replication's
+generator writes its standard normals straight into its future days, the
+block is scaled by noise_std once, and each day's step reads that day's
+noise and overwrites it with the day's volume. The scaled draws are
+normal(0.0, noise_std)'s bits: numpy's normal is loc + scale * z on the
+same standard normal z, and the loc of 0.0 only turns a -0.0 product into
++0.0, which the recurrence, adding the noise to a nonzero term, cannot
+tell apart. The rebate series is rebuilt from replication 0's dynamic
+volumes after the run.
 A block's generators are seeded at once: _seed_words runs SeedSequence's
 hash (O'Neill's seed_seq: the same 32-bit multiplies, xors and shifts, in
 the same order, with the same constants) on uint32 arrays holding one lane
@@ -126,7 +132,7 @@ class DrsSimResult:
     summary: dict
 
 
-# Cells in each of run_drs_simulation's two (block, days) volume arrays: a
+# Cells per arm in run_drs_simulation's (block, days, 2) volume array: a
 # block holds DRS_BLOCK_CELLS // days replications, so a long run gets a
 # narrower block rather than more memory.
 DRS_BLOCK_CELLS = 5 * 2**13
@@ -255,15 +261,17 @@ def _log_change_vol(series) -> float:
 def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     """Run the static-vs-dynamic rebate experiment.
 
-    Replications run a block at a time as the rows of two (block, days)
-    arrays, static and dynamic volumes, each day one elementwise step of the
-    recurrence across the block. Day 0 holds the initial volume; days
-    1..days-1 are updates. Each replication draws its (days-1, 2) normal
-    noise from its own generator, the one replication_rng(seed, rep) gives,
-    built a block at a time by _replication_rngs: column 0 drives the static
-    arm and is written into its days 1..days-1 (then turned into the growth
-    factor 1 + e once per block), column 1 drives the dynamic arm and is
-    written into its days. The step for day t reads day t's noise and
+    Replications run a block at a time as the rows of one (block, days, 2)
+    array, [:, :, 0] the static and [:, :, 1] the dynamic volumes, each day
+    one elementwise step of each arm's recurrence across the block. Day 0
+    holds the initial volume; days 1..days-1 are updates. Each replication's
+    generator, the one replication_rng(seed, rep) gives, built a block at a
+    time by _replication_rngs, writes its (days-1, 2) standard normals
+    straight into its days 1..days-1, in the order normal(0.0, noise_std,
+    (days-1, 2)) draws them; the block is then scaled by noise_std at once,
+    which gives normal's bits (see the module docstring). Column 0 drives
+    the static arm (turned into the growth factor 1 + e once per block),
+    column 1 the dynamic arm. The step for day t reads day t's noise and
     overwrites it with day t's volume. The dynamic arm's rebate is evaluated
     on the previous day's volume into a one-day scratch row.
 
@@ -277,10 +285,9 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     """
     days, reps = cfg.days, cfg.replications
     width = max(1, min(reps, DRS_BLOCK_CELLS // days))
-    static = np.empty((width, days))
-    dynamic = np.empty((width, days))
+    volumes = np.empty((width, days, 2))  # [:, :, 0] static, [:, :, 1] dynamic
     rho = np.empty(width)  # one day's rebates across the block
-    static[:, 0] = dynamic[:, 0] = cfg.initial_volume
+    volumes[:, 0] = cfg.initial_volume
     floor, target, k, static_rebate = (
         cfg.volume_floor, cfg.target_volume, cfg.sensitivity, cfg.static_rebate
     )
@@ -290,12 +297,13 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
     for start in range(0, reps, width):
         stop = min(start + width, reps)
         rows = stop - start
-        s, d, r = static[:rows], dynamic[:rows], rho[:rows]
-        # each replication's noise waits in the days it drives: column 0 in
-        # the static arm, column 1 in the dynamic arm
-        for i, rng in enumerate(_replication_rngs(cfg.seed, start, rows)):
-            noise = rng.normal(0.0, cfg.noise_std, size=(days - 1, 2))
-            s[i, 1:], d[i, 1:] = noise.T
+        v, r = volumes[:rows], rho[:rows]
+        # each replication's standard normals wait in the days they drive:
+        # column 0 in the static arm, column 1 in the dynamic arm
+        for row, rng in zip(v, _replication_rngs(cfg.seed, start, rows)):
+            rng.standard_normal(out=row[1:])
+        np.multiply(v[:, 1:], cfg.noise_std, out=v[:, 1:])
+        s, d = v[:, :, 0], v[:, :, 1]
         # the static arm's factor 1 + e, once per block, in place of its noise
         np.add(1.0, s[:, 1:], out=s[:, 1:])
         # Column views of day t-1 and day t; each step reads day t's noise and
@@ -344,24 +352,34 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
 
 def drs_noise_free_series(cfg: DrsSimConfig) -> np.ndarray:
     """Closed-form (deterministic) dynamic-arm path with the noise switched
-    off: the same recurrence iterated without random terms. This is the
-    oracle the seeded simulator must match exactly when noise_std == 0."""
-    vols = np.empty(cfg.days)
-    vols[0] = cfg.initial_volume
+    off: the same recurrence iterated without random terms, on Python
+    floats. This is the oracle the seeded simulator must match exactly when
+    noise_std == 0. A volume past the float range raises ValueError, as the
+    simulator's does."""
+    vol = float(cfg.initial_volume)
+    vols = [vol]
     for t in range(1, cfg.days):
-        rho = dynamic_rebate(RebateContext(vols[t - 1], cfg.target_volume))
-        vols[t] = max(
-            vols[t - 1] * (1.0 + cfg.sensitivity * (rho - cfg.static_rebate)),
-            cfg.volume_floor,
-        )
-    return vols
+        rho = dynamic_rebate(RebateContext(vol, cfg.target_volume))
+        step = 1.0 + cfg.sensitivity * (rho - cfg.static_rebate)
+        vol = float(max(vol * step, cfg.volume_floor))
+        if vol > FLOAT_MAX:
+            raise ValueError(f"DRS noise-free volume overflows a float on day {t}")
+        vols.append(vol)
+    return np.array(vols)
 
 
 def drs_geometric_upper_bound(cfg: DrsSimConfig) -> float:
     """Growth bound (1 + k*(0.4 - static_rebate))^(days-1): the noise-free
-    dynamic arm can never beat a rebate pinned at its 0.4 cap."""
+    dynamic arm can never beat a rebate pinned at its 0.4 cap. A bound past
+    the float range raises ValueError."""
     step = 1.0 + cfg.sensitivity * (REBATE_CAP - cfg.static_rebate)
-    return step ** (cfg.days - 1)
+    try:
+        bound = step ** (cfg.days - 1)
+    except OverflowError:
+        bound = math.inf
+    if not abs(bound) <= FLOAT_MAX:
+        raise ValueError(f"DRS geometric bound {step!r} ** {cfg.days - 1} overflows a float")
+    return bound
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,26 @@ class TestDrsOverflow:
         assert all(math.isfinite(v) for v in res.summary.values())
         assert np.isfinite(res.static_series).all() and np.isfinite(res.dynamic_series).all()
 
+    def test_noise_free_series_overflow_raises(self):
+        # the oracle steps on Python floats, so the overflowing multiply
+        # raises no numpy warning (an error under this suite); its check does
+        cfg = DrsSimConfig(days=5, initial_volume=1e308, sensitivity=10.0, static_rebate=0.0)
+        with pytest.raises(ValueError, match="DRS noise-free volume overflows a float on day 1"):
+            drs_noise_free_series(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"days": 5, "sensitivity": 1e300},
+            {"days": 1000, "sensitivity": 1e10},
+            # the step itself is inf
+            {"days": 5, "sensitivity": 1e308, "static_rebate": -10.0},
+        ],
+    )
+    def test_geometric_bound_overflow_raises(self, overrides):
+        with pytest.raises(ValueError, match=r"DRS geometric bound .* overflows a float"):
+            drs_geometric_upper_bound(DrsSimConfig(**overrides))
+
 
 def reference_drs(cfg: DrsSimConfig):
     """The DRS recurrence one replication and one day at a time: one
@@ -273,7 +293,7 @@ class TestBlockedDrs:
         assert np.any(res.static_series == 9e5) and np.any(res.dynamic_series == 9e5)
 
     def test_a_2000_by_100_run_allocates_at_most_1_mib(self):
-        # two (block, days) float arrays of DRS_BLOCK_CELLS cells are 640 KiB;
+        # one (block, days, 2) float array, DRS_BLOCK_CELLS cells per arm, is 640 KiB;
         # a first small run loads numpy.random outside the trace
         run_drs_simulation(DrsSimConfig(replications=2, days=2))
         tracemalloc.start()
@@ -283,6 +303,35 @@ class TestBlockedDrs:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    @pytest.mark.parametrize("cells", [100, 300, DRS_BLOCK_CELLS])
+    def test_block_width_moves_no_bit(self, monkeypatch, cells):
+        # 100 cells give 1-row blocks at 100 days; 300 give 3-row blocks,
+        # so 7 replications leave a 1-row tail
+        cfg = DrsSimConfig(replications=7, days=100, noise_std=0.05, seed=5)
+        default = run_drs_simulation(cfg)
+        monkeypatch.setattr(sim, "DRS_BLOCK_CELLS", cells)
+        res = self.assert_matches_reference(cfg)
+        for name in ("static_series", "dynamic_series", "rho_series"):
+            assert getattr(res, name).tobytes() == getattr(default, name).tobytes()
+        assert repr(res.summary) == repr(default.summary)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**70])
+    def test_standard_normal_times_scale_is_numpys_normal(self, seed):
+        """run_drs_simulation draws standard normals and scales them by
+        noise_std where the reference draws normal(0.0, noise_std). numpy's
+        normal is loc + scale * z, z from the same ziggurat draw, so the two
+        differ only where scale * z is -0.0, which loc turns into +0.0; the
+        recurrence adds the noise to a nonzero term, where both give the same
+        sum. If a numpy release changes normal, this test fails and points
+        at the cause, not only the golden digests."""
+        days = 997
+        for rep in (0, 1, 409):
+            for scale in (0.0, 0.01, 1.0, 1e300):
+                with np.errstate(over="ignore"):
+                    scaled = replication_rng(seed, rep).standard_normal((days, 2)) * scale + 0.0
+                normal = replication_rng(seed, rep).normal(0.0, scale, (days, 2))
+                assert scaled.tobytes() == normal.tobytes()
 
     @staticmethod
     def assert_matches_reference(cfg):
