@@ -12,9 +12,10 @@ A config file holds one JSON object, built into the command's config
 dataclass by build_config. Unknown keys are rejected at every nesting level;
 every other rule (integers for integer fields, finite numbers for number
 fields, ranges) belongs to the dataclass, and a broken one is reported with
-the dotted path of the key. Every output file embeds a schema version, the
-fully-resolved configuration, and the seed, so a run can be reproduced from
-its own output. Numbers are serialized with 17 significant digits, which
+the dotted path of the key. A float field holds float(value), so an integer
+literal there runs and writes exactly as its float twin. Every output file
+embeds a schema version, the fully-resolved configuration, and the seed, so
+a run can be reproduced from its own output. Numbers are serialized with 17 significant digits, which
 round-trips IEEE doubles exactly; rerunning a command with the same config
 and seed yields byte-identical files.
 
@@ -434,11 +435,9 @@ def cmd_quote(args) -> int:
 
 
 def _sweep_grid(cfg: dict):
-    """(m grid, n values, resolved config) of a sweep config object; the
-    resolved m_min and m_max are echoed as floats."""
+    """(m grid, n values, resolved config) of a sweep config object."""
     grid = build_config(sim.SweepGridConfig, cfg)
-    resolved = {**dataclasses.asdict(grid), "m_min": float(grid.m_min), "m_max": float(grid.m_max)}
-    return grid.m_grid(), grid.n_values, resolved
+    return grid.m_grid(), grid.n_values, dataclasses.asdict(grid)
 
 
 def _run_sweep(args, command: str, runner) -> int:

@@ -88,7 +88,7 @@ class Pool:
     def __init__(self, x_reserve: float, y_reserve: float, n: int = 1):
         _check_exponent(n)
         if not (_is_reserve(x_reserve) and _is_reserve(y_reserve)):
-            raise PoolError(f"reserves must be finite and nonnegative, got {x_reserve}, {y_reserve}")
+            raise PoolError(f"reserves must be finite and nonnegative, got {x_reserve!r}, {y_reserve!r}")
         d = self.__dict__
         d["x_reserve"] = x_reserve
         d["y_reserve"] = y_reserve
@@ -132,7 +132,10 @@ def spot_price(pool: Pool) -> float:
     x, y = pool.x_reserve, pool.y_reserve
     if not (x > 0 and y > 0):
         raise PoolError("pool is inactive (a reserve is zero)")
-    price = pool.n * y / x
+    try:
+        price = pool.n * y / x
+    except OverflowError:  # an int reserve whose price is past the float range
+        price = np.inf
     if not 0.0 < price <= FLOAT_MAX:
         raise PoolError(f"pool price n*y/x is {price}, outside (0, inf)")
     return price
@@ -297,8 +300,13 @@ def _check_multiplier(m: float | np.ndarray):
 
 
 def _is_reserve(value) -> bool:
-    """The reserve rule: finite and nonnegative (an empty reserve is allowed)."""
-    return 0.0 <= value <= FLOAT_MAX
+    """The reserve rule: a real number, as a config float field takes, finite
+    and nonnegative (an empty reserve is allowed)."""
+    return (type(value) is float or _is_real(value)) and 0.0 <= value <= FLOAT_MAX
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_integer(value) -> bool:
@@ -310,24 +318,23 @@ def _check_fields(obj):
     an int field takes an integer, a float field a finite real number (bools
     are neither) and a dataclass field an instance of its class. The package
     does not postpone annotations, so each field's type is the class
-    itself. A numpy scalar is first stored as the equal Python number (its
-    item()), so a float32 field is checked and run as a float; other values
-    are kept as given, so an int in a float field stays an int."""
+    itself. A numpy scalar is read as its item(), and a float field is stored
+    as float(value): an int or a float32 there runs and is echoed as its
+    float twin."""
     for f in dataclasses.fields(obj):
         kind = f.type
         value = getattr(obj, f.name)
         if isinstance(value, np.generic):
             value = value.item()
-            object.__setattr__(obj, f.name, value)
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind is float and not (
-            isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= FLOAT_MAX
-        ):
-            raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if kind is float:
+            if not (_is_real(value) and abs(value) <= FLOAT_MAX):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            value = float(value)
         if dataclasses.is_dataclass(kind) and not isinstance(value, kind):
             raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
+        object.__setattr__(obj, f.name, value)
 
 
 def _check_exponent(n: int):

@@ -49,8 +49,9 @@ bit-identical outputs within this implementation.
 Validation happens once, at the boundary. Each config dataclass
 (DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig) owns
 every rule for its fields: its __post_init__ applies the package's field
-type rule, pool._check_fields (integers for int fields, finite numbers for
-float fields, an instance of its class for a nested config), then its own
+type rule, pool._check_fields (integers for int fields, finite numbers,
+held as Python floats, for float fields, an instance of its class for a
+nested config), then its own
 range rules; MarketLoopConfig applies the pool's exponent, reserve and
 pool-state rules to n, x_reserve and y_reserve and checks that the median
 trade is a positive float, and SweepGridConfig the exponent rule to each
@@ -71,6 +72,7 @@ from . import il as il_mod
 from . import pool as pool_mod
 from .fees import (
     REBATE_CAP,
+    REBATE_FLOOR,
     REWARD_FRACTION,
     EpochLedger,
     FeeSchedule,
@@ -238,17 +240,20 @@ def _replication_rngs(seed: int, first: int, count: int):
         yield Generator(PCG64(_SeedWords(words)))
 
 
-def _log_change_vol(series) -> float:
-    """Standard deviation of the log changes of a positive series; 0.0 for
-    fewer than two points (one change has a deviation of exactly 0.0).
+def _log_change_vol(logs) -> float:
+    """Standard deviation of the changes of a series of logs; 0.0 for fewer
+    than two points (one change has a deviation of exactly 0.0). Callers
+    take each log once, with math.log (libm), so the result does not depend
+    on which SIMD kernel numpy's log dispatches to.
 
     The bits are np.std's: numpy's variance is this same sequence (an
     add.reduce of the changes, their deviations, an add.reduce of the
     squared deviations) and its sqrt is correctly rounded, as math.sqrt is,
     without np.std's per-call dispatch."""
-    if len(series) < 2:
+    if len(logs) < 2:
         return 0.0
-    d = np.diff(np.log(series))
+    logs = np.array(logs)
+    d = logs[1:] - logs[:-1]  # np.diff's subtraction, without its per-call overhead
     dev = d - d.sum() / d.size
     return math.sqrt((dev * dev).sum() / d.size)
 
@@ -333,8 +338,8 @@ def run_drs_simulation(cfg: DrsSimConfig) -> DrsSimResult:
         "mean_volume_dynamic": float(np.mean(dynamic0)),
         "final_ratio_static": float(final_static[0]),
         "final_ratio_dynamic": float(final_dynamic[0]),
-        "volatility_static": _log_change_vol(static0),
-        "volatility_dynamic": _log_change_vol(dynamic0),
+        "volatility_static": _log_change_vol([math.log(v) for v in static0.tolist()]),
+        "volatility_dynamic": _log_change_vol([math.log(v) for v in dynamic0.tolist()]),
         "mean_final_ratio_static": float(np.mean(final_static)),
         "mean_final_ratio_dynamic": float(np.mean(final_dynamic)),
         "dynamic_beats_static_fraction": beats / cfg.replications,
@@ -356,12 +361,12 @@ def drs_noise_free_series(cfg: DrsSimConfig) -> np.ndarray:
     floats. This is the oracle the seeded simulator must match exactly when
     noise_std == 0. A volume past the float range raises ValueError, as the
     simulator's does."""
-    vol = float(cfg.initial_volume)
+    vol = cfg.initial_volume
     vols = [vol]
     for t in range(1, cfg.days):
         rho = dynamic_rebate(RebateContext(vol, cfg.target_volume))
         step = 1.0 + cfg.sensitivity * (rho - cfg.static_rebate)
-        vol = float(max(vol * step, cfg.volume_floor))
+        vol = max(vol * step, cfg.volume_floor)
         if vol > FLOAT_MAX:
             raise ValueError(f"DRS noise-free volume overflows a float on day {t}")
         vols.append(vol)
@@ -369,16 +374,21 @@ def drs_noise_free_series(cfg: DrsSimConfig) -> np.ndarray:
 
 
 def drs_geometric_upper_bound(cfg: DrsSimConfig) -> float:
-    """Growth bound (1 + k*(0.4 - static_rebate))^(days-1): the noise-free
-    dynamic arm can never beat a rebate pinned at its 0.4 cap. A bound past
-    the float range raises ValueError."""
-    step = 1.0 + cfg.sensitivity * (REBATE_CAP - cfg.static_rebate)
-    try:
-        bound = step ** (cfg.days - 1)
-    except OverflowError:
-        bound = math.inf
-    if not abs(bound) <= FLOAT_MAX:
-        raise ValueError(f"DRS geometric bound {step!r} ** {cfg.days - 1} overflows a float")
+    """Upper bound on the noise-free dynamic arm's final/initial volume
+    ratio, for every config: the recurrence with each day's step replaced by
+    the largest one a rebate in [REBATE_FLOOR, REBATE_CAP] gives, clamped at
+    0, and the volume floor kept. It runs the simulator's float operations
+    on operands at least as large, and rounding is monotone, so the bound
+    holds in floating point too. A bound past the float range raises
+    ValueError."""
+    k, static_rebate = cfg.sensitivity, cfg.static_rebate
+    step = max(1.0 + k * (REBATE_CAP - static_rebate), 1.0 + k * (REBATE_FLOOR - static_rebate), 0.0)
+    vol = cfg.initial_volume
+    for _ in range(1, cfg.days):
+        vol = max(vol * step, cfg.volume_floor)
+    bound = vol / cfg.initial_volume
+    if not bound <= FLOAT_MAX:
+        raise ValueError(f"DRS geometric bound with step {step!r} over {cfg.days - 1} days overflows a float")
     return bound
 
 
@@ -404,7 +414,7 @@ class SweepGridConfig:
             raise ValueError(f"need 0 < m_min <= m_max, got m_min={self.m_min}, m_max={self.m_max}")
         if self.m_points < 1:
             raise ValueError("m_points must be >= 1")
-        if self.m_points == 1 and float(self.m_min) != float(self.m_max):
+        if self.m_points == 1 and self.m_min != self.m_max:
             raise ValueError(
                 f"m_points is 1, so m_min must equal m_max, got m_min={self.m_min}, m_max={self.m_max}"
             )
@@ -419,8 +429,7 @@ class SweepGridConfig:
                 raise ValueError(f"n_values[{i}]: {exc}") from None
 
     def m_grid(self) -> np.ndarray:
-        # float() first: numpy cannot take the log of an int past int64
-        return np.logspace(np.log10(float(self.m_min)), np.log10(float(self.m_max)), self.m_points)
+        return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
 
 
 def _sweep(m_grid, n_values, columns: dict) -> np.ndarray:
@@ -463,7 +472,9 @@ def sweep_il(m_grid=None, n_values=None) -> np.ndarray:
         {
             "il_traditional": lambda m, n: il_mod.il_traditional(m),
             "il_scaled": lambda m, n: il_mod.il_proposed_scaled(m, n),
-            "il_exact": lambda m, n: il_mod.il_powerlaw_exact(m - 1.0, n),
+            # 1 - m**(-1/(n+1)) on m itself: il_powerlaw_exact(m - 1.0, n)
+            # forms 1 + (m - 1), which is not m below m = 0.5
+            "il_exact": lambda m, n: 1.0 - pool_mod.depleted_reserves(1.0, m, n),
         },
     )
 
@@ -634,7 +645,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     raw = rng.bit_generator.random_raw
     next_trader = _trader_ids(raw, stream.num_traders).__next__
     normal = rng.standard_normal
-    price_history = [price]
+    log_prices = [math.log(price)]  # one per period close, for sigma
     sigma_series = []
     epoch_reports = []
 
@@ -649,7 +660,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         epoch_fees = 0.0
         epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
-            sigma = _log_change_vol(price_history[-cfg.vol_window :])
+            sigma = _log_change_vol(log_prices[-cfg.vol_window :])
             sigma_series.append(sigma)
             regime = classify_regime(sigma, cfg.schedule)
             params = cfg.schedule.params_for(regime)
@@ -694,7 +705,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 period_volume += volume
                 volumes[trader] = volumes.get(trader, 0.0) + volume
             prev_period_volume = period_volume
-            price_history.append(price)
+            log_prices.append(math.log(price))
         if not total_volume <= FLOAT_MAX:
             raise PoolError(
                 f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"

@@ -53,11 +53,12 @@ def test_traced_commands_run_and_find_their_names(tmp_path, monkeypatch, load_be
     assert calls == {"sim.sweep": 2, "sim.drs": 1, "sim.market_loop": 1, "pool.swap": 1}
     assert cli.write_csv is write_csv  # traced() put every name back
     # the sweeps are array-first: one closed-form call per (column, n), not
-    # one per grid point (2 retention columns, 3 IL columns)
+    # one per grid point (2 retention columns, 3 IL columns, of which
+    # il_exact is 1 - depleted_reserves)
     per_n = len(SWEEP["n_values"])
-    assert rec.calls("pool.closed_form") == 2 * per_n
+    assert rec.calls("pool.closed_form") == 3 * per_n
     il_calls = [rec.calls(f"il.{f}") for f in ("il_traditional", "il_proposed_scaled", "il_powerlaw_exact")]
-    assert il_calls == [per_n] * 3
+    assert il_calls == [per_n, per_n, 0]
     # DRS seeds each block of replications at once (sim._replication_rngs),
     # not through replication_rng, so the tracer sees no generator or draw
     # there; the market loop still makes its one replication_rng call

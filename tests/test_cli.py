@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -102,7 +103,7 @@ class TestSweepCommands:
         assert run(["sweep-retention", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
 
     def test_int_past_int64_sweeps_like_its_float(self, tmp_path):
-        # the echo writes m_max as a float, so the files must match byte for byte
+        # m_max is held as a float, so the files must match byte for byte
         out, cfg = tmp_path / "ret.csv", tmp_path / "cfg.json"
         files = []
         for m_max in ("1000000000000000000000000000000", "1e30"):
@@ -432,6 +433,15 @@ class TestConfigValidation:
             ("market-loop", '{"x_reserve": 0}', "x_reserve and y_reserve: pool is inactive"),
             ("market-loop", '{"y_reserve": 0.0}', "x_reserve and y_reserve: pool is inactive"),
             ("market-loop", '{"x_reserve": 1e-320}', r"x_reserve and y_reserve: pool price n*y/x is inf"),
+            # y_reserve 10**308 written as an integer: held as 1e308, it fails as its float twin
+            *[
+                pytest.param(
+                    "market-loop", '{"x_reserve": %s, "y_reserve": 1%s, "n": 8}' % (x, "0" * 308),
+                    "x_reserve and y_reserve: pool price n*y/x is inf, outside (0, inf)\n",
+                    id=f"market-loop-int-y_reserve-x{x}",
+                )
+                for x in ("1", "1e10")
+            ],
             (
                 "market-loop",
                 '{"stream": {"size_median_frac": 1e305}}',
@@ -492,6 +502,57 @@ class TestConfigValidation:
         config = json.loads((tmp_path / "o.json").read_text())["config"]
         assert config["schedule"]["low"] == {"gamma": 0.002, "rho_max": 0.35}
         assert config["schedule"]["high"] == {"gamma": 0.01, "rho_max": 0.4}
+
+
+# For each file command, float fields set to integral values that run, all
+# at once and one field at a time (plus a market loop with no trades, whose
+# final reserves are the configured ones). Written as integer literals,
+# they must run and write exactly what their float twins write.
+INTEGRAL_FLOATS = {
+    "sweep-retention": {"m_min": 2, "m_max": 300},
+    "sweep-il": {"m_min": 2, "m_max": 300},
+    "simulate-drs": {
+        "initial_volume": 1000000, "target_volume": 2000000, "static_rebate": 0,
+        "sensitivity": 1, "noise_std": 1, "volume_floor": 5,
+    },
+    "market-loop": {
+        "x_reserve": 20000, "y_reserve": 100000, "target_volume": 2000,
+        "stream": {"trades_per_period": 12, "size_sigma": 1},
+        "schedule": {"sigma_low": 0, "sigma_high": 1},
+    },
+}
+
+
+def integer_literal_cases():
+    for command, config in INTEGRAL_FLOATS.items():
+        yield pytest.param(command, config, id=f"{command}-all")
+        for key, value in config.items():
+            leaves = value.items() if isinstance(value, dict) else [(None, value)]
+            for leaf, number in leaves:
+                one = {key: {leaf: number}} if leaf else {key: number}
+                yield pytest.param(command, one, id=f"{command}-{key}" + (f".{leaf}" if leaf else ""))
+    no_trades = {"x_reserve": 20000, "stream": {"trades_per_period": 0}}
+    yield pytest.param("market-loop", no_trades, id="market-loop-no-trades")
+
+
+def as_floats(config):
+    return {k: as_floats(v) if isinstance(v, dict) else float(v) for k, v in config.items()}
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("command, config", list(integer_literal_cases()))
+def test_integer_literal_writes_as_its_float_twin(tmp_path, command, config, output_format):
+    out = tmp_path / "out"
+    written = []
+    for literal in (config, as_floats(config)):
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(literal))
+        argv = [command, "--config", str(cfg), "--out", str(out / f"o.{output_format}"), "--format", output_format]
+        assert run(argv) == 0
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert written[0] == written[1]
 
 
 # The extreme-value alphabet of the config property below: signed zeros,

@@ -269,7 +269,10 @@ class TestInvariantConservation:
 
 class TestBoundaryValidation:
     @pytest.mark.parametrize(
-        "x, y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (-1.0, 1.0)]
+        "x, y",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (-1.0, 1.0),
+         # a reserve takes what a config float field takes: a real number, not a bool
+         (True, 1.0), (1.0, False), ("5", 1.0), (1.0, None)],
     )
     def test_non_finite_or_negative_reserves_rejected(self, x, y):
         with pytest.raises(PoolError, match="reserves must be finite"):
@@ -326,6 +329,10 @@ class TestBoundaryValidation:
             spot_price(Pool(1e300, 1e-300, 1))  # n*y/x underflows to 0
         with pytest.raises(PoolError, match="price"):
             swap_y_for_x(Pool(1e-300, 1e300, 1), 1.0)  # n*y/x overflows
+        # an int reserve whose n*y/x is past the float range fails as its float twin
+        for y in (10**308, 1e308):
+            with pytest.raises(PoolError, match=r"pool price n\*y/x is inf, outside \(0, inf\)"):
+                spot_price(Pool(1e10, y, 8))
 
     def test_sell_that_underflows_the_price_is_a_drain(self):
         pool = Pool(1.0, 1e-320, 8)  # price 8e-320, subnormal but positive

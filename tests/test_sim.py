@@ -83,6 +83,39 @@ class TestDrsSimulation:
         ratio = run_drs_simulation(cfg).summary["final_ratio_dynamic"]
         assert 1.0 < ratio < drs_geometric_upper_bound(cfg)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"volume_floor": 5e6},  # the floor lifts the arm past the cap's growth
+            {"static_rebate": 15.0},  # a negative step: the arm sits on its floor
+            {"static_rebate": 30.0, "days": 4},
+            {"sensitivity": -1.0, "target_volume": 1.0},  # k < 0: the rebate floor steps highest
+            {"target_volume": 1e9},  # the rebate pinned at its cap reaches the bound
+            {"days": 1},
+        ],
+        ids=["default", "floor", "negative-step", "negative-step-4-days", "negative-k", "pinned-cap", "one-day"],
+    )
+    def test_geometric_bound_holds(self, overrides):
+        cfg = DrsSimConfig(noise_std=0.0, **overrides)
+        bound = drs_geometric_upper_bound(cfg)
+        assert run_drs_simulation(cfg).summary["final_ratio_dynamic"] <= bound
+        assert drs_noise_free_series(cfg)[-1] / cfg.initial_volume <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        days=st.integers(1, 60),
+        sensitivity=st.floats(-2.0, 2.0),
+        static_rebate=st.floats(-1.0, 3.0),
+        target_volume=st.floats(1e-3, 1e9),
+        volume_floor=st.floats(1e-3, 1e7),
+    )
+    def test_geometric_bound_holds_for_any_config(self, **fields):
+        cfg = DrsSimConfig(noise_std=0.0, **fields)
+        bound = drs_geometric_upper_bound(cfg)
+        assert run_drs_simulation(cfg).summary["final_ratio_dynamic"] <= bound
+        assert drs_noise_free_series(cfg)[-1] / cfg.initial_volume <= bound
+
     def test_deterministic_under_seed(self):
         cfg = DrsSimConfig(seed=7, replications=3)
         a = run_drs_simulation(cfg)
@@ -428,6 +461,14 @@ class TestSweeps:
         assert row1["il_scaled"] == 0.0
         assert row1["il_exact"] == 0.0
 
+    def test_il_exact_below_half_is_taken_on_m(self):
+        # il_powerlaw_exact(m - 1.0, n) would form 1 + (m - 1), which is not m
+        # below m = 0.5 (0.0 at m = 1e-17)
+        grid = [1e-17, 1e-10, 0.25, 0.4999]
+        rows = sweep_il(m_grid=grid, n_values=[4])
+        assert rows["il_exact"].tolist() == [1.0 - m**-0.2 for m in grid]
+        assert rows["il_exact"][1] == -99.00000000000003
+
     def test_il_rows_match_direct_calls(self):
         for row in sweep_il(m_grid=[3.0, 250.0], n_values=[2, 4]):
             assert row["il_traditional"] == il_traditional(row["m"])
@@ -441,13 +482,15 @@ class TestLogChangeVolatility:
     LENGTHS = [*range(2, 12), 16, 17, *range(126, 133), *range(255, 260), 1000, 2001]
 
     def test_equals_np_std_of_the_log_changes(self):
+        # callers pass the logs, each taken once with math.log
         rng = np.random.default_rng(20261019)
         for length in self.LENGTHS:
             for scale in (1e-6, 0.02, 3.0):
                 start = rng.uniform(1e-3, 1e6)
                 series = start * np.exp(np.cumsum(rng.normal(0.0, scale, length)))
-                want = float(np.std(np.diff(np.log(series))))
-                for s in (series, series.tolist()):
+                logs = [math.log(v) for v in series.tolist()]
+                want = float(np.std(np.diff(logs)))
+                for s in (np.array(logs), logs):
                     got = sim._log_change_vol(s)
                     assert type(got) is float
                     assert got == want, (length, scale)

@@ -75,7 +75,8 @@ def old_sweep_rows(command: str, sweep: dict = SWEEP) -> tuple[list, list]:
             else:
                 row["il_traditional"] = il.il_traditional(m)
                 row["il_scaled"] = il.il_proposed_scaled(m, n)
-                row["il_exact"] = il.il_powerlaw_exact(m - 1.0, n)
+                # 1 - m**(-1/(n+1)) on m itself, right below m = 0.5 too
+                row["il_exact"] = 1.0 - float(m) ** (-1.0 / (n + 1))
             rows.append(row)
     return list(rows[0]), rows
 
@@ -106,6 +107,8 @@ BLOCK_GRIDS = {
     "n-is-1": {"m_min": 1.5, "m_max": 150.0, "m_points": 40, "n_values": [1]},  # retention all 1.0
     "flat-m": {"m_min": 7.0, "m_max": 7.0, "m_points": 3, "n_values": [1, 2, 8]},
     "one-point": {"m_min": 100.0, "m_max": 100.0, "m_points": 1, "n_values": [2, 5, 2]},
+    # il_exact below m = 0.5, where 1 + (m - 1) is not m (0.0 at 1e-17)
+    "below-half": {"m_min": 1e-17, "m_max": 1.0, "m_points": 3, "n_values": [4]},
 }
 
 
