@@ -9,8 +9,9 @@ volume.
 
 Validation happens at the public boundary: the dataclass constructors,
 compute_fee, classify_regime, dynamic_rebate, split_fee and the EpochLedger
-methods reject NaN, infinite and out-of-range arguments; an EpochLedger
-built from a volumes dict checks each volume by record's rule. The dataclasses
+methods read each number as a float by the pool's rule (pool._real) and
+reject NaN, infinite and out-of-range arguments; an EpochLedger built from
+a volumes dict checks each volume by record's rule. The dataclasses
 (RegimeParams, FeeSchedule, RebateContext) first apply the package's field
 type rule, pool._check_fields, so every number they hold is finite. The
 rebate and split arithmetic lives once, in the kernels _rebate (elementwise,
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pool import FLOAT_MAX, _check_fields
+from .pool import _check_fields, _nonnegative, _real
 
 REGIMES = ("low", "moderate", "high")
 
@@ -98,8 +99,8 @@ class RebateContext:
 
 def compute_fee(volume: float, gamma: float) -> float:
     """F = gamma * V."""
-    if not 0.0 <= volume <= FLOAT_MAX:
-        raise ValueError(f"volume must be finite and nonnegative, got {volume}")
+    volume = _nonnegative(volume, "volume", ValueError)
+    gamma = gamma if type(gamma) is float else _real(gamma, "gamma", ValueError)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     return gamma * volume
@@ -108,8 +109,7 @@ def compute_fee(volume: float, gamma: float) -> float:
 def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     """Map realized volatility to a regime tag. Both thresholds are inclusive
     on the moderate side."""
-    if not 0.0 <= sigma <= FLOAT_MAX:
-        raise ValueError(f"volatility must be finite and nonnegative, got {sigma}")
+    sigma = _nonnegative(sigma, "volatility", ValueError)
     if sigma < schedule.sigma_low:
         return "low"
     if sigma > schedule.sigma_high:
@@ -135,7 +135,9 @@ def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:
     """
     if rho_max is None:
         rho_max = REBATE_CAP
-    elif not REBATE_FLOOR <= rho_max < 1.0:
+    elif type(rho_max) is not float:
+        rho_max = _real(rho_max, "rho_max", ValueError)
+    if not REBATE_FLOOR <= rho_max < 1.0:
         raise ValueError(f"rho_max must be in [{REBATE_FLOOR}, 1), got {rho_max}")
     return float(_rebate(ctx.current_volume, ctx.target_volume, rho_max))
 
@@ -152,8 +154,8 @@ def _split(fee: float, rho: float) -> tuple[float, float, float]:
 
 def split_fee(fee: float, rho: float) -> FeeSplit:
     """Three-way split: LP 0.3F, rebate rho*F, protocol the remainder."""
-    if not 0.0 <= fee <= FLOAT_MAX:
-        raise ValueError(f"fee must be finite and nonnegative, got {fee}")
+    fee = _nonnegative(fee, "fee", ValueError)
+    rho = rho if type(rho) is float else _real(rho, "rebate ratio", ValueError)
     if not REBATE_FLOOR <= rho <= REBATE_CAP:
         raise ValueError(f"rebate ratio must be in [{REBATE_FLOOR}, {REBATE_CAP}], got {rho}")
     return FeeSplit(fee, *_split(fee, rho))
@@ -175,30 +177,26 @@ class EpochLedger:
     Single-writer: record trades in order, or pass the epoch's trader ->
     volume dict as volumes (default {}), then settle once the epoch closes.
     A given dict is checked by record's rule, every volume finite and
-    nonnegative, in one pass, and then kept. Payouts follow first-trade
-    order, which keeps settlement deterministic.
+    nonnegative and stored back as its float, in one pass, and then kept.
+    Payouts follow first-trade order, which keeps settlement deterministic.
     """
 
     def __init__(self, epoch_id: int = 0, reward_pool: float = 0.0, volumes: dict | None = None):
-        if not 0.0 <= reward_pool <= FLOAT_MAX:
-            raise ValueError(f"reward_pool must be finite and nonnegative, got {reward_pool}")
+        reward_pool = _nonnegative(reward_pool, "reward_pool", ValueError)
         if volumes is None:
             volumes = {}
         for trader, volume in volumes.items():
-            if not 0.0 <= volume <= FLOAT_MAX:
-                raise ValueError(f"trade volume of {trader!r} must be finite and nonnegative, got {volume}")
+            volumes[trader] = _nonnegative(volume, f"trade volume of {trader!r}", ValueError)
         self.epoch_id = epoch_id
         self.reward_pool = reward_pool
         self.volumes: dict[str, float] = volumes
 
     def record(self, trader: str, volume: float):
-        if not 0.0 <= volume <= FLOAT_MAX:
-            raise ValueError(f"trade volume must be finite and nonnegative, got {volume}")
+        volume = _nonnegative(volume, "trade volume", ValueError)
         self.volumes[trader] = self.volumes.get(trader, 0.0) + volume
 
     def add_reward(self, amount: float):
-        if not 0.0 <= amount <= FLOAT_MAX:
-            raise ValueError(f"reward amount must be finite and nonnegative, got {amount}")
+        amount = _nonnegative(amount, "reward amount", ValueError)
         self.reward_pool += amount
 
     @property

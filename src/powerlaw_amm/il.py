@@ -14,13 +14,12 @@ the usual definition; the factor model matches it only for small moves.
 
 The domains are the pool's: a bad exponent n or a price multiplier (m, or
 1+eps) that is not positive and finite raises PoolError from
-pool._check_exponent or pool._check_multiplier. A scalar eps is bounded by
-pool.FLOAT_MAX before 1+eps is formed, and an eps whose square overflows
-in il_powerlaw_taylor is a PoolError too, for a float, a numpy float or an
-array.
+pool._check_exponent or pool._multiplier, and an eps whose square overflows
+in il_powerlaw_taylor is a PoolError too, for a float or an array.
 
-m and eps are a float or a 1-D float array; n is one exponent. A float
-argument returns a Python float, an array an array of the same length. The
+m and eps are a float or a 1-D float array, read as a Python float or a
+float64 array by the pool's rule; n is one exponent. A float argument
+returns a Python float, an array an array of the same length. The
 power goes through pool._pow (libm pow, elementwise), so an array call
 gives the same bits as the per-point float calls.
 """
@@ -29,7 +28,7 @@ import math
 
 import numpy as np
 
-from .pool import FLOAT_MAX, PoolError, _check_exponent, _check_multiplier, _pow
+from .pool import PoolError, _check_exponent, _multiplier, _number, _pow
 
 
 def il_traditional(m: float | np.ndarray) -> float | np.ndarray:
@@ -37,7 +36,7 @@ def il_traditional(m: float | np.ndarray) -> float | np.ndarray:
 
     Symmetric under m <-> 1/m; zero at m=1.
     """
-    _check_multiplier(m)
+    m = _multiplier(m)
     root = np.sqrt(m) if isinstance(m, np.ndarray) else math.sqrt(m)
     return 1.0 - 2.0 * root / (m + 1.0)
 
@@ -61,7 +60,7 @@ def il_powerlaw_exact(epsilon: float | np.ndarray, n: int) -> float | np.ndarray
     1 - (1+eps)^(-1/(n+1)).
     """
     _check_exponent(n)
-    return 1.0 - _pow(_eps_multiplier(epsilon), -1.0 / (n + 1))
+    return 1.0 - _pow(_eps_multiplier(epsilon)[1], -1.0 / (n + 1))
 
 
 def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
@@ -75,7 +74,7 @@ def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
     il_traditional tends to 1/g(n). Unlike the factor model it is not
     symmetric under m <-> 1/m: on a price fall a larger n loses more.
     """
-    _check_multiplier(m)
+    m = _multiplier(m)
     _check_exponent(n)
     return 1.0 - (n + 1) * _pow(m, n / (n + 1)) / (n * m + 1.0)
 
@@ -84,12 +83,12 @@ def il_powerlaw_taylor(epsilon: float | np.ndarray, n: int) -> float | np.ndarra
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
     _check_exponent(n)
-    _eps_multiplier(epsilon)
-    # eps > -1, so the expansion is finite exactly when eps**2 is: a Python
-    # float or int raises OverflowError there, a numpy float gives inf
+    eps, _ = _eps_multiplier(epsilon)
+    # eps > -1, so the expansion is finite exactly when eps**2 is: a float
+    # raises OverflowError there, an array gives inf
     with np.errstate(over="ignore"):
         try:
-            taylor = epsilon / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * epsilon**2
+            taylor = eps / (n + 1) - (n + 2) / (2.0 * (n + 1) ** 2) * eps**2
         except OverflowError:
             taylor = -math.inf
     if not np.isfinite(taylor).all():
@@ -97,14 +96,10 @@ def il_powerlaw_taylor(epsilon: float | np.ndarray, n: int) -> float | np.ndarra
     return taylor
 
 
-def _eps_multiplier(epsilon: float | np.ndarray) -> float | np.ndarray:
-    """The multiplier 1 + eps of the eps forms, checked by the multiplier
-    rule. A scalar eps is bounded first, so an int too large for a float is
-    a PoolError rather than an OverflowError in the addition; an array is
-    added and checked as it is."""
-    if not isinstance(epsilon, np.ndarray) and not abs(epsilon) <= FLOAT_MAX:
-        raise PoolError(f"price multiplier 1 + eps must be positive and finite, got eps = {epsilon}")
-    m = 1.0 + epsilon
-    _check_multiplier(m)
-    return m
+def _eps_multiplier(epsilon: float | np.ndarray) -> tuple:
+    """eps by the number rule, and the multiplier 1 + eps of the eps forms,
+    checked by the multiplier rule (an eps past the float range is inf, so
+    1 + eps fails it)."""
+    eps = _number(epsilon, "eps of the price multiplier 1 + eps")
+    return eps, _multiplier(1.0 + eps)
 

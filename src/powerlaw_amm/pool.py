@@ -10,16 +10,18 @@ instance __dict__; equality, hashing, repr, dataclasses.replace (which
 revalidates through Pool's __init__), pickling and copying are the
 dataclass ones.
 
-Validation happens at the public boundary: the Pool constructor takes only
-finite nonnegative reserves and an integer exponent in [MIN_EXPONENT,
-MAX_EXPONENT] (a numpy integer counts, 4.0 does not), spot_price is the one
-check of pool state (active, with a price n*Y/X in (0, inf)) and every
-function taking a Pool calls it, and the swap functions check the fee rate.
-The swap arithmetic lives once, in the float kernels _buy_x and _sell_x.
-They take the fee rate and return the fee withheld from the input, assume
-a checked pool and fee rate, and own the one check of a trade amount:
-positive and finite, at most SWAP_INPUT_CAP times the matching reserve,
-leaving a price in (0, inf). The market loop calls them on plain floats.
+Validation happens once, at the public boundary, and every number there
+is read as a Python float (_real) or a float64 array. The Pool constructor
+takes only finite nonnegative reserves and an integer exponent in
+[MIN_EXPONENT, MAX_EXPONENT] (a numpy integer counts, 4.0 does not),
+spot_price is the one check of pool state (active, with a price n*Y/X in
+(0, inf)) and every function taking a Pool calls it, and the swap functions
+check the fee rate. The swap arithmetic lives once, in the float kernels
+_buy_x and _sell_x. They take the fee rate and return the fee withheld from
+the input, assume a checked pool and fee rate, and own the one check of a
+trade amount: positive and finite, at most SWAP_INPUT_CAP times the
+matching reserve, leaving a price in (0, inf); a swap's result Pool takes
+their new reserves unchecked. The market loop calls them on plain floats.
 
 The closed forms (depleted_reserves, retention_ratio) take the price
 multiplier m as a float or as a 1-D float array, so a sweep makes one call
@@ -29,15 +31,15 @@ Python's float ** (libm pow) elementwise; every other operation is
 correctly rounded in numpy and in Python alike, so an array call and the
 per-point float calls give the same bits.
 
-The checks shared with the rest of the package live here too: one
-finiteness bound (FLOAT_MAX, a float subclass, which numpy compares with a
-float32 or float16 in float64, so their inf and NaN fail it), one exponent
-domain (_check_exponent), one price-multiplier rule for floats and arrays
-(_check_multiplier), one reserve rule (_is_reserve) and the type rule of
-every config dataclass field (_check_fields).
+The checks shared with the rest of the package live here too: the number
+rule (_real), one finiteness bound (FLOAT_MAX), one exponent domain
+(_check_exponent), one price-multiplier rule for floats and arrays
+(_multiplier) and the type rule of every config dataclass field
+(_check_fields).
 """
 
 import dataclasses
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -52,16 +54,9 @@ MAX_EXPONENT = 8
 SWAP_INPUT_CAP = 10.0
 
 
-class _Float64(float):
-    """A float that numpy does not treat as a weak Python scalar."""
-
-
 # The largest finite float. Every finiteness bound is an exact comparison
-# with it, False for NaN, for inf and for an int too large for a float (a
-# bound `< inf` passes such an int, and arithmetic on it then raises
-# OverflowError). No float lies between it and inf, so a float meets it
-# exactly when it is finite, and numpy casts it to no narrower float.
-FLOAT_MAX = _Float64(sys.float_info.max)
+# with it, False for NaN and inf: no float lies between it and inf.
+FLOAT_MAX = sys.float_info.max
 
 
 class PoolError(ValueError):
@@ -86,9 +81,12 @@ class Pool:
     n: int = 1
 
     def __init__(self, x_reserve: float, y_reserve: float, n: int = 1):
-        _check_exponent(n)
-        if not (_is_reserve(x_reserve) and _is_reserve(y_reserve)):
-            raise PoolError(f"reserves must be finite and nonnegative, got {x_reserve!r}, {y_reserve!r}")
+        # one inline test passes floats in range; anything else takes the full rules
+        if not (type(x_reserve) is float and type(y_reserve) is float and type(n) is int
+                and 0.0 <= x_reserve <= FLOAT_MAX and 0.0 <= y_reserve <= FLOAT_MAX
+                and MIN_EXPONENT <= n <= MAX_EXPONENT):
+            _check_exponent(n)
+            x_reserve, y_reserve = _nonnegative(x_reserve, "reserves"), _nonnegative(y_reserve, "reserves")
         d = self.__dict__
         d["x_reserve"] = x_reserve
         d["y_reserve"] = y_reserve
@@ -105,6 +103,16 @@ class Pool:
         except OverflowError:
             pass
         raise PoolError(f"invariant K = X^n * Y overflows a float for {self}")
+
+
+def _checked_pool(x: float, y: float, n: int) -> Pool:
+    """A Pool of state a swap kernel has proven valid, without the checks."""
+    pool = object.__new__(Pool)
+    d = pool.__dict__
+    d["x_reserve"] = x
+    d["y_reserve"] = y
+    d["n"] = n
+    return pool
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,7 @@ def spot_price(pool: Pool) -> float:
     x, y = pool.x_reserve, pool.y_reserve
     if not (x > 0 and y > 0):
         raise PoolError("pool is inactive (a reserve is zero)")
-    try:
-        price = pool.n * y / x
-    except OverflowError:  # an int reserve whose price is past the float range
-        price = np.inf
+    price = pool.n * y / x
     if not 0.0 < price <= FLOAT_MAX:
         raise PoolError(f"pool price n*y/x is {price}, outside (0, inf)")
     return price
@@ -184,23 +189,27 @@ def swap_y_for_x(pool: Pool, dy_in: float, fee_rate: float = 0.0) -> tuple[Pool,
     """Buy X with dy_in units of Y. The fee is withheld from the input, so only
     dy_in - fee enters the pool and K is preserved exactly on the fee-free part."""
     price_before = spot_price(pool)
+    fee_rate = fee_rate if type(fee_rate) is float else _real(fee_rate, "fee_rate")
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    dy_in = dy_in if type(dy_in) is float else _real(dy_in, "swap input dy_in")
     new_x, new_y, price_after, fee = _buy_x(pool.x_reserve, pool.y_reserve, pool.n, dy_in, fee_rate)
     slippage = (price_after - price_before) / price_before
     result = SwapResult(pool.x_reserve - new_x, fee, price_before, price_after, slippage)
-    return Pool(new_x, new_y, pool.n), result
+    return _checked_pool(new_x, new_y, pool.n), result
 
 
 def swap_x_for_y(pool: Pool, dx_in: float, fee_rate: float = 0.0) -> tuple[Pool, SwapResult]:
     """Sell dx_in units of X for Y. Mirror of swap_y_for_x."""
     price_before = spot_price(pool)
+    fee_rate = fee_rate if type(fee_rate) is float else _real(fee_rate, "fee_rate")
     if not 0.0 <= fee_rate < 1.0:
         raise PoolError(f"fee_rate must be in [0, 1), got {fee_rate}")
+    dx_in = dx_in if type(dx_in) is float else _real(dx_in, "swap input dx_in")
     new_x, new_y, price_after, fee = _sell_x(pool.x_reserve, pool.y_reserve, pool.n, dx_in, fee_rate)
     slippage = (price_after - price_before) / price_before
     result = SwapResult(pool.y_reserve - new_y, fee, price_before, price_after, slippage)
-    return Pool(new_x, new_y, pool.n), result
+    return _checked_pool(new_x, new_y, pool.n), result
 
 
 def reserves_at_price(pool: Pool, target_price: float) -> Pool:
@@ -210,10 +219,9 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
     P/P0 is a price multiplier, so it must be positive and finite.
     """
     p0 = spot_price(pool)
-    if not abs(target_price) <= FLOAT_MAX:  # before dividing by p0
-        raise PoolError(f"price multiplier must be positive and finite, got target price {target_price}")
-    m = target_price / p0
-    _check_multiplier(m)
+    if type(target_price) is not float:
+        target_price = _real(target_price, "target_price of the price multiplier")
+    m = _multiplier(target_price / p0)
     y_t = pool.y_reserve * m ** (pool.n / (pool.n + 1))
     x_t = pool.n * y_t / target_price
     return Pool(x_t, y_t, pool.n)
@@ -222,9 +230,8 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
 def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Stablecoin reserve left after an m-fold price move under the depletion
     convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array."""
-    if not _is_reserve(y0):
-        raise PoolError(f"initial reserve must be finite and nonnegative, got {y0}")
-    _check_multiplier(m)
+    y0 = _nonnegative(y0, "initial reserve")
+    m = _multiplier(m)
     _check_exponent(n)
     return y0 * _pow(m, -1.0 / (n + 1))
 
@@ -232,7 +239,7 @@ def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.nd
 def retention_ratio(m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
     m-fold price move: m^(1/2 - 1/(n+1)). m is a float or a 1-D float array."""
-    _check_multiplier(m)
+    m = _multiplier(m)
     _check_exponent(n)
     return _pow(m, 0.5 - 1.0 / (n + 1))
 
@@ -247,6 +254,8 @@ def min_arbitrage_size(pool: Pool, external_price: float) -> float:
     """Smallest trade that closes a positive external-price gap profitably:
     (P_ext - P) * X / ((n+1) * P). Only the buy direction is modeled."""
     p = spot_price(pool)
+    if type(external_price) is not float:
+        external_price = _real(external_price, "external_price")
     if not abs(external_price) <= FLOAT_MAX:
         raise PoolError(f"external_price must be finite, got {external_price}")
     if external_price < p:
@@ -258,6 +267,7 @@ def slippage_first_order(pool: Pool, dx: float) -> float:
     """First-order slippage for a reserve change dx: -(n+1) * dx / X.
     Valid for |dx| << X; the caller is responsible for staying small."""
     spot_price(pool)  # the pool-state check: active, price in (0, inf)
+    dx = dx if type(dx) is float else _real(dx, "dx")
     if not abs(dx) <= FLOAT_MAX:
         raise PoolError(f"dx must be finite, got {dx}")
     return -(pool.n + 1) * dx / pool.x_reserve
@@ -284,10 +294,44 @@ def _pow(base: float | np.ndarray, e: float) -> float | np.ndarray:
     return base**e
 
 
-def _check_multiplier(m: float | np.ndarray):
-    """The price-multiplier rule of the closed forms: m positive and finite.
-    An array is checked with one mask, and the error names its first bad
-    value."""
+def _real(value, name: str, error: type[ValueError] = PoolError) -> float:
+    """The number rule, for an argument that is not a Python float: a numpy
+    scalar is read as its item(), and a real number that is not a bool
+    becomes float(value), an int past the float range the inf of its sign
+    (the caller's bound rejects it). Anything else is an error naming it."""
+    if isinstance(value, np.generic):
+        value = value.item()
+        if type(value) is float:
+            return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be finite and real, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _nonnegative(value, name: str, error: type[ValueError] = PoolError) -> float:
+    """value by the number rule, if it is finite and nonnegative."""
+    if type(value) is not float:
+        value = _real(value, name, error)
+    if not 0.0 <= value <= FLOAT_MAX:
+        raise error(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
+def _number(value, name: str) -> float | np.ndarray:
+    """value by the number rule, or an array as a float64 array (a float64 one is not copied)."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float)
+    return value if type(value) is float else _real(value, name)
+
+
+def _multiplier(m: float | np.ndarray) -> float | np.ndarray:
+    """The price-multiplier rule of the closed forms: m, by the number rule,
+    positive and finite. An array is checked with one mask, and the error
+    names its first bad value."""
+    m = _number(m, "price multiplier")
     if isinstance(m, np.ndarray):
         bad = ~((m > 0.0) & (m <= FLOAT_MAX))
         if bad.any():
@@ -297,16 +341,7 @@ def _check_multiplier(m: float | np.ndarray):
             )
     elif not 0.0 < m <= FLOAT_MAX:
         raise PoolError(f"price multiplier must be positive and finite, got {m}")
-
-
-def _is_reserve(value) -> bool:
-    """The reserve rule: a real number, as a config float field takes, finite
-    and nonnegative (an empty reserve is allowed)."""
-    return (type(value) is float or _is_real(value)) and 0.0 <= value <= FLOAT_MAX
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return m
 
 
 def _is_integer(value) -> bool:
@@ -318,9 +353,9 @@ def _check_fields(obj):
     an int field takes an integer, a float field a finite real number (bools
     are neither) and a dataclass field an instance of its class. The package
     does not postpone annotations, so each field's type is the class
-    itself. A numpy scalar is read as its item(), and a float field is stored
-    as float(value): an int or a float32 there runs and is echoed as its
-    float twin."""
+    itself. A numpy scalar is read as its item(), and a float field holds
+    its value by the number rule (_real): an int or a float32 there runs and
+    is echoed as its float twin."""
     for f in dataclasses.fields(obj):
         kind = f.type
         value = getattr(obj, f.name)
@@ -329,9 +364,9 @@ def _check_fields(obj):
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if kind is float:
-            if not (_is_real(value) and abs(value) <= FLOAT_MAX):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            value = float(value)
+            value = _real(value, f.name, ValueError)
+            if not abs(value) <= FLOAT_MAX:
+                raise ValueError(f"{f.name} must be finite and real, got {value!r}")
         if dataclasses.is_dataclass(kind) and not isinstance(value, kind):
             raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
         object.__setattr__(obj, f.name, value)

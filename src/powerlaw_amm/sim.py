@@ -84,7 +84,7 @@ from .fees import (
     settle_epoch,
 )
 from .pool import FLOAT_MAX, Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
-from .pool import _check_exponent, _check_fields, _is_reserve
+from .pool import _check_exponent, _check_fields, _nonnegative
 
 # The public fee and swap functions stay importable from this module although
 # the loops call the kernels: bench/tracing.py rebinds these names to time them.
@@ -529,8 +529,7 @@ class MarketLoopConfig:
     def __post_init__(self):
         _check_fields(self)
         for name, value in (("x_reserve", self.x_reserve), ("y_reserve", self.y_reserve)):
-            if not _is_reserve(value):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            _nonnegative(value, name, ValueError)
         try:
             _check_exponent(self.n)
         except PoolError as exc:

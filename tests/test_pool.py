@@ -6,6 +6,7 @@ import hashlib
 import math
 import pickle
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,18 @@ class TestNonFiniteArguments:
 
 BIG = 10**400  # an int past the largest float
 
+
+def _recorded(volume):
+    ledger = EpochLedger()
+    ledger.record("t0", volume)
+    return ledger
+
+
+def _rewarded(amount):
+    ledger = EpochLedger()
+    ledger.add_reward(amount)
+    return ledger
+
 # Every finiteness bound, as (id, call taking the bad value, error, match).
 BOUND_SITES = [
     ("Pool-x", lambda bad: Pool(bad, 1.0, 4), PoolError, "reserves"),
@@ -412,21 +425,25 @@ BOUND_SITES = [
     ("classify_regime", lambda bad: classify_regime(bad, FeeSchedule()), ValueError, "volatility"),
     ("EpochLedger", lambda bad: EpochLedger(0, bad), ValueError, "reward_pool"),
     ("EpochLedger-volumes", lambda bad: EpochLedger(0, 1.0, {"t0": 1.0, "t1": bad}), ValueError, "trade volume of 't1'"),
-    ("EpochLedger.record", lambda bad: EpochLedger().record("t0", bad), ValueError, "trade volume"),
-    ("EpochLedger.add_reward", lambda bad: EpochLedger().add_reward(bad), ValueError, "reward amount"),
+    ("EpochLedger.record", lambda bad: _recorded(bad), ValueError, "trade volume"),
+    ("EpochLedger.add_reward", lambda bad: _rewarded(bad), ValueError, "reward amount"),
 ]
-# An int past the largest float (the bare site id), and a float32 inf and a
+# An int past the largest float (the bare site id); a float32 inf and a
 # float16 NaN, which numpy would compare with a plain-float bound in their
-# own type, where the largest float is inf.
-BAD_VALUES = [(BIG, ""), (np.float32("inf"), "-float32-inf"), (np.float16("nan"), "-float16-nan")]
+# own type, where the largest float is inf; and a bool and a string, which
+# are not numbers.
+BAD_VALUES = [
+    (BIG, ""), (np.float32("inf"), "-float32-inf"), (np.float16("nan"), "-float16-nan"),
+    (True, "-bool"), ("5", "-str"),
+]
 
 
 class TestIntegersPastFloatRange:
-    """A value that is not a finite float is rejected by the finiteness
-    bound, which compares it exactly with the largest float and in float64:
-    an int too large for a float does not pass a bound `< inf` and raise
-    OverflowError in the arithmetic after it, and a narrow numpy inf or NaN
-    is not compared in its own type."""
+    """A value that is not a finite float is rejected, with an error naming
+    the argument: an int too large for a float does not pass a bound
+    `< inf` and raise OverflowError in the arithmetic after it, a narrow
+    numpy inf or NaN is not compared in its own type, and a bool or a
+    string is not taken as a number."""
 
     @pytest.mark.parametrize(
         "call, bad, error, name",
@@ -445,6 +462,68 @@ class TestIntegersPastFloatRange:
     def test_rejected_with_a_named_value_error(self, call, bad, error, name):
         with pytest.raises(error, match=name):
             call(bad)
+
+
+# A valid value for each of BOUND_SITES (the pool there has spot price 4).
+GOOD_VALUES = {
+    "Pool-x": 3.0, "Pool-y": 3.0, "swap_y_for_x": 10.0, "swap_y_for_x-fee": 10.0, "swap_x_for_y-fee": 10.0,
+    "slippage_first_order": 2.0, "retention_ratio": 3.0, "depleted_reserves-y0": 3.0, "depleted_reserves-m": 3.0,
+    "il_traditional": 3.0, "il_hold": 3.0, "il_powerlaw_exact": 2.0, "il_powerlaw_taylor": 0.1,
+    "reserves_at_price": 40.0, "min_arbitrage_size": 5.0, "compute_fee": 100.0, "split_fee": 2.0,
+    "classify_regime": 0.02, "EpochLedger": 3.0, "EpochLedger-volumes": 2.0, "EpochLedger.record": 2.0,
+    "EpochLedger.add_reward": 2.0,
+}
+
+
+def _values(result) -> list:
+    """The numbers and strings a bound site's call returns, flattened."""
+    if isinstance(result, EpochLedger):
+        return [result.reward_pool, *result.volumes.values()]
+    if dataclasses.is_dataclass(result):
+        return list(dataclasses.astuple(result))
+    if isinstance(result, tuple):
+        return [value for part in result for value in _values(part)]
+    return [result]
+
+
+class TestNumpyScalarTwins:
+    """A numpy scalar argument is read as the Python float it equals: each
+    bound site returns Python floats equal to those of its float twin (a
+    float32's twin is the float it rounds to, and it computes in float64)."""
+
+    def test_every_site_has_a_good_value(self):
+        assert set(GOOD_VALUES) == {site for site, *_ in BOUND_SITES}
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("site, call", [(site, call) for site, call, *_ in BOUND_SITES])
+    def test_returns_the_python_float_twins_values(self, site, call, kind):
+        good = GOOD_VALUES[site]
+        if kind is np.int64 and not good.is_integer():
+            pytest.skip("no integer is a valid value here")
+        want = _values(call(float(kind(good))))
+        got = _values(call(kind(good)))
+        assert all(type(value) in (float, int, str) for value in want)
+        assert [type(value) for value in got] == [type(value) for value in want]
+        assert got == want
+
+    def test_float32_swap_keeps_k_in_float64(self):
+        pool = Pool(100.0, 100.0, 4)
+        new_pool, _ = swap_y_for_x(pool, np.float32(10.0), 0.003)
+        assert type(new_pool.x_reserve) is float and type(new_pool.y_reserve) is float
+        assert new_pool.invariant == pytest.approx(1e10, rel=1e-15)
+
+    def test_float32_reserves_price_in_float64_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            price = spot_price(Pool(np.float32(1e-30), np.float32(1e30), 8))
+        assert type(price) is float
+        assert price == 8 * float(np.float32(1e30)) / float(np.float32(1e-30))
+
+    def test_float32_array_computes_in_float64(self):
+        m = np.array([0.5, 2.0, 100.0, 1e30], dtype=np.float32)
+        got = retention_ratio(m, 4)
+        assert got.dtype == np.float64
+        assert got.tobytes() == retention_ratio(m.astype(float), 4).tobytes()
 
 
 class TestSwapKernels:
@@ -532,9 +611,9 @@ class TestValueSemantics:
         assert pool == self.POOL
 
 
-# The digest of QUOTE_STREAM below, computed before Pool and SwapResult got
-# their hand-written constructors. It pins every bit of every quote.
-QUOTE_STREAM_DIGEST = "fff9c2a3974b0973c9d70861d3cb4c9dd568cea8cb21fd150646c683de507f93"
+# The digest of the quote stream below, computed before public arguments
+# were read as Python floats. It pins every bit of every quote.
+QUOTE_STREAM_DIGEST = "9e96e5af11d2d535379f528a087b292929fd709e8efc721508c2b79aac6375f5"
 
 
 class TestQuoteStreamOracle:
@@ -548,15 +627,17 @@ class TestQuoteStreamOracle:
     def quotes(self):
         rng = np.random.default_rng(20240601)
         n = self.COUNT
-        x = 10.0 ** rng.uniform(-2.0, 8.0, n)
-        y = 10.0 ** rng.uniform(-2.0, 8.0, n)
-        exponent = rng.integers(1, 9, n)
-        buy = rng.random(n) < 0.5
+        # each power and exp is libm's, one value at a time: numpy's array
+        # power and exp round differently on a CPU with AVX-512
+        x = [10.0**v for v in rng.uniform(-2.0, 8.0, n).tolist()]
+        y = [10.0**v for v in rng.uniform(-2.0, 8.0, n).tolist()]
+        exponent = rng.integers(1, 9, n).tolist()
+        buy = (rng.random(n) < 0.5).tolist()
         fee = rng.uniform(0.0, 0.03, n)
         fee[:8] = 0.0
-        size = np.exp(math.log(0.05) + 2.5 * rng.standard_normal(n))
-        amount = np.where(buy, y, x) * size
-        return zip(x.tolist(), y.tolist(), exponent.tolist(), buy.tolist(), amount.tolist(), fee.tolist())
+        size = [math.exp(math.log(0.05) + 2.5 * z) for z in rng.standard_normal(n).tolist()]
+        amount = [(y_i if b else x_i) * s for x_i, y_i, b, s in zip(x, y, buy, size)]
+        return zip(x, y, exponent, buy, amount, fee.tolist())
 
     def test_digest(self):
         digest = hashlib.sha256()
@@ -589,3 +670,6 @@ class TestQuoteStreamOracle:
         assert 800 <= buys <= 1200
         assert exponents == set(range(1, 9))
         assert digest.hexdigest() == QUOTE_STREAM_DIGEST
+
+    def test_digest_does_not_depend_on_avx512(self, run_without_avx512):
+        run_without_avx512(f"{__file__}::TestQuoteStreamOracle::test_digest")

@@ -9,9 +9,6 @@ and compares its file with the oracle's, byte for byte."""
 import dataclasses
 import decimal
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -352,47 +349,7 @@ def test_kernel_writes_strings_as_utf8(tmp_path):
     assert path.read_bytes() == old_csv("table", {}, ["epoch", "trader", "reward"], rows)
 
 
-def _avx512_targets() -> list:
-    """The AVX-512 targets numpy dispatches to on this CPU, by numpy's own names."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    return [
-        name
-        for name in __cpu_dispatch__
-        if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)
-    ]
-
-
-# Run in the child: check that numpy switched the named targets off, then run
-# the kernel tests. -W error makes numpy's ImportWarning for a name it cannot
-# disable an error.
-_WITHOUT_TARGETS = """
-import sys
-import pytest
-from numpy._core._multiarray_umath import __cpu_features__
-still_on = [name for name in sys.argv[1].split() if __cpu_features__[name]]
-if still_on:
-    sys.exit(f"still dispatched: {still_on}")
-sys.exit(pytest.main(sys.argv[2:]))
-"""
-
-
-def test_cells_do_not_depend_on_avx512(tmp_path):
+def test_cells_do_not_depend_on_avx512(run_without_avx512):
     # numpy's AVX-512 log10 rounds differently from its baseline one; the
     # digits must not depend on it
-    targets = _avx512_targets()
-    if not targets:
-        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
-    names = " ".join(targets)
-    proc = subprocess.run(
-        [
-            sys.executable, "-W", "error", "-c", _WITHOUT_TARGETS, names,
-            "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path / "child"),
-            "-k", "kernel", __file__,
-        ],
-        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": names},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    run_without_avx512("-k", "kernel", __file__)
