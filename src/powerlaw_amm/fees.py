@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pool import _check_fields, _nonnegative, _real
+from .pool import FLOAT_MAX, _check_fields, _nonnegative, _real
 
 REGIMES = ("low", "moderate", "high")
 
@@ -193,11 +193,17 @@ class EpochLedger:
 
     def record(self, trader: str, volume: float):
         volume = _nonnegative(volume, "trade volume", ValueError)
-        self.volumes[trader] = self.volumes.get(trader, 0.0) + volume
+        total = self.volumes.get(trader, 0.0) + volume
+        if total > FLOAT_MAX:
+            raise ValueError(f"trade volume {volume} overflows the epoch volume of {trader!r}, a float")
+        self.volumes[trader] = total
 
     def add_reward(self, amount: float):
         amount = _nonnegative(amount, "reward amount", ValueError)
-        self.reward_pool += amount
+        pool = self.reward_pool + amount
+        if pool > FLOAT_MAX:
+            raise ValueError(f"reward amount {amount} overflows the reward pool {self.reward_pool}, a float")
+        self.reward_pool = pool
 
     @property
     def total_volume(self) -> float:
@@ -213,13 +219,20 @@ def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
     out negative: EpochLedger(0, 0.0719, {"t0": 12.5, "t1": 1.89e13, "t2":
     2.9e-12}) pays t2 -1.3877787807814457e-17. A zero-volume epoch settles
     to an empty payout list; the caller carries the pool into the next
-    epoch.
+    epoch. A ledger whose total volume, or whose payouts before the last,
+    sum past the largest float is a ValueError naming the epoch.
     """
     total = ledger.total_volume
+    if total > FLOAT_MAX:
+        raise ValueError(f"epoch {ledger.epoch_id}: total volume {total} overflows a float")
     if total <= 0:
         return []
     traders = list(ledger.volumes)
     payouts = [(t, ledger.volumes[t] / total * ledger.reward_pool) for t in traders[:-1]]
     paid = _sum_left(p for _, p in payouts)
+    if paid > FLOAT_MAX:
+        raise ValueError(
+            f"epoch {ledger.epoch_id}: payouts of the reward pool {ledger.reward_pool} overflow a float"
+        )
     payouts.append((traders[-1], ledger.reward_pool - paid))
     return payouts

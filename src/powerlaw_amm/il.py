@@ -18,10 +18,11 @@ pool._check_exponent or pool._multiplier, and an eps whose square overflows
 in il_powerlaw_taylor is a PoolError too, for a float or an array.
 
 m and eps are a float or a 1-D float array, read as a Python float or a
-float64 array by the pool's rule; n is one exponent. A float argument
-returns a Python float, an array an array of the same length. The
-power goes through pool._pow (libm pow, elementwise), so an array call
-gives the same bits as the per-point float calls.
+float64 array by the pool's rule; n is one exponent, read as a Python int
+by the exponent rule. A float argument returns a Python float for any
+accepted n, a numpy integer too, and an array an array of the same
+length. The power goes through pool._pow (libm pow, elementwise), so an
+array call gives the same bits as the per-point float calls.
 """
 
 import math
@@ -43,7 +44,7 @@ def il_traditional(m: float | np.ndarray) -> float | np.ndarray:
 
 def il_improvement_factor(n: int) -> float:
     """g(n) = (n+1)^2 / (4n); g(1) = 1."""
-    _check_exponent(n)
+    n = _check_exponent(n)
     return (n + 1) ** 2 / (4.0 * n)
 
 
@@ -59,7 +60,7 @@ def il_powerlaw_exact(epsilon: float | np.ndarray, n: int) -> float | np.ndarray
     (n+1)*Y0*(1+eps); the common prefactor cancels, leaving
     1 - (1+eps)^(-1/(n+1)).
     """
-    _check_exponent(n)
+    n = _check_exponent(n)
     return 1.0 - _pow(_eps_multiplier(epsilon)[1], -1.0 / (n + 1))
 
 
@@ -75,14 +76,14 @@ def il_hold(m: float | np.ndarray, n: int) -> float | np.ndarray:
     symmetric under m <-> 1/m: on a price fall a larger n loses more.
     """
     m = _multiplier(m)
-    _check_exponent(n)
+    n = _check_exponent(n)
     return 1.0 - (n + 1) * _pow(m, n / (n + 1)) / (n * m + 1.0)
 
 
 def il_powerlaw_taylor(epsilon: float | np.ndarray, n: int) -> float | np.ndarray:
     """Two-term small-eps expansion of the exact power-law IL:
     eps/(n+1) - (n+2)/(2*(n+1)^2) * eps^2."""
-    _check_exponent(n)
+    n = _check_exponent(n)
     eps, _ = _eps_multiplier(epsilon)
     # eps > -1, so the expansion is finite exactly when eps**2 is: a float
     # raises OverflowError there, an array gives inf

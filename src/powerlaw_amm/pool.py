@@ -13,7 +13,8 @@ dataclass ones.
 Validation happens once, at the public boundary, and every number there
 is read as a Python float (_real) or a float64 array. The Pool constructor
 takes only finite nonnegative reserves and an integer exponent in
-[MIN_EXPONENT, MAX_EXPONENT] (a numpy integer counts, 4.0 does not),
+[MIN_EXPONENT, MAX_EXPONENT] (a numpy integer counts, 4.0 does not), and
+every function taking n holds and computes with it as a Python int;
 spot_price is the one check of pool state (active, with a price n*Y/X in
 (0, inf)) and every function taking a Pool calls it, and the swap functions
 check the fee rate. The swap arithmetic lives once, in the float kernels
@@ -26,16 +27,16 @@ their new reserves unchecked. The market loop calls them on plain floats.
 The closed forms (depleted_reserves, retention_ratio) take the price
 multiplier m as a float or as a 1-D float array, so a sweep makes one call
 per exponent rather than one per grid point. A float argument returns a
-Python float. The only power they raise goes through _pow, which is
-Python's float ** (libm pow) elementwise; every other operation is
-correctly rounded in numpy and in Python alike, so an array call and the
-per-point float calls give the same bits.
+Python float, for any accepted n. The only power they raise goes through
+_pow, which is Python's float ** (libm pow) elementwise; every other
+operation is correctly rounded in numpy and in Python alike, so an array
+call and the per-point float calls give the same bits.
 
 The checks shared with the rest of the package live here too: the number
-rule (_real), one finiteness bound (FLOAT_MAX), one exponent domain
-(_check_exponent), one price-multiplier rule for floats and arrays
-(_multiplier) and the type rule of every config dataclass field
-(_check_fields).
+rule (_real), one finiteness bound (FLOAT_MAX), one exponent rule
+(_check_exponent, which returns the Python int it checked), one
+price-multiplier rule for floats and arrays (_multiplier) and the type rule
+of every config dataclass field (_check_fields).
 """
 
 import dataclasses
@@ -85,7 +86,7 @@ class Pool:
         if not (type(x_reserve) is float and type(y_reserve) is float and type(n) is int
                 and 0.0 <= x_reserve <= FLOAT_MAX and 0.0 <= y_reserve <= FLOAT_MAX
                 and MIN_EXPONENT <= n <= MAX_EXPONENT):
-            _check_exponent(n)
+            n = _check_exponent(n)
             x_reserve, y_reserve = _nonnegative(x_reserve, "reserves"), _nonnegative(y_reserve, "reserves")
         d = self.__dict__
         d["x_reserve"] = x_reserve
@@ -232,7 +233,7 @@ def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.nd
     convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array."""
     y0 = _nonnegative(y0, "initial reserve")
     m = _multiplier(m)
-    _check_exponent(n)
+    n = _check_exponent(n)
     return y0 * _pow(m, -1.0 / (n + 1))
 
 
@@ -240,14 +241,13 @@ def retention_ratio(m: float | np.ndarray, n: int) -> float | np.ndarray:
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
     m-fold price move: m^(1/2 - 1/(n+1)). m is a float or a 1-D float array."""
     m = _multiplier(m)
-    _check_exponent(n)
+    n = _check_exponent(n)
     return _pow(m, 0.5 - 1.0 / (n + 1))
 
 
 def price_elasticity(n: int) -> float:
     """d log P / d log X = -(n+1)."""
-    _check_exponent(n)
-    return -(n + 1.0)
+    return -(_check_exponent(n) + 1.0)
 
 
 def min_arbitrage_size(pool: Pool, external_price: float) -> float:
@@ -276,8 +276,7 @@ def slippage_first_order(pool: Pool, dx: float) -> float:
 def slippage_ratio(n: int) -> float:
     """Slippage of an exponent-n pool relative to n=1 for the same trade:
     (n+1)/2."""
-    _check_exponent(n)
-    return (n + 1) / 2.0
+    return (_check_exponent(n) + 1) / 2.0
 
 
 def _pow(base: float | np.ndarray, e: float) -> float | np.ndarray:
@@ -372,8 +371,10 @@ def _check_fields(obj):
         object.__setattr__(obj, f.name, value)
 
 
-def _check_exponent(n: int):
-    """The exponent rule: an integer in [MIN_EXPONENT, MAX_EXPONENT]; numpy
-    integers count, bools and floats (4.0 too) do not."""
+def _check_exponent(n, name: str = "exponent", error: type[ValueError] = PoolError) -> int:
+    """The exponent rule: n as a Python int, if it is an integer in
+    [MIN_EXPONENT, MAX_EXPONENT]; numpy integers count, bools and floats
+    (4.0 too) do not. The error names the field."""
     if not ((type(n) is int or _is_integer(n)) and MIN_EXPONENT <= n <= MAX_EXPONENT):
-        raise PoolError(f"exponent must be an integer in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n!r}")
+        raise error(f"{name} must be an integer in [{MIN_EXPONENT}, {MAX_EXPONENT}], got {n!r}")
+    return int(n)

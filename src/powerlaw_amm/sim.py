@@ -55,10 +55,11 @@ nested config), then its own
 range rules; MarketLoopConfig applies the pool's exponent, reserve and
 pool-state rules to n, x_reserve and y_reserve and checks that the median
 trade is a positive float, and SweepGridConfig the exponent rule to each
-entry of n_values, naming its index. The trade loop then runs on
-plain floats and the DRS recurrence on float arrays, through the pool and
-fee kernels (pool._buy_x, pool._sell_x, fees._rebate, fees._split), which
-assume checked inputs.
+entry of n_values, naming its index, and holds each entry as the Python
+int it checked. The trade loop then runs on plain floats and the DRS
+recurrence on float arrays, through the pool and fee kernels
+(pool._buy_x, pool._sell_x, fees._rebate, fees._split), which assume
+checked inputs.
 drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
 """
@@ -422,11 +423,9 @@ class SweepGridConfig:
             raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
         if not self.n_values:
             raise ValueError("n_values must hold at least one exponent, got []")
-        for i, n in enumerate(self.n_values):
-            try:
-                _check_exponent(n)
-            except PoolError as exc:
-                raise ValueError(f"n_values[{i}]: {exc}") from None
+        n_values = [_check_exponent(n, f"n_values[{i}]: exponent", ValueError)
+                    for i, n in enumerate(self.n_values)]
+        object.__setattr__(self, "n_values", n_values)
 
     def m_grid(self) -> np.ndarray:
         return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
@@ -530,10 +529,7 @@ class MarketLoopConfig:
         _check_fields(self)
         for name, value in (("x_reserve", self.x_reserve), ("y_reserve", self.y_reserve)):
             _nonnegative(value, name, ValueError)
-        try:
-            _check_exponent(self.n)
-        except PoolError as exc:
-            raise ValueError(f"n: {exc}") from None
+        _check_exponent(self.n, "n: exponent", ValueError)
         if self.epochs < 1 or self.periods_per_epoch < 1:
             raise ValueError("epochs and periods_per_epoch must be >= 1")
         if self.target_volume <= 0:

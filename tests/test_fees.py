@@ -20,6 +20,7 @@ from powerlaw_amm.fees import (
     settle_epoch,
     split_fee,
 )
+from powerlaw_amm.pool import FLOAT_MAX
 
 
 class TestComputeFee:
@@ -328,3 +329,34 @@ class TestLedgerInputs:
         with pytest.raises(ValueError, match="amount"):
             ledger.add_reward(value)
         assert ledger.reward_pool == 1.0
+
+
+class TestSettlementPastFloatRange:
+    """Each input is finite, but a sum of them is not: the ledger refuses
+    rather than pay inf or NaN, or give one trader the whole pool."""
+
+    def test_reward_pool_overflow_names_the_amount(self):
+        ledger = EpochLedger(0, 1e308, {"a": 1.0, "b": 3.0})
+        with pytest.raises(ValueError, match=r"reward amount 1e\+308 overflows the reward pool"):
+            ledger.add_reward(1e308)
+        assert ledger.reward_pool == 1e308
+        assert settle_epoch(ledger) == [("a", 2.5e307), ("b", 7.5e307)]
+
+    def test_trader_volume_overflow_names_the_trader(self):
+        ledger = EpochLedger(0, 1.0)
+        ledger.record("a", 1e308)
+        with pytest.raises(ValueError, match=r"trade volume 1e\+308 overflows the epoch volume of 'a'"):
+            ledger.record("a", 1e308)
+        assert ledger.volumes == {"a": 1e308}
+
+    def test_total_volume_overflow_names_the_epoch(self):
+        ledger = EpochLedger(7, 1.0, {"a": 1e308, "b": 1e308})
+        with pytest.raises(ValueError, match="epoch 7: total volume inf overflows a float"):
+            settle_epoch(ledger)
+
+    def test_payout_sum_overflow_names_the_epoch(self):
+        # the shares before the last each round up, and their sum passes the largest float
+        ledger = EpochLedger(3, FLOAT_MAX, {"a": 6.098847240216778, "b": 6.107337163044295,
+                                            "c": 5.85391976940883, "d": 0.0})
+        with pytest.raises(ValueError, match="epoch 3: payouts of the reward pool"):
+            settle_epoch(ledger)

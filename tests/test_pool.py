@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import decimal
 import hashlib
 import math
 import pickle
 import struct
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerlaw_amm.fees import EpochLedger, FeeSchedule, classify_regime, compute_fee, split_fee
-from powerlaw_amm.il import il_hold, il_powerlaw_exact, il_powerlaw_taylor, il_traditional
+from powerlaw_amm.il import (
+    il_hold,
+    il_improvement_factor,
+    il_powerlaw_exact,
+    il_powerlaw_taylor,
+    il_proposed_scaled,
+    il_traditional,
+)
 from powerlaw_amm.pool import (
     Pool,
     PoolError,
@@ -289,7 +298,7 @@ class TestBoundaryValidation:
 
     def test_numpy_integer_exponent_is_an_integer(self):
         n = np.int64(4)
-        assert Pool(100.0, 1000.0, n).n is n
+        assert type(Pool(100.0, 1000.0, n).n) is int
         assert spot_price(Pool(100.0, 1000.0, n)) == spot_price(Pool(100.0, 1000.0, 4))
         m = np.array([0.5, 2.0, 100.0])
         assert retention_ratio(m, n).tobytes() == retention_ratio(m, 4).tobytes()
@@ -475,6 +484,29 @@ GOOD_VALUES = {
 }
 
 
+# Every site taking an exponent, as (id, call taking n): each reads n by the
+# exponent rule, so a numpy integer n computes as its Python int.
+EXPONENT_SITES = [
+    ("Pool", lambda n: Pool(100.0, 1000.0, n)),
+    ("swap_y_for_x", lambda n: swap_y_for_x(Pool(100.0, 1000.0, n), 10.0, 0.003)),
+    ("swap_x_for_y", lambda n: swap_x_for_y(Pool(100.0, 1000.0, n), 10.0, 0.003)),
+    ("spot_price", lambda n: spot_price(Pool(100.0, 1000.0, n))),
+    ("invariant", lambda n: Pool(100.0, 1000.0, n).invariant),
+    ("reserves_at_price", lambda n: reserves_at_price(Pool(100.0, 1000.0, n), 77.0)),
+    ("min_arbitrage_size", lambda n: min_arbitrage_size(Pool(100.0, 1000.0, n), 100.0)),
+    ("slippage_first_order", lambda n: slippage_first_order(Pool(100.0, 1000.0, n), 2.0)),
+    ("depleted_reserves", lambda n: depleted_reserves(3.0, 2.5, n)),
+    ("retention_ratio", lambda n: retention_ratio(2.5, n)),
+    ("price_elasticity", lambda n: price_elasticity(n)),
+    ("slippage_ratio", lambda n: slippage_ratio(n)),
+    ("il_improvement_factor", lambda n: il_improvement_factor(n)),
+    ("il_proposed_scaled", lambda n: il_proposed_scaled(2.5, n)),
+    ("il_powerlaw_exact", lambda n: il_powerlaw_exact(1.5, n)),
+    ("il_hold", lambda n: il_hold(2.5, n)),
+    ("il_powerlaw_taylor", lambda n: il_powerlaw_taylor(0.1, n)),
+]
+
+
 def _values(result) -> list:
     """The numbers and strings a bound site's call returns, flattened."""
     if isinstance(result, EpochLedger):
@@ -505,6 +537,25 @@ class TestNumpyScalarTwins:
         assert all(type(value) in (float, int, str) for value in want)
         assert [type(value) for value in got] == [type(value) for value in want]
         assert got == want
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("site, call", EXPONENT_SITES)
+    def test_numpy_exponent_returns_the_int_twins_values(self, site, call, n, kind):
+        want = _values(call(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _values(call(kind(n)))
+        assert all(type(value) in (float, int) for value in want)
+        assert [type(value) for value in got] == [type(value) for value in want]
+        assert got == want
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_exponent_price_overflow_is_a_pool_error(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoolError, match=r"pool price n\*y/x is inf"):
+                spot_price(Pool(1e-300, 1e300, kind(8)))
 
     def test_float32_swap_keeps_k_in_float64(self):
         pool = Pool(100.0, 100.0, 4)
@@ -538,6 +589,48 @@ class TestSwapKernels:
         new_pool, res = swap(Pool(100.0, 1000.0, 4), 7.0, 0.003)
         assert fee == 0.003 * 7.0 == res.fee_paid
         assert (new_x, new_y, price) == (new_pool.x_reserve, new_pool.y_reserve, res.price_after)
+
+
+class TestSwapKernelOracle:
+    """_buy_x and _sell_x against exact arithmetic (stdlib decimal, 60
+    digits). Each kernel stores one new reserve as a rounded sum (y + dy on
+    a buy, x + dx on a sell) and computes the other from it; the error of
+    that other reserve is measured against its exact value given the sum
+    as rounded, in ulps of the old reserve.
+
+    Measured over 3 x 3000 and 20000 random cases per decade of r = dy/y
+    (or dx/x) in [1e-14, 10], reserves log-uniform in [1e-3, 1e8] and n in
+    1..8: buys at most 1.18 ulp of x; sells at most 0.97 ulp of y at n = 1,
+    rising with n to 4.71 at n = 8, because the quotient x/x' is rounded
+    and then raised to the power n. The budgets are 1.5 ulp on a buy and
+    n/2 + 1.5 ulp on a sell."""
+
+    CASES_PER_DECADE = 200
+
+    def cases(self):
+        rng = np.random.default_rng(20261019)
+        for decade in range(-14, 1):
+            for _ in range(self.CASES_PER_DECADE):
+                x, y = (10.0 ** v for v in rng.uniform(-3.0, 8.0, 2).tolist())
+                yield x, y, 10.0 ** rng.uniform(decade, decade + 1), int(rng.integers(1, 9))
+
+    def test_errors_within_budget(self):
+        worst_buy = worst_sell = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for x, y, r, n in self.cases():
+                new_x, new_y, _, _ = _buy_x(x, y, n, r * y, 0.0)
+                exact = Decimal(x) * (Decimal(y) / Decimal(new_y)) ** (Decimal(1) / n)
+                error = abs(float((Decimal(new_x) - exact) / Decimal(math.ulp(x))))
+                assert error <= 1.5, (x, y, r, n, error)
+                worst_buy = max(worst_buy, error)
+                new_x, new_y, _, _ = _sell_x(x, y, n, r * x, 0.0)
+                exact = Decimal(y) * (Decimal(x) / Decimal(new_x)) ** n
+                error = abs(float((Decimal(new_y) - exact) / Decimal(math.ulp(y))))
+                assert error <= n / 2 + 1.5, (x, y, r, n, error)
+                worst_sell = max(worst_sell, error)
+        # the oracle sees real rounding, not exact agreement
+        assert worst_buy > 0.5 and worst_sell > 1.0
 
 
 class TestValueSemantics:
@@ -605,10 +698,11 @@ class TestValueSemantics:
         with pytest.raises(TypeError):
             SwapResult(0.5, 0.01, 8.0, 9.5)
 
-    def test_numpy_exponent_kept_as_given(self):
+    def test_numpy_exponent_stored_as_its_int(self):
         pool = Pool(1.0, 2.0, np.int64(4))
-        assert type(pool.n) is np.int64
+        assert type(pool.n) is int
         assert pool == self.POOL
+        assert repr(pool) == repr(self.POOL)
 
 
 # The digest of the quote stream below, computed before public arguments

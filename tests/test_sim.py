@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -845,6 +846,35 @@ class TestRebateComposition:
         assert dynamic_rebate(RebateContext(0.0, 1000.0), rho_max=sched.low.rho_max) == 0.30
 
 
+def k_drift(cfg, res) -> Fraction:
+    """|K_final / K_0 - 1| of a market-loop run, exactly: K = X^n * Y from
+    the Fractions of the reserves, so the check itself does not round."""
+    k0 = Fraction(cfg.x_reserve) ** cfg.n * Fraction(cfg.y_reserve)
+    final = res.final_pool
+    return abs(Fraction(final.x_reserve) ** cfg.n * Fraction(final.y_reserve) / k0 - 1)
+
+
+def k_bound(n: int, trades: int) -> float:
+    """The worst-case |K_final / K_0 - 1| after `trades` swaps at exponent n.
+
+    The fee is withheld from the input before it enters the pool (it goes to
+    the fee buckets), so the pool sees only the rest, and the kernel sets the
+    other reserve so that x'^n * y' = x^n * y in exact arithmetic. The one
+    new reserve that is not rounded from a sum is the only error. With
+    u = 2**-53 and libm's pow within one ulp (2u):
+    - a buy, x' = x * (y / y')**(1/n) with y' = y + dy as stored, rounds the
+      quotient (u, scaled by 1/n), 1/n (u times |log(y/y')| / n, and the
+      input cap keeps |log(y/y')| <= log(11) < 2.4), the pow (2u) and the
+      product (u): x' is within 3u + 3.4u/n, and K = x'^n * y' within
+      3n*u + 3.4u;
+    - a sell, y' = y * (x / x')**n, rounds the quotient (u, scaled by n),
+      the pow (2u) and the product (u): K within (n + 3)u.
+    Each trade then moves K by a factor within b = (3n + 5)u of 1 (one u
+    over the first-order terms), and N trades by (1 + b)**N - 1.
+    """
+    return math.expm1(trades * math.log1p((3 * n + 5) * 2.0**-53))
+
+
 class TestWholeRunConservation:
     """Conservation identities over whole market-loop runs, not single calls."""
 
@@ -891,6 +921,19 @@ class TestWholeRunConservation:
                 assert er.carried == er.reward_pool
         final = res.final_pool
         assert 0.0 < final.x_reserve < math.inf and 0.0 < final.y_reserve < math.inf
+        assert k_drift(cfg, res) <= k_bound(n, res.executed_trades)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_k_over_200k_trades(self, n):
+        # 20 x 100 x Poisson(100): measured 2.0e-14 (n = 1), 1.7e-13 (4) and
+        # 3.8e-14 (8), against worst-case bounds of 1.6e-10 to 6.2e-10
+        cfg = MarketLoopConfig(
+            n=n, epochs=20, periods_per_epoch=100, seed=31,
+            stream=TradeStreamConfig(trades_per_period=100.0, num_traders=1000),
+        )
+        res = run_market_loop(cfg)
+        assert res.executed_trades > 200_000
+        assert k_drift(cfg, res) <= k_bound(n, res.executed_trades)
 
 
 class TestFeeFreeArbitragePath:
