@@ -44,6 +44,7 @@ directory (used when --out is not given).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -530,7 +531,12 @@ def cmd_market_loop(args) -> int:
 # Parser and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and each subcommand's func looks up the functions it calls when it
+    runs, so a name rebound in this module after the first build is the one
+    called."""
     files = argparse.ArgumentParser(add_help=False)
     files.add_argument("--config", help="JSON config file; unknown keys are rejected")
     files.add_argument("--out", help="output file path")

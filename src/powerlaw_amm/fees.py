@@ -14,9 +14,12 @@ reject NaN, infinite and out-of-range arguments; an EpochLedger built from
 a volumes dict checks each volume by record's rule. The dataclasses
 (RegimeParams, FeeSchedule, RebateContext) first apply the package's field
 type rule, pool._check_fields, so every number they hold is finite. The
-rebate and split arithmetic lives once, in the kernels _rebate (elementwise,
-so the DRS experiment applies it to a block of volumes) and _split, which
-assume checked inputs; the public functions and the simulators call them.
+rebate and split arithmetic lives once, in the kernels _rebate and _split,
+which assume checked inputs; the public functions and the simulators call
+them. Both are elementwise: the DRS experiment applies _rebate to a block of
+volumes, and the market loop's epoch close applies _rebate to its periods'
+volumes with each period's regime cap (the cap min(REBATE_CAP, rho_max) is
+np.minimum, so rho_max may be an array) and _split to its trades' fees.
 """
 
 from dataclasses import dataclass, field
@@ -117,14 +120,17 @@ def classify_regime(sigma: float, schedule: FeeSchedule) -> str:
     return "moderate"
 
 
-def _rebate(volume, target: float, rho_max: float, out=None):
+def _rebate(volume, target: float, rho_max, out=None):
     """Kernel of dynamic_rebate: 0.4 + 0.1*(1 - volume/target) clamped to
     [REBATE_FLOOR, min(REBATE_CAP, rho_max)], elementwise over a volume
-    array and written to out if given. A float volume gives a numpy float64,
-    which scalar callers turn into a float. Assumes finite nonnegative
-    volumes, a finite positive target and rho_max >= REBATE_FLOOR."""
+    array and a rho_max array that broadcasts with it, and written to out if
+    given. A float volume gives a numpy float64, which scalar callers turn
+    into a float. Assumes nonnegative volumes, a finite positive target and
+    rho_max >= REBATE_FLOOR. A volume/target past the float range clamps to
+    the floor, with numpy's overflow warning for an array: array callers
+    run it under np.errstate(over="ignore")."""
     raw = 0.4 + 0.1 * (1.0 - volume / target)
-    return np.minimum(np.maximum(raw, REBATE_FLOOR), min(REBATE_CAP, rho_max), out=out)
+    return np.minimum(np.maximum(raw, REBATE_FLOOR), np.minimum(REBATE_CAP, rho_max), out=out)
 
 
 def dynamic_rebate(ctx: RebateContext, rho_max: float | None = None) -> float:

@@ -7,7 +7,9 @@
   order, built from one array call of a closed form per column and
   exponent; table["col"] is a column and row["m"] a cell.
 - run_market_loop: integrated pool + fee-engine market loop driven by a
-  seeded synthetic trade stream.
+  seeded synthetic trade stream. Only the draws and the swap run per trade;
+  fees, rebates, running sums and trader volumes are numpy arrays at each
+  epoch close, summed left to right, with the bits of per-trade arithmetic.
 
 Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
@@ -56,15 +58,17 @@ range rules; MarketLoopConfig applies the pool's exponent, reserve and
 pool-state rules to n, x_reserve and y_reserve and checks that the median
 trade is a positive float, and SweepGridConfig the exponent rule to each
 entry of n_values, naming its index, and holds each entry as the Python
-int it checked. The trade loop then runs on plain floats and the DRS
-recurrence on float arrays, through the pool and fee kernels
-(pool._buy_x, pool._sell_x, fees._rebate, fees._split), which assume
-checked inputs.
+int it checked. The kernels then run on checked inputs: the market loop
+calls the swap kernels (pool._buy_x, pool._sell_x) per trade on plain
+floats, and the fee kernels (fees._rebate, fees._split) once per epoch
+close on arrays of its periods and trades; the DRS recurrence calls
+fees._rebate on float arrays once per day.
 drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
 """
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +257,7 @@ def _log_change_vol(logs) -> float:
     without np.std's per-call dispatch."""
     if len(logs) < 2:
         return 0.0
-    logs = np.array(logs)
+    logs = np.asarray(logs)
     d = logs[1:] - logs[:-1]  # np.diff's subtraction, without its per-call overhead
     dev = d - d.sum() / d.size
     return math.sqrt((dev * dev).sum() / d.size)
@@ -608,29 +612,63 @@ def _trader_ids(raw, num_traders: int):
             yield m >> 32
 
 
+def _fold(start: float, values) -> float:
+    """start + values[0] + values[1] + ..., added left to right as a loop of
+    += would add them: np.add.accumulate is that sequential fold (np.sum is
+    pairwise, and rounds differently)."""
+    terms = np.empty(len(values) + 1)
+    terms[0] = start
+    terms[1:] = values
+    return float(np.add.accumulate(terms, out=terms)[-1])
+
+
+def _trader_volumes(traders: array, volumes: np.ndarray) -> dict:
+    """Each trader's volumes added in trade order, keyed "t{id}" in
+    first-trade order: the dict a per-trade volumes[t] = volumes.get(t, 0.0)
+    + v builds, with its bits, as np.bincount adds each trader's weights in
+    input order from 0.0. The sums index the distinct traders (np.unique's
+    inverse), not raw ids, which reach 2**32 - 1. The first trades come from
+    np.minimum.at on the inverse: np.unique's return_index sorts stably, at
+    several times the cost."""
+    ids, which = np.unique(np.frombuffer(traders, dtype=np.int64), return_inverse=True)
+    first = np.full(ids.size, len(volumes))
+    np.minimum.at(first, which, np.arange(len(volumes)))
+    sums = np.bincount(which, weights=volumes, minlength=ids.size)
+    order = np.argsort(first)
+    return {f"t{i}": s for i, s in zip(ids[order].tolist(), sums[order].tolist())}
+
+
 def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     """Drive a pool through a seeded trade stream with regime-aware fees,
     dynamic rebates, and per-epoch volume rewards.
 
-    Per trade: classify the regime from trailing realized volatility (stdev of
-    per-period log price changes over vol_window periods), charge gamma on the
-    stablecoin value of the trade, and split the fee with the rebate ratio
-    derived from the previous period's volume, capped by the regime's rho_max.
-    At each epoch close, a tenth of the epoch's fees moves from the protocol
-    share into the reward pool and settles pro-rata to trader volume.
+    Per period: classify the regime from trailing realized volatility (stdev
+    of per-period log price changes over vol_window periods); the period's
+    trades pay the regime's gamma on their stablecoin value, and its fees are
+    split with the rebate ratio derived from the previous period's volume,
+    capped by the regime's rho_max. At each epoch close, a tenth of the
+    epoch's fees moves from the protocol share into the reward pool and
+    settles pro-rata to trader volume.
 
     The config, the initial pool state included, is validated once, up
     front; the trade loop then keeps the reserves and the price as plain
-    floats and calls the pool and fee kernels directly; an epoch's volumes
-    are keyed by trader id and named "t{i}" in the EpochLedger built with
-    them at the epoch close. The swap kernels get the rate gamma and withhold
-    gamma times their input (Y on a buy, X on a sell); the fee buckets take
-    gamma times the trade's stablecoin value, once the swap has succeeded. A
-    trade above the input cap is rejected and counted. A PoolError stops the
-    run if a trade would drain a reserve (the kernel's), if a size leaves
-    (0, inf), an overflowing exp included (naming the stream fields), or if
-    the total volume, the bound of every other sum, passes the largest float
-    at an epoch close (naming y_reserve and stream.size_median_frac).
+    floats and calls the swap kernels directly. Per trade it draws the
+    side, the trader and the size, swaps, adds the volume to the period's,
+    and appends the trader and the volume to the epoch's buffers; per period
+    it records gamma, rho_max, the previous period's volume and the count
+    of executed trades. The swap kernels get the rate gamma and withhold
+    gamma times their input (Y on a buy, X on a sell). At the epoch close
+    the buffers become arrays: one fees._rebate call gives the periods'
+    rebates, one fees._split call the fee buckets of every executed trade
+    (gamma times its stablecoin value), each running sum is a left fold
+    (_fold) from its running value, and the epoch's per-trader volumes
+    (_trader_volumes) fill the EpochLedger. Every bit equals adding and
+    splitting one trade at a time. A trade above the input cap is rejected and counted. A
+    PoolError stops the run if a trade would drain a reserve (the
+    kernel's), if a size leaves (0, inf), an overflowing exp included
+    (naming the stream fields), or if the total volume, the bound of every
+    other sum, passes the largest float at an epoch close (naming y_reserve
+    and stream.size_median_frac).
     """
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
@@ -639,8 +677,11 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
     raw = rng.bit_generator.random_raw
     next_trader = _trader_ids(raw, stream.num_traders).__next__
-    normal = rng.standard_normal
-    log_prices = [math.log(price)]  # one per period close, for sigma
+    normal, exp = rng.standard_normal, math.exp
+    # one log price per period close, for sigma
+    log_prices = np.empty(cfg.epochs * cfg.periods_per_epoch + 1)
+    log_prices[0] = math.log(price)
+    closes = 0
     sigma_series = []
     epoch_reports = []
 
@@ -651,31 +692,32 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     prev_period_volume = cfg.target_volume  # neutral start: rebate begins at 0.4
 
     for epoch_id in range(cfg.epochs):
-        volumes = {}  # trader id -> volume, in first-trade order
-        epoch_fees = 0.0
-        epoch_volume = 0.0
+        traders, volumes = array("q"), array("d")  # per executed trade
+        add_trader, add_volume = traders.append, volumes.append
+        gammas, rho_maxes, prev_volumes, counts = [], [], [], []  # per period
         for _ in range(cfg.periods_per_epoch):
-            sigma = _log_change_vol(log_prices[-cfg.vol_window :])
+            sigma = _log_change_vol(log_prices[max(0, closes + 1 - cfg.vol_window) : closes + 1])
             sigma_series.append(sigma)
-            regime = classify_regime(sigma, cfg.schedule)
-            params = cfg.schedule.params_for(regime)
+            params = cfg.schedule.params_for(classify_regime(sigma, cfg.schedule))
             gamma = params.gamma
-            rho = float(_rebate(prev_period_volume, cfg.target_volume, params.rho_max))
+            gammas.append(gamma)
+            rho_maxes.append(params.rho_max)
+            prev_volumes.append(prev_period_volume)
             period_volume = 0.0
             n_trades = int(rng.poisson(stream.trades_per_period))
+            before = len(volumes)
             for _ in range(n_trades):
                 buy_side = raw() < _HALF_WORD
                 trader = next_trader()
                 volume = math.inf  # the size an exp that overflows leaves
                 try:
                     # both sides sized by stablecoin value, median 0.1% of Y
-                    volume = size_frac * y * math.exp(size_sigma * normal())
+                    volume = size_frac * y * exp(size_sigma * normal())
                     if buy_side:
                         x, y, price, _ = _buy_x(x, y, n, volume, gamma)
                     else:
                         x, y, price, _ = _sell_x(x, y, n, volume / price, gamma)
                 except TradeTooLarge:
-                    rejected += 1
                     continue
                 except (OverflowError, PoolError):
                     # the kernel names its argument (dy_in, dx_in); a size
@@ -687,27 +729,40 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                         f"trade size {size} leaves (0, inf): stream.size_median_frac {size_frac}"
                         f" and stream.size_sigma {size_sigma} are too extreme"
                     ) from None
-                executed += 1
-                fee = gamma * volume
-                lp, rebate, protocol = _split(fee, rho)
-                total_volume += volume
-                total_fees += fee
-                lp_total += lp
-                rebate_total += rebate
-                protocol_total += protocol
-                epoch_fees += fee
-                epoch_volume += volume
                 period_volume += volume
-                volumes[trader] = volumes.get(trader, 0.0) + volume
+                add_trader(trader)
+                add_volume(volume)
+            count = len(volumes) - before
+            counts.append(count)
+            executed += count
+            rejected += n_trades - count
             prev_period_volume = period_volume
-            log_prices.append(math.log(price))
+            closes += 1
+            log_prices[closes] = math.log(price)
+        v = np.frombuffer(volumes)
+        with np.errstate(over="ignore"):  # inf past the float range, reported here
+            total_volume = _fold(total_volume, v)
         if not total_volume <= FLOAT_MAX:
             raise PoolError(
                 f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"
                 f" stream.size_median_frac {size_frac} make trades too large to sum"
             )
+        named = _trader_volumes(traders, v)
+        # a volume / target past the float range clamps the rebate to its floor
+        with np.errstate(over="ignore"):
+            rho = _rebate(np.array(prev_volumes), cfg.target_volume, np.array(rho_maxes))
+        fees = np.repeat(gammas, counts) * v
+        lp, rebate, protocol = _split(fees, np.repeat(rho, counts))
+        # each term is at most its volume, so these sums stay finite
+        total_fees = _fold(total_fees, fees)
+        lp_total = _fold(lp_total, lp)
+        rebate_total = _fold(rebate_total, rebate)
+        protocol_total = _fold(protocol_total, protocol)
+        epoch_volume = _fold(0.0, v)
+        epoch_fees = _fold(0.0, fees)
+        # free this epoch's arrays before the next epoch's buffers grow
+        del v, fees, lp, rebate, protocol
         reward_pool = REWARD_FRACTION * epoch_fees + carry
-        named = {f"t{i}": v for i, v in volumes.items()}
         payouts = settle_epoch(EpochLedger(epoch_id, reward_pool, named))
         if payouts:
             rewards_distributed += reward_pool

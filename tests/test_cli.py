@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerlaw_amm import sweep_retention
+from powerlaw_amm import cli, sim, sweep_retention
 from powerlaw_amm.cli import main, read_table
 from powerlaw_amm.sim import DrsSimConfig, MarketLoopConfig
 
@@ -344,6 +344,29 @@ class TestMarketLoop:
         err = capsys.readouterr().err
         assert err.startswith("error: trade size ") and "stream.size_sigma" in err
         assert "dy_in" not in err and "dx_in" not in err and "Traceback" not in err
+
+
+class TestParser:
+    def test_built_once_and_calls_rebound_names(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's tracer rebinds cli.run_market_loop after the
+        # parser exists; the parser must not have kept the old function
+        cli.build_parser.cache_clear()
+        quote = ["quote", "--x", "100", "--y", "100", "--buy-x", "--in", "1"]
+        assert run(quote) == 0
+        calls = []
+
+        def traced(cfg):
+            calls.append(cfg)
+            return sim.run_market_loop(cfg)
+
+        monkeypatch.setattr(cli, "run_market_loop", traced)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "periods_per_epoch": 2}))
+        assert run(["market-loop", "--config", str(cfg), "--out", str(tmp_path / "loop.json")]) == 0
+        assert len(calls) == 1 and calls[0].epochs == 1
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        capsys.readouterr()
 
 
 class TestOutDirEnv:

@@ -19,6 +19,7 @@ from powerlaw_amm.fees import (
     dynamic_rebate,
     settle_epoch,
     split_fee,
+    _rebate,
 )
 from powerlaw_amm.pool import FLOAT_MAX
 
@@ -159,6 +160,28 @@ class TestDynamicRebate:
         assert dynamic_rebate(RebateContext(v + vmax, vmax)) <= rho
         if v <= vmax:
             assert rho == 0.4
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, FLOAT_MAX), st.sampled_from([0.0, 5e-324, math.inf])),
+                st.floats(REBATE_FLOOR, 1.0, exclude_max=True),
+            ),
+            max_size=20,
+        ),
+        target=st.one_of(st.floats(5e-324, FLOAT_MAX), st.just(5e-324)),
+    )
+    @settings(max_examples=200)
+    def test_kernel_over_arrays_equals_its_scalar_calls(self, rows, target):
+        # the market loop's epoch close takes a period's volume and regime
+        # cap per element; a volume / target past the float range clamps to
+        # the floor, warning only for the array
+        volumes = np.array([v for v, _ in rows], dtype=float)
+        rho_maxes = np.array([r for _, r in rows], dtype=float)
+        with np.errstate(over="ignore"):
+            got = _rebate(volumes, target, rho_maxes)
+        want = [float(_rebate(v, target, r)) for v, r in rows]
+        assert [float.hex(g) for g in got.tolist()] == [float.hex(w) for w in want]
 
 
 class TestSplitFee:

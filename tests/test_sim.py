@@ -1,5 +1,6 @@
 """Simulation harness: DRS experiment, sweeps, and the market loop."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from powerlaw_amm.fees import (
     dynamic_rebate,
     settle_epoch,
     split_fee,
+    _rebate,
+    _split,
 )
 from powerlaw_amm.il import (
     il_hold,
@@ -34,6 +37,7 @@ from powerlaw_amm.il import (
     il_traditional,
 )
 from powerlaw_amm.pool import (
+    FLOAT_MAX,
     Pool,
     PoolError,
     TradeTooLarge,
@@ -43,6 +47,8 @@ from powerlaw_amm.pool import (
     spot_price,
     swap_x_for_y,
     swap_y_for_x,
+    _buy_x,
+    _sell_x,
 )
 from powerlaw_amm.sim import (
     DRS_BLOCK_CELLS,
@@ -834,6 +840,222 @@ class TestTradeDraws:
                 assert (raw() < sim._HALF_WORD) == (numpys.random() < 0.5)
                 assert next(traders) == numpys.integers(num_traders)
                 assert ours.standard_normal() == numpys.standard_normal()
+
+
+def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
+    """The market loop with its bookkeeping done per trade, the scalar
+    oracle of run_market_loop's epoch close: one _split call per executed
+    trade, every running sum a float +=, and each epoch's volumes a trader
+    -> volume dict in first-trade order. It draws, swaps and settles as
+    run_market_loop does, so every output of the two must have the same
+    bits."""
+    rng = replication_rng(cfg.seed, 0)
+    x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
+    price = spot_price(Pool(x, y, n))
+    stream = cfg.stream
+    size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
+    raw = rng.bit_generator.random_raw
+    next_trader = sim._trader_ids(raw, stream.num_traders).__next__
+    log_prices = [math.log(price)]
+    sigma_series, epoch_reports = [], []
+    total_volume = total_fees = lp_total = rebate_total = protocol_total = 0.0
+    rewards_distributed = carry = 0.0
+    rejected = executed = 0
+    prev_period_volume = cfg.target_volume
+    for epoch_id in range(cfg.epochs):
+        volumes = {}
+        epoch_fees = epoch_volume = 0.0
+        for _ in range(cfg.periods_per_epoch):
+            sigma = sim._log_change_vol(log_prices[-cfg.vol_window :])
+            sigma_series.append(sigma)
+            params = cfg.schedule.params_for(classify_regime(sigma, cfg.schedule))
+            gamma = params.gamma
+            rho = float(_rebate(prev_period_volume, cfg.target_volume, params.rho_max))
+            period_volume = 0.0
+            for _ in range(int(rng.poisson(stream.trades_per_period))):
+                buy_side = raw() < sim._HALF_WORD
+                trader = next_trader()
+                volume = size_frac * y * math.exp(size_sigma * rng.standard_normal())
+                try:
+                    if buy_side:
+                        x, y, price, _ = _buy_x(x, y, n, volume, gamma)
+                    else:
+                        x, y, price, _ = _sell_x(x, y, n, volume / price, gamma)
+                except TradeTooLarge:
+                    rejected += 1
+                    continue
+                executed += 1
+                fee = gamma * volume
+                lp, rebate, protocol = _split(fee, rho)
+                total_volume += volume
+                total_fees += fee
+                lp_total += lp
+                rebate_total += rebate
+                protocol_total += protocol
+                epoch_fees += fee
+                epoch_volume += volume
+                period_volume += volume
+                volumes[trader] = volumes.get(trader, 0.0) + volume
+            prev_period_volume = period_volume
+            log_prices.append(math.log(price))
+        assert total_volume <= FLOAT_MAX
+        reward_pool = REWARD_FRACTION * epoch_fees + carry
+        named = {f"t{i}": v for i, v in volumes.items()}
+        payouts = settle_epoch(EpochLedger(epoch_id, reward_pool, named))
+        if payouts:
+            rewards_distributed += reward_pool
+            carry = 0.0
+        else:
+            carry = reward_pool
+        epoch_reports.append(sim.EpochReport(epoch_id, epoch_fees, epoch_volume, reward_pool, carry, payouts))
+    return sim.MarketLoopResult(
+        total_volume=total_volume,
+        total_fees=total_fees,
+        lp_total=lp_total,
+        rebate_total=rebate_total,
+        protocol_total=protocol_total,
+        protocol_net=protocol_total - (rewards_distributed + carry),
+        rewards_distributed=rewards_distributed,
+        reward_carry=carry,
+        rejected_trades=rejected,
+        executed_trades=executed,
+        final_pool=Pool(x, y, n),
+        sigma_series=sigma_series,
+        epoch_reports=epoch_reports,
+    )
+
+
+def bits(value):
+    """value with every float replaced by its float.hex, through dataclasses,
+    lists and tuples, so == compares bit for bit (-0.0 and 0.0 differ)."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+@st.composite
+def oracle_configs(draw):
+    """Small market loops over the corners the epoch close must get right:
+    one trader and 2**32 of them, trades rejected at the input cap (a median
+    of 3x the reserve), periods and whole epochs without a trade, every
+    regime, and a target of 5e-324, where volume / target overflows."""
+    low = draw(st.sampled_from([1e-4, 1e-3, 0.01, 0.05]))
+    stream = TradeStreamConfig(
+        trades_per_period=draw(st.sampled_from([0.0, 0.2, 1.0, 4.0, 15.0])),
+        size_median_frac=draw(st.sampled_from([1e-3, 0.05, 3.0])),
+        size_sigma=draw(st.sampled_from([0.0, 0.5, 1.5])),
+        num_traders=draw(st.one_of(st.sampled_from([1, 2, 2**32]), st.integers(1, 2**32))),
+    )
+    return MarketLoopConfig(
+        n=draw(st.sampled_from([1, 4, 8])),
+        epochs=draw(st.integers(1, 4)),
+        periods_per_epoch=draw(st.integers(1, 6)),
+        target_volume=draw(st.sampled_from([5e-324, 1.0, 1_000.0, 1e300])),
+        vol_window=draw(st.integers(2, 5)),
+        seed=draw(st.integers(0, 2**64)),
+        stream=stream,
+        schedule=FeeSchedule(sigma_low=low, sigma_high=low * draw(st.sampled_from([1.5, 10.0]))),
+    )
+
+
+class TestEpochCloseOracle:
+    """run_market_loop does its fee, rebate, sum and trader-volume work at
+    each epoch close, as arrays; scalar_market_loop does it per trade. Every
+    field, sigma and payout must have the same bits."""
+
+    @given(cfg=oracle_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_bits_equal_the_per_trade_loop(self, cfg):
+        assert bits(run_market_loop(cfg)) == bits(scalar_market_loop(cfg))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"target_volume": 5e-324},
+            {"stream": TradeStreamConfig(trades_per_period=0.0)},
+            {"stream": TradeStreamConfig(trades_per_period=0.3, num_traders=2**32)},
+            {"stream": TradeStreamConfig(trades_per_period=12.0, size_median_frac=3.0, num_traders=1)},
+        ],
+    )
+    def test_corners(self, overrides):
+        cfg = MarketLoopConfig(epochs=3, periods_per_epoch=6, vol_window=4, seed=3, **overrides)
+        assert bits(run_market_loop(cfg)) == bits(scalar_market_loop(cfg))
+
+    def test_every_regime_in_one_run(self):
+        # sigma starts at 0.0 (low) and the trades move the price enough to
+        # cross both thresholds
+        schedule = FeeSchedule(sigma_low=0.01, sigma_high=0.05)
+        stream = TradeStreamConfig(trades_per_period=8.0, size_median_frac=0.01)
+        cfg = MarketLoopConfig(epochs=3, periods_per_epoch=10, vol_window=4, seed=1, stream=stream, schedule=schedule)
+        res = run_market_loop(cfg)
+        regimes = {classify_regime(sigma, schedule) for sigma in res.sigma_series}
+        assert regimes == {"low", "moderate", "high"}
+        assert res.rejected_trades == 0 < res.executed_trades
+        assert bits(res) == bits(scalar_market_loop(cfg))
+
+    def test_bits_tell_two_runs_apart(self):
+        # the comparison can fail: another seed's run differs
+        cfg = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=5)
+        other = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=6)
+        assert bits(run_market_loop(cfg)) != bits(scalar_market_loop(other))
+
+
+class TestArrayFolds:
+    """The epoch close relies on two numpy calls summing left to right, one
+    term at a time, as a Python loop of += does: np.add.accumulate over
+    [start, *values], and np.bincount(keys, weights=values) per key in input
+    order, from 0.0. Compared with float.hex, so equal is bit-identical."""
+
+    magnitudes = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+        st.floats(0.0, 1e300),
+        st.floats(1e300, FLOAT_MAX),  # sums overflow to inf
+    )
+
+    @staticmethod
+    def left_fold(start, values):
+        total = start
+        for value in values:
+            total += value
+        return total
+
+    @given(start=magnitudes, values=st.lists(magnitudes, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_accumulate_is_the_left_fold(self, start, values):
+        with np.errstate(over="ignore"):
+            got = np.add.accumulate(np.array([start, *values]))[-1]
+            assert float.hex(float(got)) == float.hex(self.left_fold(start, values))
+            assert float.hex(sim._fold(start, values)) == float.hex(self.left_fold(start, values))
+
+    def test_pairwise_sum_would_differ(self):
+        # np.sum's pairwise blocks add the small terms together first, so a
+        # test of the fold can tell the two apart
+        values = [1.0] + [1e-16] * 100
+        assert sim._fold(0.0, values) == self.left_fold(0.0, values) == 1.0
+        assert float(np.sum(values)) != 1.0
+
+    def test_overflow_is_inf_without_a_warning_under_errstate(self):
+        with np.errstate(over="ignore"):
+            assert sim._fold(1e308, [1e308, 1.0]) == math.inf
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 6), magnitudes), max_size=300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bincount_is_the_left_fold_per_key(self, pairs):
+        keys = np.array([k for k, _ in pairs], dtype=np.int64)
+        weights = np.array([w for _, w in pairs], dtype=float)
+        _ids, inverse = np.unique(keys, return_inverse=True)
+        want = {}
+        for key, weight in pairs:
+            want[key] = want.get(key, 0.0) + weight
+        got = np.bincount(inverse, weights=weights).tolist()
+        assert [float.hex(v) for v in got] == [float.hex(want[k]) for k in sorted(want)]
 
 
 class TestRebateComposition:
