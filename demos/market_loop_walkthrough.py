@@ -26,9 +26,15 @@ print(f"  bucket sum vs fees:  {buckets:,.2f} vs {res.total_fees:,.2f} "
 print(f"\nVolume rewards (one tenth of each epoch's fees, from the protocol share):")
 print(f"  distributed: {res.rewards_distributed:,.2f}   carried: {res.reward_carry:,.2f}   "
       f"protocol net: {res.protocol_net:,.2f}")
+# Each report holds its payouts as two arrays in payout order: trader ids
+# and amounts. The CLI's epochs CSV names trader id i "t{i}".
 for er in res.epoch_reports:
-    paid = sum(p for _, p in er.payouts)
-    top = max(er.payouts, key=lambda tp: tp[1]) if er.payouts else ("-", 0.0)
+    paid = er.payouts.sum()
+    if er.payouts.size:
+        best = er.payouts.argmax()
+        top = (f"t{er.traders[best]}", er.payouts[best])
+    else:
+        top = ("-", 0.0)
     print(f"  epoch {er.epoch_id}: fees {er.fees:9.2f}  pool {er.reward_pool:8.2f}  "
           f"paid {paid:8.2f}  top trader {top[0]} ({top[1]:.2f})")
 

@@ -29,12 +29,15 @@ two doubles (Dekker's TwoProduct), so correctly rounded IEEE arithmetic
 yields the digits %.17g prints, on any CPU (see _number_cells). %.17g
 itself formats every other cell (zeros, subnormals, exponent notation, inf,
 nan), an int cell is formatted as the float %.17g converts it to, and a
-string cell is its UTF-8 bytes. A sweep is handed to the writer as one
-block of m-grid rows per entry of n_values, a 1-D table as one block, and
-repeated columns are formatted once: a column whose blocks are
-bit-identical (m, and il_traditional in sweep-il) once for all blocks, a
-column constant within each block (n, or a DRS series that never moves)
-once per block.
+string cell is bytes (a str column UTF-8 encoded once, into a numpy bytes
+array), so it cannot end in NUL, which numpy's bytes arrays drop. The
+market-loop epochs table is built from the EpochReport arrays: its trader
+column holds b"t{id}", formatted once per distinct id. A sweep is handed
+to the writer as one block of m-grid rows per entry of n_values, a 1-D
+table as one block, and repeated columns are formatted once: a column
+whose blocks are bit-identical (m, and il_traditional in sweep-il) once
+for all blocks, a column constant within each block (n, or a DRS series
+that never moves) once per block.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error (a file
 that cannot be read or written, or an array too large to allocate).
@@ -52,7 +55,7 @@ import sys
 import numpy as np
 
 from . import sim
-from .fees import _sum_left
+from .fees import _fold
 from .pool import Pool, slippage_first_order, swap_x_for_y, swap_y_for_x
 from .sim import (
     MarketLoopConfig,
@@ -201,11 +204,12 @@ def _keep_table() -> np.ndarray:
 _KEEP = _keep_table()
 
 
-def _text_cells(texts: list, width: int):
-    """(bytes, keep) of cells already in bytes: row i holds texts[i] in its
-    first len(texts[i]) bytes of width."""
-    cells = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
-    return cells, np.arange(width) < np.array([len(t) for t in texts], dtype=np.intp)[:, None]
+def _text_cells(texts: np.ndarray, lengths):
+    """(bytes, keep) of a 1-D numpy bytes (S) array: row i of the uint8
+    cells is texts[i] padded with NULs to the itemsize, and keep marks its
+    first lengths[i] bytes."""
+    cells = np.ascontiguousarray(texts).view(np.uint8).reshape(texts.size, texts.itemsize)
+    return cells, np.arange(texts.itemsize) < np.asarray(lengths, dtype=np.intp)[:, None]
 
 
 def _formatted_numbers(values: np.ndarray):
@@ -271,7 +275,8 @@ def _number_cells(values: np.ndarray, cells: np.ndarray, keep: np.ndarray):
     keep[:] = _KEEP.take((np.signbit(x) * 21 + k + 4) * 18 + 17 - zeros, axis=0)
     rest = np.flatnonzero(~fixed)
     if rest.size:
-        cells[rest], keep[rest] = _text_cells([b"%.17g" % v for v in x[rest].tolist()], _SLOT)
+        texts = [b"%.17g" % v for v in x[rest].tolist()]
+        cells[rest], keep[rest] = _text_cells(np.array(texts, f"S{_SLOT}"), [len(t) for t in texts])
 
 
 _CHUNK_BYTES = 1 << 18  # slot bytes laid out at once, which bounds the writer's buffers
@@ -279,29 +284,34 @@ _CHUNK_BYTES = 1 << 18  # slot bytes laid out at once, which bounds the writer's
 
 def _block_rows(table: np.ndarray) -> list[np.ndarray]:
     """The CSV rows of a 2-D structured array of 8-byte numbers and strings
-    (a numpy str column or an object column of str), read as blocks of rows
-    (a sweep: one block of m-grid rows per exponent), as a list of uint8
-    arrays whose concatenation is the rows' bytes. Numbers get the text of
-    %.17g (see _number_cells), strings their UTF-8 bytes.
+    (a bytes column, a numpy str column or an object column of str), read as
+    blocks of rows (a sweep: one block of m-grid rows per exponent), as a
+    list of uint8 arrays whose concatenation is the rows' bytes. Numbers get
+    the text of %.17g (see _number_cells), strings their bytes: a str column
+    is UTF-8 encoded into one bytes array, once. A string cell cannot end in
+    NUL, which numpy's bytes arrays drop.
 
     The rows are laid out a chunk at a time: each column's cells go into a
     (rows, columns, width) buffer, a separator after each cell, and one
-    boolean compress keeps the bytes the cells use. A number column whose
-    blocks are bit-identical is formatted for the first block and its cells
-    reused in every block; one constant within each block (n) is formatted
-    once per block. Cells are compared on their bits, never with ==, because
-    -0.0 and 0.0 print differently.
+    boolean compress keeps the bytes the cells use. A string column is laid
+    out once, as its bytes array's uint8 view. A number column whose blocks
+    are bit-identical is formatted for the first block and its cells reused
+    in every block; one constant within each block (n) is formatted once per
+    block. Cells are compared on their bits, never with ==, because -0.0 and
+    0.0 print differently.
     """
     blocks, size = table.shape
     names = table.dtype.names
     reused = {}  # column name -> (cells, keep, index of each row's cell given the row numbers)
     values = {}  # column name -> its cells in row order, formatted a chunk at a time
-    widths = {}  # string column name -> its widest cell, in UTF-8 bytes
     for name in names:
         column = table[name]
-        if column.dtype.kind in "OU":
-            values[name] = column.reshape(-1)
-            widths[name] = max([1, *(len(v.encode()) for v in values[name].tolist())])
+        if column.dtype.kind in "OUS":
+            texts = column.reshape(-1)
+            if texts.dtype.kind != "S":
+                texts = np.array([v.encode() for v in texts.tolist()], dtype="S")
+            # numpy drops a bytes cell's trailing NULs, so str_len is its length
+            reused[name] = (*_text_cells(texts, np.strings.str_len(texts)), lambda rows: rows)
             continue
         bits = column.view(np.uint64)
         if size and blocks > 1 and (bits == bits[0]).all():
@@ -311,7 +321,7 @@ def _block_rows(table: np.ndarray) -> list[np.ndarray]:
         else:
             values[name] = column.reshape(-1)
     # a width of whole words, so that a number slot can be written as words
-    width = -(-(max([_SLOT, *widths.values()]) + 1) // 4) * 4
+    width = -(-(max([_SLOT, *(cells.shape[1] for cells, _, _ in reused.values())]) + 1) // 4) * 4
     chunk = max(1, min(blocks * size, _CHUNK_BYTES // (len(names) * width)))
     buffer = np.empty((chunk, len(names), width), np.uint8)
     keep = np.zeros(buffer.shape, bool)  # bytes past a cell's slot stay False
@@ -324,11 +334,8 @@ def _block_rows(table: np.ndarray) -> list[np.ndarray]:
         for j, name in enumerate(names):
             if name in reused:
                 cells, kept, index = reused[name]
-                picked = index(rows)
-                out[:, j, :_SLOT], out_keep[:, j, :_SLOT] = cells.take(picked, axis=0), kept.take(picked, axis=0)
-            elif name in widths:
-                encoded = [v.encode() for v in values[name][start : start + rows.size].tolist()]
-                out[:, j, : widths[name]], out_keep[:, j, : widths[name]] = _text_cells(encoded, widths[name])
+                picked, w = index(rows), cells.shape[1]
+                out[:, j, :w], out_keep[:, j, :w] = cells.take(picked, axis=0), kept.take(picked, axis=0)
             else:
                 _number_cells(values[name][start : start + rows.size], out[:, j, :_SLOT], out_keep[:, j, :_SLOT])
         texts.append(out[out_keep])
@@ -484,6 +491,20 @@ def cmd_simulate_drs(args) -> int:
     return 0
 
 
+def _epochs_table(reports) -> np.ndarray:
+    """The (epoch, trader, reward) rows of every payout, epoch by epoch in
+    payout order. A trader cell is the bytes of "t{id}", formatted once per
+    distinct id and gathered."""
+    rewards = np.concatenate([er.payouts for er in reports])
+    ids, which = np.unique(np.concatenate([er.traders for er in reports]), return_inverse=True)
+    names = np.array([b"t%d" % i for i in ids.tolist()], dtype="S")
+    table = np.empty(rewards.size, dtype=[("epoch", int), ("trader", names.dtype), ("reward", float)])
+    table["epoch"] = np.repeat([er.epoch_id for er in reports], [er.payouts.size for er in reports])
+    table["trader"] = names[which]
+    table["reward"] = rewards
+    return table
+
+
 def cmd_market_loop(args) -> int:
     cfg = build_config(MarketLoopConfig, _seeded_config(args))
     result = run_market_loop(cfg)
@@ -510,16 +531,13 @@ def cmd_market_loop(args) -> int:
                 "volume": er.volume,
                 "reward_pool": er.reward_pool,
                 "carried": er.carried,
-                "payout_total": _sum_left(p for _, p in er.payouts),
+                "payout_total": _fold(0.0, er.payouts) if er.payouts.size else 0,
             }
             for er in result.epoch_reports
         ],
     }
     write_json(out, {"command": "market-loop", "config": config, "metrics": metrics})
-    table = np.array(
-        [(er.epoch_id, trader, reward) for er in result.epoch_reports for trader, reward in er.payouts],
-        dtype=[("epoch", int), ("trader", object), ("reward", float)],
-    )
+    table = _epochs_table(result.epoch_reports)
     epochs_csv = os.path.splitext(out)[0] + ".epochs.csv"
     ledger_config = {**config, "ledger_of": out}
     write_csv(epochs_csv, "market-loop", ledger_config, table)

@@ -20,6 +20,10 @@ them. Both are elementwise: the DRS experiment applies _rebate to a block of
 volumes, and the market loop's epoch close applies _rebate to its periods'
 volumes with each period's regime cap (the cap min(REBATE_CAP, rho_max) is
 np.minimum, so rho_max may be an array) and _split to its trades' fees.
+Settlement lives once too, in the array kernel _settle: settle_epoch hands
+it a ledger's volumes, and the market loop its epoch's per-trader volume
+array. Every sum of a settlement is _fold, a left fold with the bits of a
+loop of +=.
 """
 
 from dataclasses import dataclass, field
@@ -167,14 +171,17 @@ def split_fee(fee: float, rho: float) -> FeeSplit:
     return FeeSplit(fee, *_split(fee, rho))
 
 
-def _sum_left(values):
-    """values added left to right, starting from the int 0: what the builtin
-    sum gives for floats up to Python 3.11 (3.12 compensates the rounding),
-    so settlement has the same bits on every Python. Empty, it is the int 0."""
-    total = 0
-    for value in values:
-        total += value
-    return total
+def _fold(start: float, values) -> float:
+    """start + values[0] + values[1] + ..., added left to right as a loop of
+    += would add them: np.add.accumulate is that sequential fold (np.sum is
+    pairwise, and rounds differently, and the builtin sum compensates the
+    rounding from Python 3.12), so a fold has the same bits on every Python.
+    A sum past the float range is inf, with numpy's overflow warning:
+    a caller whose sum can pass it runs it under np.errstate(over="ignore")."""
+    terms = np.empty(len(values) + 1)
+    terms[0] = start
+    terms[1:] = values
+    return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 class EpochLedger:
@@ -213,11 +220,42 @@ class EpochLedger:
 
     @property
     def total_volume(self) -> float:
-        return _sum_left(self.volumes.values())
+        """The volumes added left to right (_fold), inf past the float range
+        and without a warning; empty, the int 0."""
+        if not self.volumes:
+            return 0
+        with np.errstate(over="ignore"):
+            return _fold(0.0, list(self.volumes.values()))
+
+
+def _settle(volumes: np.ndarray, reward_pool: float, epoch_id: int) -> np.ndarray:
+    """Kernel of settle_epoch: the payouts of reward_pool pro-rata to a
+    float64 array of checked volumes, in the same order, as a float64 array.
+
+    Each payout is volume / total * reward_pool, total the left fold of the
+    volumes, except the last: the pool minus the left fold of the others.
+    A zero total pays nothing (an empty array). A total, or a fold of the
+    payouts before the last, past the largest float is a ValueError naming
+    the epoch.
+    """
+    with np.errstate(over="ignore"):
+        total = _fold(0.0, volumes)
+    if total > FLOAT_MAX:
+        raise ValueError(f"epoch {epoch_id}: total volume {total} overflows a float")
+    if total <= 0:
+        return np.empty(0)
+    payouts = volumes / total * reward_pool
+    with np.errstate(over="ignore"):
+        paid = _fold(0.0, payouts[:-1])
+    if paid > FLOAT_MAX:
+        raise ValueError(f"epoch {epoch_id}: payouts of the reward pool {reward_pool} overflow a float")
+    payouts[-1] = reward_pool - paid
+    return payouts
 
 
 def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
-    """Pay reward_pool pro-rata to trader volume.
+    """Pay reward_pool pro-rata to trader volume, as (trader, payout) pairs
+    in first-trade order; the arithmetic is _settle's.
 
     The last payout is the pool minus the left-to-right sum of the others.
     That sum is rounded, so the payouts sum to the pool only to within
@@ -228,17 +266,6 @@ def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
     epoch. A ledger whose total volume, or whose payouts before the last,
     sum past the largest float is a ValueError naming the epoch.
     """
-    total = ledger.total_volume
-    if total > FLOAT_MAX:
-        raise ValueError(f"epoch {ledger.epoch_id}: total volume {total} overflows a float")
-    if total <= 0:
-        return []
-    traders = list(ledger.volumes)
-    payouts = [(t, ledger.volumes[t] / total * ledger.reward_pool) for t in traders[:-1]]
-    paid = _sum_left(p for _, p in payouts)
-    if paid > FLOAT_MAX:
-        raise ValueError(
-            f"epoch {ledger.epoch_id}: payouts of the reward pool {ledger.reward_pool} overflow a float"
-        )
-    payouts.append((traders[-1], ledger.reward_pool - paid))
-    return payouts
+    volumes = np.array(list(ledger.volumes.values()), dtype=float)
+    payouts = _settle(volumes, ledger.reward_pool, ledger.epoch_id)
+    return list(zip(ledger.volumes, payouts.tolist()))

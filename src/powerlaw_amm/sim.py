@@ -8,8 +8,10 @@
   exponent; table["col"] is a column and row["m"] a cell.
 - run_market_loop: integrated pool + fee-engine market loop driven by a
   seeded synthetic trade stream. Only the draws and the swap run per trade;
-  fees, rebates, running sums and trader volumes are numpy arrays at each
-  epoch close, summed left to right, with the bits of per-trade arithmetic.
+  fees, rebates, running sums, trader volumes and the settlement are numpy
+  arrays at each epoch close, summed left to right, with the bits of
+  per-trade arithmetic. Each EpochReport holds its payouts as arrays of
+  trader ids and amounts; the CLI names the traders "t{id}".
 
 Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
@@ -57,12 +59,14 @@ nested config), then its own
 range rules; MarketLoopConfig applies the pool's exponent, reserve and
 pool-state rules to n, x_reserve and y_reserve and checks that the median
 trade is a positive float, and SweepGridConfig the exponent rule to each
-entry of n_values, naming its index, and holds each entry as the Python
-int it checked. The kernels then run on checked inputs: the market loop
+entry of n_values, naming its index, holds each entry as the Python int it
+checked, and refuses an m_max whose grid point np.logspace rounds past the
+float range. The kernels then run on checked inputs: the market loop
 calls the swap kernels (pool._buy_x, pool._sell_x) per trade on plain
 floats, and the fee kernels (fees._rebate, fees._split) once per epoch
-close on arrays of its periods and trades; the DRS recurrence calls
-fees._rebate on float arrays once per day.
+close on arrays of its periods and trades, and the settlement kernel
+(fees._settle) once per epoch on its traders' volumes; the DRS recurrence
+calls fees._rebate on float arrays once per day.
 drs_noise_free_series iterates the recurrence apart from the simulator,
 through the public dynamic_rebate, as the oracle it must match.
 """
@@ -79,21 +83,22 @@ from .fees import (
     REBATE_CAP,
     REBATE_FLOOR,
     REWARD_FRACTION,
-    EpochLedger,
     FeeSchedule,
     RebateContext,
+    _fold,
     _rebate,
+    _settle,
     _split,
     classify_regime,
     dynamic_rebate,
-    settle_epoch,
 )
 from .pool import FLOAT_MAX, Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
 from .pool import _check_exponent, _check_fields, _nonnegative
 
-# The public fee and swap functions stay importable from this module although
-# the loops call the kernels: bench/tracing.py rebinds these names to time them.
-from .fees import compute_fee, split_fee  # noqa: F401
+# The public fee, settlement and swap functions stay importable from this
+# module although the loops call the kernels: bench/tracing.py rebinds these
+# names to time them.
+from .fees import EpochLedger, compute_fee, settle_epoch, split_fee  # noqa: F401
 from .pool import swap_x_for_y, swap_y_for_x  # noqa: F401
 
 # ---------------------------------------------------------------------------
@@ -406,7 +411,9 @@ class SweepGridConfig:
     """A sweep grid: m_points price multipliers log-spaced from m_min to
     m_max, crossed with a non-empty list of exponents. A one-point grid
     needs m_min == m_max, since it holds m_min only. The default is 200
-    points from 1 to 100 and n = 1..5."""
+    points from 1 to 100 and n = 1..5. An m_max near the largest float can
+    put the last grid point past the float range, as np.logspace rounds
+    10**log10(m_max); that is a ValueError naming m_max."""
 
     m_min: float = 1.0
     m_max: float = 100.0
@@ -430,6 +437,11 @@ class SweepGridConfig:
         n_values = [_check_exponent(n, f"n_values[{i}]: exponent", ValueError)
                     for i, n in enumerate(self.n_values)]
         object.__setattr__(self, "n_values", n_values)
+        # the grid rises to its last point, so that point bounds all others
+        with np.errstate(over="ignore"):
+            top = self.m_grid()[-1]
+        if top > FLOAT_MAX:
+            raise ValueError(f"m_max {self.m_max} puts the last grid point past the float range: got {top}")
 
     def m_grid(self) -> np.ndarray:
         return np.logspace(np.log10(self.m_min), np.log10(self.m_max), self.m_points)
@@ -556,12 +568,23 @@ class MarketLoopConfig:
 
 @dataclass(frozen=True)
 class EpochReport:
+    """One epoch's books. traders (int64 ids) and payouts (float64) are
+    arrays in payout order, the epoch's first-trade order; both are empty
+    when the epoch paid nothing and its pool was carried. Two reports are
+    equal when every field is, the arrays element for element."""
+
     epoch_id: int
     fees: float
     volume: float
     reward_pool: float
     carried: float
-    payouts: list
+    traders: np.ndarray
+    payouts: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, EpochReport):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)
@@ -612,30 +635,21 @@ def _trader_ids(raw, num_traders: int):
             yield m >> 32
 
 
-def _fold(start: float, values) -> float:
-    """start + values[0] + values[1] + ..., added left to right as a loop of
-    += would add them: np.add.accumulate is that sequential fold (np.sum is
-    pairwise, and rounds differently)."""
-    terms = np.empty(len(values) + 1)
-    terms[0] = start
-    terms[1:] = values
-    return float(np.add.accumulate(terms, out=terms)[-1])
-
-
-def _trader_volumes(traders: array, volumes: np.ndarray) -> dict:
-    """Each trader's volumes added in trade order, keyed "t{id}" in
-    first-trade order: the dict a per-trade volumes[t] = volumes.get(t, 0.0)
-    + v builds, with its bits, as np.bincount adds each trader's weights in
-    input order from 0.0. The sums index the distinct traders (np.unique's
-    inverse), not raw ids, which reach 2**32 - 1. The first trades come from
-    np.minimum.at on the inverse: np.unique's return_index sorts stably, at
-    several times the cost."""
+def _trader_volumes(traders: array, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, sums): the distinct trader ids (int64) in first-trade order and
+    each one's volumes added in trade order, the keys and values a per-trade
+    volumes[t] = volumes.get(t, 0.0) + v builds, with its bits, as
+    np.bincount adds each trader's weights in input order from 0.0. The sums
+    index the distinct traders (np.unique's inverse), not raw ids, which
+    reach 2**32 - 1. The first trades come from np.minimum.at on the
+    inverse: np.unique's return_index sorts stably, at several times the
+    cost."""
     ids, which = np.unique(np.frombuffer(traders, dtype=np.int64), return_inverse=True)
     first = np.full(ids.size, len(volumes))
     np.minimum.at(first, which, np.arange(len(volumes)))
     sums = np.bincount(which, weights=volumes, minlength=ids.size)
     order = np.argsort(first)
-    return {f"t{i}": s for i, s in zip(ids[order].tolist(), sums[order].tolist())}
+    return ids[order], sums[order]
 
 
 def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
@@ -661,9 +675,11 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     the buffers become arrays: one fees._rebate call gives the periods'
     rebates, one fees._split call the fee buckets of every executed trade
     (gamma times its stablecoin value), each running sum is a left fold
-    (_fold) from its running value, and the epoch's per-trader volumes
-    (_trader_volumes) fill the EpochLedger. Every bit equals adding and
-    splitting one trade at a time. A trade above the input cap is rejected and counted. A
+    (fees._fold) from its running value, and the epoch's per-trader volumes
+    (_trader_volumes, in first-trade order) settle through one fees._settle
+    call into the EpochReport's traders and payouts arrays. Every bit equals
+    adding, splitting and recording one trade at a time and settling an
+    EpochLedger. A trade above the input cap is rejected and counted. A
     PoolError stops the run if a trade would drain a reserve (the
     kernel's), if a size leaves (0, inf), an overflowing exp included
     (naming the stream fields), or if the total volume, the bound of every
@@ -747,7 +763,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"
                 f" stream.size_median_frac {size_frac} make trades too large to sum"
             )
-        named = _trader_volumes(traders, v)
+        ids, sums = _trader_volumes(traders, v)
         # a volume / target past the float range clamps the rebate to its floor
         with np.errstate(over="ignore"):
             rho = _rebate(np.array(prev_volumes), cfg.target_volume, np.array(rho_maxes))
@@ -763,8 +779,8 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         # free this epoch's arrays before the next epoch's buffers grow
         del v, fees, lp, rebate, protocol
         reward_pool = REWARD_FRACTION * epoch_fees + carry
-        payouts = settle_epoch(EpochLedger(epoch_id, reward_pool, named))
-        if payouts:
+        payouts = _settle(sums, reward_pool, epoch_id)
+        if payouts.size:
             rewards_distributed += reward_pool
             carry = 0.0
         else:
@@ -776,6 +792,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 volume=epoch_volume,
                 reward_pool=reward_pool,
                 carried=carry,
+                traders=ids[: payouts.size],
                 payouts=payouts,
             )
         )

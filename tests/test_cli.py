@@ -438,6 +438,15 @@ class TestConfigValidation:
         assert run_config(tmp_path, "market-loop", text) == 2
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("command", ["sweep-il", "sweep-retention"])
+    def test_grid_past_the_float_range_exits_2(self, tmp_path, capsys, command):
+        # a valid config whose last np.logspace point rounds past the float
+        # range; a numpy warning would be an error here
+        assert run_config(tmp_path, command, '{"m_max": 1.7976931348623157e308, "m_points": 3}') == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad config: m_max 1.7976931348623157e+308 puts the last grid point past the float range: got inf\n"
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -2,6 +2,7 @@
 
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from powerlaw_amm.fees import (
     settle_epoch,
     split_fee,
     _rebate,
+    _settle,
 )
 from powerlaw_amm.pool import FLOAT_MAX
 
@@ -377,9 +379,123 @@ class TestSettlementPastFloatRange:
         with pytest.raises(ValueError, match="epoch 7: total volume inf overflows a float"):
             settle_epoch(ledger)
 
+    def test_total_volume_past_the_float_range_is_inf_without_a_warning(self):
+        ledger = EpochLedger(7, 1.0, {"a": 1e308, "b": 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ledger.total_volume == math.inf
+
     def test_payout_sum_overflow_names_the_epoch(self):
         # the shares before the last each round up, and their sum passes the largest float
         ledger = EpochLedger(3, FLOAT_MAX, {"a": 6.098847240216778, "b": 6.107337163044295,
                                             "c": 5.85391976940883, "d": 0.0})
         with pytest.raises(ValueError, match="epoch 3: payouts of the reward pool"):
             settle_epoch(ledger)
+
+
+def reference_settle(volumes: dict, reward_pool: float, epoch_id: int = 0) -> list:
+    """settle_epoch's arithmetic as it ran on Python floats before the array
+    kernel: the total and the paid part are loops of += from the int 0,
+    each payout but the last is volume / total * reward_pool, and the last
+    is the pool minus the paid part. (trader, payout) pairs in the dict's
+    order; a zero total pays nothing."""
+    total = 0
+    for volume in volumes.values():
+        total += volume
+    if total > FLOAT_MAX:
+        raise ValueError(f"epoch {epoch_id}: total volume {total} overflows a float")
+    if total <= 0:
+        return []
+    traders = list(volumes)
+    payouts = [(t, volumes[t] / total * reward_pool) for t in traders[:-1]]
+    paid = 0
+    for _, payout in payouts:
+        paid += payout
+    if paid > FLOAT_MAX:
+        raise ValueError(f"epoch {epoch_id}: payouts of the reward pool {reward_pool} overflow a float")
+    payouts.append((traders[-1], reward_pool - paid))
+    return payouts
+
+
+# Heavy-tailed: zeros, subnormals, every decade and the top of the float range
+SETTLE_VOLUMES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.integers(-323, 308).map(lambda k: float(f"1e{k}")),
+    st.floats(0.0, 1e3),
+    st.floats(1e300, FLOAT_MAX),
+)
+SETTLE_POOLS = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, FLOAT_MAX))
+
+
+def settled(settle):
+    """The payouts settle() returns as float.hex strings, or its ValueError's message."""
+    try:
+        return [float.hex(p) for p in settle()]
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSettlementKernel:
+    """fees._settle, the array settlement, must give the reference's bits
+    (float.hex, so -0.0 and 0.0 differ) and its errors, message for
+    message; settle_epoch must give the same through a ledger."""
+
+    @staticmethod
+    def assert_matches_reference(volumes: list, pool: float, epoch_id: int = 0):
+        want = settled(lambda: [p for _, p in reference_settle(dict(enumerate(volumes)), pool, epoch_id)])
+        got = settled(lambda: _settle(np.array(volumes, dtype=float), pool, epoch_id).tolist())
+        assert got == want
+        ledger = EpochLedger(epoch_id, pool, {f"t{i}": v for i, v in enumerate(volumes)})
+        public = settled(lambda: [p for _, p in settle_epoch(ledger)])
+        assert public == want
+        if not isinstance(want, str):
+            assert [t for t, _ in settle_epoch(ledger)] == [f"t{i}" for i in range(len(want))]
+        return want
+
+    @given(
+        volumes=st.lists(SETTLE_VOLUMES, max_size=60),
+        pool=SETTLE_POOLS,
+        epoch_id=st.integers(0, 10**6),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bits_equal_the_scalar_reference(self, volumes, pool, epoch_id):
+        self.assert_matches_reference(volumes, pool, epoch_id)
+
+    def test_one_trader_gets_the_pool(self):
+        assert self.assert_matches_reference([2.5], 0.1) == [float.hex(0.1)]
+
+    def test_zero_pool_pays_zeros(self):
+        assert self.assert_matches_reference([1.0, 3.0, 1e-300], 0.0) == [float.hex(0.0)] * 3
+
+    def test_zero_volumes_pay_nothing(self):
+        assert self.assert_matches_reference([0.0, 0.0], 5.0) == []
+        assert self.assert_matches_reference([], 5.0) == []
+
+    def test_documented_negative_payout(self):
+        # the last trader's share is below the rounding of the others' sum
+        paid = self.assert_matches_reference([12.5, 1.89e13, 2.9e-12], 0.0719)
+        assert paid[-1] == float.hex(-1.3877787807814457e-17)
+
+    @pytest.mark.parametrize("pool", [1.0, 3.0])
+    def test_sums_are_left_folds(self, pool):
+        # from 8 terms on np.sum adds pairwise: its total here is
+        # 1.0000000000000014e16, where the left fold stays at 1e16
+        volumes = [1e16] + [1.0] * 15
+        assert float(np.sum(volumes)) != 1e16
+        self.assert_matches_reference(volumes, pool)
+
+    def test_total_volume_overflow_names_the_epoch(self):
+        message = self.assert_matches_reference([1e308, 1e308], 1.0, 7)
+        assert message == "epoch 7: total volume inf overflows a float"
+
+    def test_payout_sum_overflow_names_the_epoch(self):
+        message = self.assert_matches_reference(
+            [6.098847240216778, 6.107337163044295, 5.85391976940883, 0.0], FLOAT_MAX, 3
+        )
+        assert message.startswith("epoch 3: payouts of the reward pool")
+
+    def test_kernel_keeps_its_volumes(self):
+        volumes = np.array([1.0, 3.0])
+        _settle(volumes, 8.0, 0)
+        assert volumes.tolist() == [1.0, 3.0]

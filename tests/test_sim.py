@@ -24,8 +24,8 @@ from powerlaw_amm.fees import (
     classify_regime,
     compute_fee,
     dynamic_rebate,
-    settle_epoch,
     split_fee,
+    _fold,
     _rebate,
     _split,
 )
@@ -64,6 +64,7 @@ from powerlaw_amm.sim import (
     sweep_il,
     sweep_retention,
 )
+from test_fees import reference_settle
 
 
 class TestDrsSimulation:
@@ -529,8 +530,8 @@ class TestMarketLoop:
     def test_epoch_payouts_sum_to_pool(self):
         res = run_market_loop(MarketLoopConfig(seed=77))
         for er in res.epoch_reports:
-            if er.payouts:
-                assert sum(p for _, p in er.payouts) == pytest.approx(
+            if er.payouts.size:
+                assert sum(er.payouts.tolist()) == pytest.approx(
                     er.reward_pool, rel=1e-12
                 )
 
@@ -744,7 +745,7 @@ def reference_market_loop(cfg: MarketLoopConfig) -> dict:
             prices.append(price)
         reward_pool = REWARD_FRACTION * epoch_fees + carry
         ledger.add_reward(reward_pool)
-        payouts = settle_epoch(ledger)
+        payouts = reference_settle(ledger.volumes, ledger.reward_pool, epoch_id)
         if payouts:
             rewards += reward_pool
             carry = 0.0
@@ -801,7 +802,11 @@ class TestTradeDraws:
             )
             return run_market_loop(cfg)
 
-        assert repr(run(np.float32, np.int32)) == repr(run(float, int))
+        got, want = run(np.float32, np.int32), run(float, int)
+        # repr tells a leaked numpy scalar from its Python twin; bits() the
+        # payout arrays, whose repr prints 8 digits
+        assert repr(got) == repr(want)
+        assert bits(got) == bits(want)
 
     @staticmethod
     def assert_matches_reference(cfg):
@@ -812,7 +817,8 @@ class TestTradeDraws:
                 assert (res.final_pool.x_reserve, res.final_pool.y_reserve) == ref[name]
             elif name == "epoch_reports":
                 got = [
-                    (e.epoch_id, e.fees, e.volume, e.reward_pool, e.carried, e.payouts)
+                    (e.epoch_id, e.fees, e.volume, e.reward_pool, e.carried,
+                     [(f"t{i}", p) for i, p in zip(e.traders.tolist(), e.payouts.tolist())])
                     for e in res.epoch_reports
                 ]
                 assert got == ref[name]
@@ -845,10 +851,10 @@ class TestTradeDraws:
 def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
     """The market loop with its bookkeeping done per trade, the scalar
     oracle of run_market_loop's epoch close: one _split call per executed
-    trade, every running sum a float +=, and each epoch's volumes a trader
-    -> volume dict in first-trade order. It draws, swaps and settles as
-    run_market_loop does, so every output of the two must have the same
-    bits."""
+    trade, every running sum a float +=, each epoch's volumes a trader ->
+    volume dict in first-trade order, settled by the scalar reference
+    settlement. It draws and swaps as run_market_loop does, so every output
+    of the two must have the same bits."""
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
     price = spot_price(Pool(x, y, n))
@@ -900,14 +906,17 @@ def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
             log_prices.append(math.log(price))
         assert total_volume <= FLOAT_MAX
         reward_pool = REWARD_FRACTION * epoch_fees + carry
-        named = {f"t{i}": v for i, v in volumes.items()}
-        payouts = settle_epoch(EpochLedger(epoch_id, reward_pool, named))
+        payouts = reference_settle(volumes, reward_pool, epoch_id)
         if payouts:
             rewards_distributed += reward_pool
             carry = 0.0
         else:
             carry = reward_pool
-        epoch_reports.append(sim.EpochReport(epoch_id, epoch_fees, epoch_volume, reward_pool, carry, payouts))
+        traders = np.array([t for t, _ in payouts], dtype=np.int64)
+        amounts = np.array([p for _, p in payouts], dtype=float)
+        epoch_reports.append(
+            sim.EpochReport(epoch_id, epoch_fees, epoch_volume, reward_pool, carry, traders, amounts)
+        )
     return sim.MarketLoopResult(
         total_volume=total_volume,
         total_fees=total_fees,
@@ -927,9 +936,12 @@ def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
 
 def bits(value):
     """value with every float replaced by its float.hex, through dataclasses,
-    lists and tuples, so == compares bit for bit (-0.0 and 0.0 differ)."""
+    lists, tuples and numpy arrays (kept with their dtype), so == compares
+    bit for bit (-0.0 and 0.0 differ)."""
     if isinstance(value, float):
         return float.hex(value)
+    if isinstance(value, np.ndarray):
+        return [value.dtype.str, bits(value.tolist())]
     if isinstance(value, (list, tuple)):
         return [bits(v) for v in value]
     if dataclasses.is_dataclass(value):
@@ -1030,18 +1042,18 @@ class TestArrayFolds:
         with np.errstate(over="ignore"):
             got = np.add.accumulate(np.array([start, *values]))[-1]
             assert float.hex(float(got)) == float.hex(self.left_fold(start, values))
-            assert float.hex(sim._fold(start, values)) == float.hex(self.left_fold(start, values))
+            assert float.hex(_fold(start, values)) == float.hex(self.left_fold(start, values))
 
     def test_pairwise_sum_would_differ(self):
         # np.sum's pairwise blocks add the small terms together first, so a
         # test of the fold can tell the two apart
         values = [1.0] + [1e-16] * 100
-        assert sim._fold(0.0, values) == self.left_fold(0.0, values) == 1.0
+        assert _fold(0.0, values) == self.left_fold(0.0, values) == 1.0
         assert float(np.sum(values)) != 1.0
 
     def test_overflow_is_inf_without_a_warning_under_errstate(self):
         with np.errstate(over="ignore"):
-            assert sim._fold(1e308, [1e308, 1.0]) == math.inf
+            assert _fold(1e308, [1e308, 1.0]) == math.inf
 
     @given(
         pairs=st.lists(st.tuples(st.integers(0, 6), magnitudes), max_size=300),
@@ -1135,9 +1147,9 @@ class TestWholeRunConservation:
         parts = res.rewards_distributed + res.reward_carry + res.protocol_net
         assert abs(parts - res.protocol_total) <= math.ulp(res.protocol_total)
         for er in res.epoch_reports:
-            assert all(p >= 0.0 for _, p in er.payouts)
-            if er.payouts:
-                total = sum(p for _, p in er.payouts)
+            assert (er.payouts >= 0.0).all()
+            if er.payouts.size:
+                total = sum(er.payouts.tolist())
                 assert abs(total - er.reward_pool) <= math.ulp(er.reward_pool)
             else:
                 assert er.carried == er.reward_pool
@@ -1352,3 +1364,32 @@ class TestSweepGridConfig:
         with pytest.raises(ValueError, match="m_points"):
             SweepGridConfig(m_min=m_min, m_max=m_max, m_points=1)
         assert SweepGridConfig(m_min=m_max, m_max=m_max, m_points=1).m_grid().size == 1
+
+    @pytest.mark.parametrize(
+        "m_min, m_max, m_points", [(1.0, FLOAT_MAX, 3), (1e-300, FLOAT_MAX, 200), (FLOAT_MAX, FLOAT_MAX, 1)]
+    )
+    def test_grid_past_the_float_range_names_m_max(self, m_min, m_max, m_points):
+        # np.logspace rounds 10**log10(FLOAT_MAX) up to inf; warnings are errors here
+        with pytest.raises(ValueError, match=r"m_max 1\.7976931348623157e\+308 puts the last grid point"):
+            SweepGridConfig(m_min=m_min, m_max=m_max, m_points=m_points)
+
+    @pytest.mark.parametrize("m_points", [1, 3, 200])
+    def test_finite_grids_near_the_top_keep_their_bits(self, m_points):
+        # walk m_max down from the largest float, in steps of 2**-20 until a
+        # grid is accepted, then one ulp at a time: each grid is refused with
+        # an inf in np.logspace's, or is np.logspace's bit for bit
+        m_max, refused, accepted = FLOAT_MAX, 0, 0
+        while accepted < 50:
+            m_min = m_max if m_points == 1 else 1.0
+            with np.errstate(over="ignore"):
+                want = np.logspace(np.log10(m_min), np.log10(m_max), m_points)
+            try:
+                got = SweepGridConfig(m_min=m_min, m_max=m_max, m_points=m_points).m_grid()
+            except ValueError:
+                assert not np.isfinite(want).all()
+                refused += 1
+            else:
+                assert np.isfinite(want).all() and got.tobytes() == want.tobytes()
+                accepted += 1
+            m_max = math.nextafter(m_max, 0.0) if accepted else m_max * (1 - 2**-20)
+        assert refused > 0

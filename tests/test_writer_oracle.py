@@ -31,6 +31,8 @@ SWEEP = {"m_min": 1.5, "m_max": 150.0, "m_points": 2000, "n_values": list(range(
 
 
 def old_cell(value) -> str:
+    if isinstance(value, bytes):  # an ASCII bytes cell reads as its text
+        return value.decode("ascii")
     return value if isinstance(value, str) else format(value, ".17g")
 
 
@@ -214,20 +216,21 @@ CELLS = {
     "f": st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308]), st.floats()),
     # % would be a conversion if a cell ever reached the format string
     "U": st.text("t0123456789%", max_size=4),
+    "S": st.text("t0123456789%", max_size=4).map(str.encode),
 }
-DTYPES = {"i": np.int64, "f": np.float64, "U": "U4"}
+DTYPES = {"i": np.int64, "f": np.float64, "U": "U4", "S": "S4"}
 
 
 @st.composite
 def small_tables(draw):
     """A 2-D structured array of int and float columns, or a 1-D one that
-    may hold a str column too. A column draws its cells from one to three
+    may hold a str or a bytes column too. A column draws its cells from one to three
     values (a float column from their negations too), and a 2-D column may
     repeat its first block in every block or be constant within each block,
     so every path of the writer is taken."""
     two_d = draw(st.booleans())
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5))) if two_d else (draw(st.integers(0, 6)),)
-    kinds = draw(st.lists(st.sampled_from("if" if two_d else "ifU"), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from("if" if two_d else "ifUS"), min_size=1, max_size=4))
     table = np.zeros(shape, [(f"c{i}", DTYPES[kind]) for i, kind in enumerate(kinds)])
     for name, kind in zip(table.dtype.names, kinds):
         values = draw(st.lists(CELLS[kind], min_size=1, max_size=3))
@@ -256,8 +259,14 @@ def test_small_tables_are_written_as_the_per_cell_writer_wrote_them(tmp_path_fac
 
 @pytest.mark.parametrize(
     "stream",
-    [{"trades_per_period": 20.0, "num_traders": 7}, {"trades_per_period": 0.0}],
-    ids=["traders", "no-trades"],
+    [
+        {"trades_per_period": 20.0, "num_traders": 7},
+        {"trades_per_period": 0.0},
+        {"num_traders": 1},
+        # names up to t4294967295
+        {"num_traders": 4294967296, "trades_per_period": 0.3},
+    ],
+    ids=["traders", "no-trades", "one-trader", "2**32-traders"],
 )
 def test_market_loop_epochs_csv(tmp_path, stream):
     data = {"epochs": 3, "periods_per_epoch": 4, "stream": stream}
@@ -266,11 +275,11 @@ def test_market_loop_epochs_csv(tmp_path, stream):
     cfg = build_config(MarketLoopConfig, {**data, "seed": 9})
     result = run_market_loop(cfg)
     rows = [
-        {"epoch": er.epoch_id, "trader": trader, "reward": reward}
+        {"epoch": er.epoch_id, "trader": f"t{trader}", "reward": reward}
         for er in result.epoch_reports
-        for trader, reward in er.payouts
+        for trader, reward in zip(er.traders.tolist(), er.payouts.tolist())
     ]
-    assert bool(rows) == bool(stream["trades_per_period"])  # the empty table is the no-trades case
+    assert bool(rows) == bool(cfg.stream.trades_per_period)  # the empty table is the no-trades case
     config = {**dataclasses.asdict(cfg), "out": out, "format": "csv", "ledger_of": out}
     with open(tmp_path / "loop.epochs.csv", "rb") as fh:
         assert fh.read() == old_csv("market-loop", config, ["epoch", "trader", "reward"], rows)
