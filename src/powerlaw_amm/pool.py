@@ -37,6 +37,12 @@ rule (_real), one finiteness bound (FLOAT_MAX), one exponent rule
 (_check_exponent, which returns the Python int it checked), one
 price-multiplier rule for floats and arrays (_multiplier) and the type rule
 of every config dataclass field (_check_fields).
+
+This module does not import numpy, so a Pool, a swap and a quote cost no
+numpy import. The rules recognise a numpy scalar or array through _numpy,
+which returns numpy only once something else has loaded it. No numpy value
+can exist before then, so each rule means what it would with numpy
+imported here. An array closed form builds its result with that numpy.
 """
 
 import dataclasses
@@ -44,8 +50,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 MIN_EXPONENT = 1
 MAX_EXPONENT = 8
@@ -228,7 +232,7 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
     return Pool(x_t, y_t, pool.n)
 
 
-def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.ndarray:
+def depleted_reserves(y0: float, m: "float | np.ndarray", n: int) -> "float | np.ndarray":
     """Stablecoin reserve left after an m-fold price move under the depletion
     convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array."""
     y0 = _nonnegative(y0, "initial reserve")
@@ -237,7 +241,7 @@ def depleted_reserves(y0: float, m: float | np.ndarray, n: int) -> float | np.nd
     return y0 * _pow(m, -1.0 / (n + 1))
 
 
-def retention_ratio(m: float | np.ndarray, n: int) -> float | np.ndarray:
+def retention_ratio(m: "float | np.ndarray", n: int) -> "float | np.ndarray":
     """Stablecoin retention of an exponent-n pool relative to n=1, after an
     m-fold price move: m^(1/2 - 1/(n+1)). m is a float or a 1-D float array."""
     m = _multiplier(m)
@@ -279,7 +283,7 @@ def slippage_ratio(n: int) -> float:
     return (_check_exponent(n) + 1) / 2.0
 
 
-def _pow(base: float | np.ndarray, e: float) -> float | np.ndarray:
+def _pow(base: "float | np.ndarray", e: float) -> "float | np.ndarray":
     """base ** e for a float base, or elementwise for an array of floats.
 
     The power is Python's float ** (libm pow) in both cases. numpy's power
@@ -287,10 +291,15 @@ def _pow(base: float | np.ndarray, e: float) -> float | np.ndarray:
     last bit on a few percent of inputs, so an array call through it would
     not reproduce the per-point float calls or the pinned outputs.
     """
-    if isinstance(base, np.ndarray):
-        powers = [b**e for b in base.ravel().tolist()]
-        return np.array(powers, dtype=float).reshape(base.shape)
-    return base**e
+    if type(base) is float:
+        return base**e
+    powers = [b**e for b in base.ravel().tolist()]
+    return _numpy().array(powers, dtype=float).reshape(base.shape)
+
+
+def _numpy():
+    """numpy if something has loaded it, else None, when no numpy value can exist."""
+    return sys.modules.get("numpy")
 
 
 def _real(value, name: str, error: type[ValueError] = PoolError) -> float:
@@ -298,7 +307,8 @@ def _real(value, name: str, error: type[ValueError] = PoolError) -> float:
     scalar is read as its item(), and a real number that is not a bool
     becomes float(value), an int past the float range the inf of its sign
     (the caller's bound rejects it). Anything else is an error naming it."""
-    if isinstance(value, np.generic):
+    np = _numpy()
+    if np is not None and isinstance(value, np.generic):
         value = value.item()
         if type(value) is float:
             return value
@@ -319,27 +329,29 @@ def _nonnegative(value, name: str, error: type[ValueError] = PoolError) -> float
     return value
 
 
-def _number(value, name: str) -> float | np.ndarray:
+def _number(value, name: str) -> "float | np.ndarray":
     """value by the number rule, or an array as a float64 array (a float64 one is not copied)."""
-    if isinstance(value, np.ndarray):
+    if type(value) is float:
+        return value
+    np = _numpy()
+    if np is not None and isinstance(value, np.ndarray):
         return np.asarray(value, dtype=float)
-    return value if type(value) is float else _real(value, name)
+    return _real(value, name)
 
 
-def _multiplier(m: float | np.ndarray) -> float | np.ndarray:
+def _multiplier(m: "float | np.ndarray") -> "float | np.ndarray":
     """The price-multiplier rule of the closed forms: m, by the number rule,
     positive and finite. An array is checked with one mask, and the error
     names its first bad value."""
     m = _number(m, "price multiplier")
-    if isinstance(m, np.ndarray):
-        bad = ~((m > 0.0) & (m <= FLOAT_MAX))
-        if bad.any():
-            i = int(bad.argmax())
-            raise PoolError(
-                f"price multiplier must be positive and finite, got {m.flat[i]} at index {i}"
-            )
-    elif not 0.0 < m <= FLOAT_MAX:
-        raise PoolError(f"price multiplier must be positive and finite, got {m}")
+    if type(m) is float:
+        if not 0.0 < m <= FLOAT_MAX:
+            raise PoolError(f"price multiplier must be positive and finite, got {m}")
+        return m
+    bad = ~((m > 0.0) & (m <= FLOAT_MAX))
+    if bad.any():
+        i = int(bad.argmax())
+        raise PoolError(f"price multiplier must be positive and finite, got {m.flat[i]} at index {i}")
     return m
 
 
@@ -355,10 +367,11 @@ def _check_fields(obj):
     itself. A numpy scalar is read as its item(), and a float field holds
     its value by the number rule (_real): an int or a float32 there runs and
     is echoed as its float twin."""
+    np = _numpy()
     for f in dataclasses.fields(obj):
         kind = f.type
         value = getattr(obj, f.name)
-        if isinstance(value, np.generic):
+        if np is not None and isinstance(value, np.generic):
             value = value.item()
         if kind is int and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")

@@ -437,6 +437,51 @@ class TestReplicationSeeding:
         assert Path(out[0]).is_relative_to(SRC)
         assert out[1] == "False"
 
+    def test_pool_api_and_quote_leave_numpy_unloaded(self, tmp_path):
+        # numpy's import is most of a quote's start-up; the pool API and the
+        # quote command are plain Python and must not load it, while the
+        # commands that do load it later in the same process still write
+        # their golden outputs
+        out = subprocess.run(
+            [sys.executable, "-c", SCALAR_PATH_CHILD, str(SRC), str(SRC.parent / "bench")],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr[-3000:]
+        assert out.stdout.splitlines()[-1] == "goldens match"
+
+
+# Run in a child process from an empty directory: the scalar path first, then
+# two commands that load numpy, against the digests bench/golden.py pins.
+SCALAR_PATH_CHILD = """
+import sys
+src, bench = sys.argv[1:]
+sys.path[:0] = [src, bench]
+import powerlaw_amm, powerlaw_amm.cli
+from powerlaw_amm import cli, pool
+floats, ints = pool.Pool(100.0, 100.0, 4), pool.Pool(100, 100, 4)
+assert floats == ints
+pool.swap_y_for_x(floats, 10.0, 0.01)
+pool.swap_x_for_y(ints, 10, 0.01)
+pool.spot_price(ints)
+pool.slippage_first_order(floats, 1.0)
+pool.depleted_reserves(1.0, 2.0, 4)
+pool.retention_ratio(2.0, 4)
+quote = ["quote", "--x", "100", "--y", "100", "--n", "4", "--buy-x", "--in", "100", "--fee", "0.01"]
+assert cli.main(quote) == 0
+assert cli.main(quote + ["--in", "nan"]) == 2
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))[:5]
+
+import golden
+for argv, files in golden.COMMANDS:
+    if argv[0] in ("market-loop", "sweep-il"):
+        assert cli.main(argv) == 0
+        for name in files:
+            assert golden.sha256_file(name) == golden.PINNED[f"{argv[0]}:{name}"], name
+print("goldens match")
+"""
+
 
 class TestSweeps:
     def test_retention_default_shape(self):
