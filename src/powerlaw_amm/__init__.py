@@ -5,7 +5,7 @@ The exported names are resolved on first use (PEP 562): the package imports
 no submodule itself, and powerlaw_amm.Pool loads the pool module only. The
 pool API does not import numpy; a name from il, fees or sim loads that
 module, and numpy with it. `from powerlaw_amm import *` binds every name
-in __all__ and so loads every submodule.
+in __all__, the four submodules among them, and so loads every submodule.
 """
 
 import importlib
@@ -66,7 +66,7 @@ _EXPORTED = {
 # exported name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTED.items() for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = [*_MODULE_OF, *_EXPORTED]
 
 __version__ = "0.1.0"
 
@@ -83,4 +83,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_EXPORTED})
+    return sorted({*globals(), *__all__})

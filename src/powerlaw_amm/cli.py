@@ -298,14 +298,16 @@ def cmd_simulate_drs(args) -> int:
 def _epochs_table(reports) -> "np.ndarray":
     """The (epoch, trader, reward) rows of every payout, epoch by epoch in
     payout order. Both text columns are formatted once per distinct value
-    and gathered: an epoch cell is the bytes of "%.17g" of its id, as the
-    writer formats an int cell, and a trader cell the bytes of "t{id}"."""
+    and gathered: an epoch cell is the writer's text of its id
+    (csvbytes.number_texts), and a trader cell the bytes of "t{id}"."""
     import numpy as np
+
+    from .csvbytes import number_texts
 
     rewards = np.concatenate([er.payouts for er in reports])
     ids, which = np.unique(np.concatenate([er.traders for er in reports]), return_inverse=True)
     names = np.array([b"t%d" % i for i in ids.tolist()], dtype="S")
-    epochs = np.array([b"%.17g" % er.epoch_id for er in reports], dtype="S")
+    epochs = number_texts([er.epoch_id for er in reports])
     table = np.empty(rewards.size, dtype=[("epoch", epochs.dtype), ("trader", names.dtype), ("reward", float)])
     table["epoch"] = np.repeat(epochs, [er.payouts.size for er in reports])
     table["trader"] = names[which]

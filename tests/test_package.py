@@ -64,7 +64,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 def test_export_list_is_complete():
     assert len(NAMES) == 42
-    assert sorted(powerlaw_amm.__all__) == sorted(name for _, name in NAMES)
+    assert sorted(powerlaw_amm.__all__) == sorted([*EXPORTS, *(name for _, name in NAMES)])
 
 
 @pytest.mark.parametrize(("module", "name"), NAMES, ids=[name for _, name in NAMES])
@@ -79,6 +79,9 @@ def test_star_import_binds_every_name():
     exec("from powerlaw_amm import *", namespace)
     for module, name in NAMES:
         assert namespace[name] is getattr(importlib.import_module(f"powerlaw_amm.{module}"), name)
+    # the eagerly imported submodules were package attributes, so * bound them too
+    for module in EXPORTS:
+        assert namespace[module] is importlib.import_module(f"powerlaw_amm.{module}")
 
 
 def test_submodules_stay_importable_from_the_package():

@@ -425,10 +425,12 @@ class TestReplicationSeeding:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # importing numpy.random costs tens of milliseconds on every command;
-        # the package loads it only when a run first draws
+        # the package loads it only when a run first draws, not when the
+        # simulation commands import sim, fees and il
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
-            "import powerlaw_amm, powerlaw_amm.cli; "
+            "import powerlaw_amm, powerlaw_amm.cli, powerlaw_amm.sim, powerlaw_amm.fees, powerlaw_amm.il; "
+            "powerlaw_amm.run_market_loop; powerlaw_amm.cli.run_market_loop; "
             "print(powerlaw_amm.__file__); print('numpy.random' in sys.modules)"
         )
         out = subprocess.run(
