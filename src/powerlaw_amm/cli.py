@@ -23,12 +23,13 @@ Every table is a numpy structured array (the sweeps, the simulate-drs
 series, the market-loop epochs), and every CSV is written as bytes by one
 writer, csvbytes.block_rows, with no Python string per cell (see its
 docstring for how a cell gets the bytes of %.17g). The market-loop epochs
-table is built from the EpochReport arrays: its epoch and trader columns
-hold bytes, formatted once per epoch and once per distinct trader id.
+table is built from the EpochReport arrays: its epoch column holds the int
+ids, and its trader column bytes, formatted once per distinct trader id.
 
 quote loads neither numpy nor sim: the pool API is plain Python. The other
-commands import sim, and numpy with it, when they run (_load_sim), and
-write_csv imports the writer when it writes.
+commands reach sim through run_drs_simulation, run_market_loop,
+sweep_retention and sweep_il, which import it, and numpy with it, when
+called; write_csv imports the writer when it writes.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error (a file
 that cannot be read or written, or an array too large to allocate).
@@ -102,35 +103,32 @@ def build_config(cls, data, where: str = ""):
         raise ConfigError(f"bad config: {where + '.' if where else ''}{exc}") from exc
 
 
-# The names of sim (and fees) that the simulation commands call
-_FROM_SIM = ("MarketLoopConfig", "run_drs_simulation", "run_market_loop", "sweep_il", "sweep_retention")
-_SIM_NAMES = ("sim", "_fold", *_FROM_SIM)
+# sim's entry points, imported when first called so that quote loads neither
+# sim nor numpy. They are module globals only so that the benchmark's tracer
+# (bench/tracing.py) can rebind them to timing wrappers; tracing by
+# profiling (ROADMAP item 10) would let the commands call sim directly.
+def run_drs_simulation(cfg):
+    from .sim import run_drs_simulation
+
+    return run_drs_simulation(cfg)
 
 
-def _load_sim():
-    """Import sim, and numpy with it, and bind each of _SIM_NAMES that this
-    module does not already hold; the simulation commands call it first, so
-    quote runs without sim or numpy.
+def run_market_loop(cfg):
+    from .sim import run_market_loop
 
-    The names are module globals, not attributes read through sim, only
-    because the benchmark's tracer (bench/tracing.py) finds them here and
-    rebinds them to timing wrappers, and setdefault keeps a rebound name.
-    Tracing by profiling (ROADMAP item 10) would remove the need.
-    """
-    from . import sim
-    from .fees import _fold
-
-    loaded = {"sim": sim, "_fold": _fold, **{name: getattr(sim, name) for name in _FROM_SIM}}
-    for name, value in loaded.items():
-        globals().setdefault(name, value)
+    return run_market_loop(cfg)
 
 
-def __getattr__(name):
-    """A name of _SIM_NAMES read from outside before any command loaded it."""
-    if name in _SIM_NAMES:
-        _load_sim()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def sweep_retention(m_grid, n_values):
+    from .sim import sweep_retention
+
+    return sweep_retention(m_grid, n_values)
+
+
+def sweep_il(m_grid, n_values):
+    from .sim import sweep_il
+
+    return sweep_il(m_grid, n_values)
 
 
 def resolve_out(args, default_name: str) -> str:
@@ -243,7 +241,9 @@ def cmd_quote(args) -> int:
 
 def _sweep_grid(cfg: dict):
     """(m grid, n values, resolved config) of a sweep config object."""
-    grid = build_config(sim.SweepGridConfig, cfg)
+    from .sim import SweepGridConfig
+
+    grid = build_config(SweepGridConfig, cfg)
     return grid.m_grid(), grid.n_values, dataclasses.asdict(grid)
 
 
@@ -260,12 +260,10 @@ def _run_sweep(args, command: str, runner) -> int:
 
 
 def cmd_sweep_retention(args) -> int:
-    _load_sim()
     return _run_sweep(args, "sweep-retention", sweep_retention)
 
 
 def cmd_sweep_il(args) -> int:
-    _load_sim()
     return _run_sweep(args, "sweep-il", sweep_il)
 
 
@@ -277,12 +275,11 @@ def _seeded_config(args) -> dict:
 
 
 def cmd_simulate_drs(args) -> int:
-    _load_sim()
     import numpy as np
 
-    # Read through sim: the benchmark's tracer rebinds names imported into
-    # this module to timing wrappers, which are not dataclasses.
-    cfg = build_config(sim.DrsSimConfig, _seeded_config(args))
+    from .sim import DrsSimConfig
+
+    cfg = build_config(DrsSimConfig, _seeded_config(args))
     result = run_drs_simulation(cfg)
     out = resolve_out(args, f"drs.{args.format}")
     config = {**dataclasses.asdict(cfg), "out": out, "format": args.format}
@@ -297,26 +294,25 @@ def cmd_simulate_drs(args) -> int:
 
 def _epochs_table(reports) -> "np.ndarray":
     """The (epoch, trader, reward) rows of every payout, epoch by epoch in
-    payout order. Both text columns are formatted once per distinct value
-    and gathered: an epoch cell is the writer's text of its id
-    (csvbytes.number_texts), and a trader cell the bytes of "t{id}"."""
+    payout order. The epoch column holds each report's int id; the trader
+    column holds the bytes of "t{id}", formatted once per distinct trader
+    id and gathered."""
     import numpy as np
-
-    from .csvbytes import number_texts
 
     rewards = np.concatenate([er.payouts for er in reports])
     ids, which = np.unique(np.concatenate([er.traders for er in reports]), return_inverse=True)
     names = np.array([b"t%d" % i for i in ids.tolist()], dtype="S")
-    epochs = number_texts([er.epoch_id for er in reports])
-    table = np.empty(rewards.size, dtype=[("epoch", epochs.dtype), ("trader", names.dtype), ("reward", float)])
-    table["epoch"] = np.repeat(epochs, [er.payouts.size for er in reports])
+    table = np.empty(rewards.size, dtype=[("epoch", int), ("trader", names.dtype), ("reward", float)])
+    table["epoch"] = np.repeat([er.epoch_id for er in reports], [er.payouts.size for er in reports])
     table["trader"] = names[which]
     table["reward"] = rewards
     return table
 
 
 def cmd_market_loop(args) -> int:
-    _load_sim()
+    from .fees import _fold
+    from .sim import MarketLoopConfig
+
     cfg = build_config(MarketLoopConfig, _seeded_config(args))
     result = run_market_loop(cfg)
     out = resolve_out(args, "market_loop.json")

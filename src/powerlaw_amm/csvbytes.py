@@ -108,14 +108,6 @@ def _formatted_numbers(values: np.ndarray):
     return cells, keep
 
 
-def number_texts(values) -> np.ndarray:
-    """The cell text block_rows writes for each of values, as a numpy bytes
-    array: a column that repeats a few numbers over many rows is formatted
-    once per distinct value here and handed to block_rows as a bytes column."""
-    cells, keep = _formatted_numbers(np.asarray(values))
-    return np.array([cell[kept].tobytes() for cell, kept in zip(cells, keep)], dtype="S")
-
-
 def _fixed_digits(x: np.ndarray):
     """(fixed, k, digits) of a float array: where fixed is True, %.17g
     prints x in fixed notation with decimal exponent k, and its 17

@@ -176,12 +176,13 @@ def _fold(start: float, values) -> float:
     += would add them: np.add.accumulate is that sequential fold (np.sum is
     pairwise, and rounds differently, and the builtin sum compensates the
     rounding from Python 3.12), so a fold has the same bits on every Python.
-    A sum past the float range is inf, with numpy's overflow warning:
-    a caller whose sum can pass it runs it under np.errstate(over="ignore")."""
+    A sum past the float range is inf, without a warning: the caller bounds
+    it."""
     terms = np.empty(len(values) + 1)
     terms[0] = start
     terms[1:] = values
-    return float(np.add.accumulate(terms, out=terms)[-1])
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(terms, out=terms)[-1])
 
 
 class EpochLedger:
@@ -224,8 +225,7 @@ class EpochLedger:
         and without a warning; empty, the int 0."""
         if not self.volumes:
             return 0
-        with np.errstate(over="ignore"):
-            return _fold(0.0, list(self.volumes.values()))
+        return _fold(0.0, list(self.volumes.values()))
 
 
 def _settle(volumes: np.ndarray, reward_pool: float, epoch_id: int) -> np.ndarray:
@@ -238,15 +238,13 @@ def _settle(volumes: np.ndarray, reward_pool: float, epoch_id: int) -> np.ndarra
     payouts before the last, past the largest float is a ValueError naming
     the epoch.
     """
-    with np.errstate(over="ignore"):
-        total = _fold(0.0, volumes)
+    total = _fold(0.0, volumes)
     if total > FLOAT_MAX:
         raise ValueError(f"epoch {epoch_id}: total volume {total} overflows a float")
     if total <= 0:
         return np.empty(0)
     payouts = volumes / total * reward_pool
-    with np.errstate(over="ignore"):
-        paid = _fold(0.0, payouts[:-1])
+    paid = _fold(0.0, payouts[:-1])
     if paid > FLOAT_MAX:
         raise ValueError(f"epoch {epoch_id}: payouts of the reward pool {reward_pool} overflow a float")
     payouts[-1] = reward_pool - paid

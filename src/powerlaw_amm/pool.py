@@ -234,11 +234,22 @@ def reserves_at_price(pool: Pool, target_price: float) -> Pool:
 
 def depleted_reserves(y0: float, m: "float | np.ndarray", n: int) -> "float | np.ndarray":
     """Stablecoin reserve left after an m-fold price move under the depletion
-    convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array."""
+    convention: y0 * m^(-1/(n+1)). m is a float or a 1-D float array. A
+    reserve past the float range is a PoolError; for an array it names the
+    first such entry and its index."""
     y0 = _nonnegative(y0, "initial reserve")
     m = _multiplier(m)
     n = _check_exponent(n)
-    return y0 * _pow(m, -1.0 / (n + 1))
+    powers = _pow(m, -1.0 / (n + 1))
+    if type(powers) is float:
+        return _finite(y0 * powers, "depleted reserve y0 * m^(-1/(n+1))")
+    with _numpy().errstate(over="ignore"):
+        reserves = y0 * powers
+    bad = reserves > FLOAT_MAX
+    if bad.any():
+        i = int(bad.argmax())
+        raise PoolError(f"depleted reserve y0 * m^(-1/(n+1)) overflows a float for m {m.flat[i]} at index {i}")
+    return reserves
 
 
 def retention_ratio(m: "float | np.ndarray", n: int) -> "float | np.ndarray":
@@ -256,7 +267,8 @@ def price_elasticity(n: int) -> float:
 
 def min_arbitrage_size(pool: Pool, external_price: float) -> float:
     """Smallest trade that closes a positive external-price gap profitably:
-    (P_ext - P) * X / ((n+1) * P). Only the buy direction is modeled."""
+    (P_ext - P) * X / ((n+1) * P). Only the buy direction is modeled. A
+    size past the float range is a PoolError."""
     p = spot_price(pool)
     if type(external_price) is not float:
         external_price = _real(external_price, "external_price")
@@ -264,17 +276,19 @@ def min_arbitrage_size(pool: Pool, external_price: float) -> float:
         raise PoolError(f"external_price must be finite, got {external_price}")
     if external_price < p:
         raise PoolError("external price below spot: sell-side gap not modeled")
-    return (external_price - p) * pool.x_reserve / ((pool.n + 1) * p)
+    size = (external_price - p) * pool.x_reserve / ((pool.n + 1) * p)
+    return _finite(size, "minimum arbitrage size (P_ext - P) * X / ((n+1) * P)")
 
 
 def slippage_first_order(pool: Pool, dx: float) -> float:
     """First-order slippage for a reserve change dx: -(n+1) * dx / X.
-    Valid for |dx| << X; the caller is responsible for staying small."""
+    Valid for |dx| << X; the caller is responsible for staying small. A
+    slippage past the float range is a PoolError."""
     spot_price(pool)  # the pool-state check: active, price in (0, inf)
     dx = dx if type(dx) is float else _real(dx, "dx")
     if not abs(dx) <= FLOAT_MAX:
         raise PoolError(f"dx must be finite, got {dx}")
-    return -(pool.n + 1) * dx / pool.x_reserve
+    return _finite(-(pool.n + 1) * dx / pool.x_reserve, "first-order slippage -(n+1) * dx / X")
 
 
 def slippage_ratio(n: int) -> float:
@@ -295,6 +309,13 @@ def _pow(base: "float | np.ndarray", e: float) -> "float | np.ndarray":
         return base**e
     powers = [b**e for b in base.ravel().tolist()]
     return _numpy().array(powers, dtype=float).reshape(base.shape)
+
+
+def _finite(result: float, name: str) -> float:
+    """A float result, unless it is past the float range: then a PoolError naming it."""
+    if abs(result) <= FLOAT_MAX:
+        return result
+    raise PoolError(f"{name} overflows a float: got {result}")
 
 
 def _numpy():

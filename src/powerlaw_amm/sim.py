@@ -756,8 +756,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             closes += 1
             log_prices[closes] = math.log(price)
         v = np.frombuffer(volumes)
-        with np.errstate(over="ignore"):  # inf past the float range, reported here
-            total_volume = _fold(total_volume, v)
+        total_volume = _fold(total_volume, v)  # inf past the float range, reported here
         if not total_volume <= FLOAT_MAX:
             raise PoolError(
                 f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"

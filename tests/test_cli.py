@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerlaw_amm import cli, sim, sweep_retention
+from powerlaw_amm import cli, sweep_retention
 from powerlaw_amm.cli import main, read_table
 from powerlaw_amm.sim import DrsSimConfig, MarketLoopConfig
 
@@ -346,26 +346,52 @@ class TestMarketLoop:
         assert "dy_in" not in err and "dx_in" not in err and "Traceback" not in err
 
 
+# Each sim entry point the benchmark's tracer rebinds on cli: the command
+# that calls it, a small config and the --out file name.
+ENTRY_POINTS = {
+    "run_market_loop": ("market-loop", {"epochs": 1, "periods_per_epoch": 2}, "loop.json"),
+    "run_drs_simulation": ("simulate-drs", {"days": 5, "replications": 3}, "drs.csv"),
+    "sweep_retention": ("sweep-retention", {"m_points": 5, "n_values": [1, 4]}, "sweep.csv"),
+    "sweep_il": ("sweep-il", {"m_points": 5, "n_values": [1, 4]}, "sweep.csv"),
+}
+
+
 class TestParser:
-    def test_built_once_and_calls_rebound_names(self, tmp_path, monkeypatch, capsys):
-        # the benchmark's tracer rebinds cli.run_market_loop after the
-        # parser exists; the parser must not have kept the old function
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    def test_built_once_and_calls_rebound_names(self, name, tmp_path, monkeypatch, capsys):
+        # the benchmark's tracer rebinds the entry points after the parser
+        # exists; the parser must not have kept the old functions, and a
+        # rebound one must run once and write what the unpatched one writes
+        command, config, out = ENTRY_POINTS[name]
         cli.build_parser.cache_clear()
         quote = ["quote", "--x", "100", "--y", "100", "--buy-x", "--in", "1"]
         assert run(quote) == 0
-        calls = []
-
-        def traced(cfg):
-            calls.append(cfg)
-            return sim.run_market_loop(cfg)
-
-        monkeypatch.setattr(cli, "run_market_loop", traced)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 1, "periods_per_epoch": 2}))
-        assert run(["market-loop", "--config", str(cfg), "--out", str(tmp_path / "loop.json")]) == 0
-        assert len(calls) == 1 and calls[0].epochs == 1
+        cfg.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [command, "--config", str(cfg), "--out", str(out_dir / out)]
+
+        def written():
+            assert run(argv) == 0
+            files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            for path in out_dir.iterdir():
+                path.unlink()
+            return files
+
+        unpatched = written()
+        calls = []
+        entry_point = getattr(cli, name)
+
+        def traced(*args):
+            calls.append(args)
+            return entry_point(*args)
+
+        monkeypatch.setattr(cli, name, traced)
+        assert written() == unpatched and out in unpatched
+        assert len(calls) == 1
         info = cli.build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 2)
         capsys.readouterr()
 
 

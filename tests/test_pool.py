@@ -398,6 +398,35 @@ class TestNonFiniteArguments:
             reserves_at_price(Pool(100.0, 1000.0, 4), price)
 
 
+class TestOverflowingResults:
+    """Finite inputs whose result is past the float range: a PoolError
+    naming the result, never an inf."""
+
+    def test_slippage_first_order(self):
+        with pytest.raises(PoolError, match=r"first-order slippage .* overflows a float: got -inf"):
+            slippage_first_order(Pool(1e-300, 1.0, 8), 1e300)
+
+    def test_min_arbitrage_size(self):
+        with pytest.raises(PoolError, match=r"minimum arbitrage size .* overflows a float: got inf"):
+            min_arbitrage_size(Pool(1e300, 1.0, 1), 1e300)
+
+    def test_depleted_reserves(self):
+        with pytest.raises(PoolError, match=r"depleted reserve .* overflows a float: got inf"):
+            depleted_reserves(1e308, 5e-324, 1)
+
+    def test_depleted_reserves_array_names_the_first_bad_index(self):
+        # without a warning: pyproject turns warnings into errors
+        m = np.array([1.0, 2.0, 5e-324, 1e-300, 5e-324])
+        with pytest.raises(PoolError, match=r"depleted reserve .* overflows a float for m 5e-324 at index 2"):
+            depleted_reserves(1e308, m, 1)
+
+    def test_results_just_inside_the_range_are_kept(self):
+        assert depleted_reserves(1e308, 1.0, 1) == 1e308
+        assert depleted_reserves(0.0, 5e-324, 1) == 0.0
+        assert depleted_reserves(1e308, np.array([1.0, 4.0]), 1).tolist() == [1e308, 5e307]
+        assert slippage_first_order(Pool(1.0, 1.0, 1), -8e307) == 1.6e308
+
+
 BIG = 10**400  # an int past the largest float
 
 
