@@ -193,7 +193,8 @@ def _parse_cell(value: str):
 
 
 def read_table(path: str):
-    """Reparse a CSV written by write_csv into (meta, rows-of-floats)."""
+    """Reparse a CSV written by write_csv into (meta, rows of dicts): a cell
+    is a float where it parses as one, else its text (a trader name)."""
     meta = {}
     columns = None
     rows = []
@@ -206,9 +207,7 @@ def read_table(path: str):
             elif columns is None:
                 columns = line.split(",")
             elif line:
-                rows.append(
-                    {c: _parse_cell(v) for c, v in zip(columns, line.split(","))}
-                )
+                rows.append({c: _parse_cell(v) for c, v in zip(columns, line.split(","))})
     if "config" in meta:
         meta["config"] = json.loads(meta["config"])
     return meta, rows

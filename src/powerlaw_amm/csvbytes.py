@@ -10,12 +10,10 @@ yields the digits %.17g prints, on any CPU (see _number_cells). %.17g
 itself formats every other cell (zeros, subnormals, exponent notation, inf,
 nan), an int cell is formatted as the float %.17g converts it to, and a
 string cell is bytes (a str column UTF-8 encoded once, into a numpy bytes
-array), so it cannot end in NUL, which numpy's bytes arrays drop. A sweep
-is handed over as one block of m-grid rows per entry of n_values, a 1-D
-table as one block, and repeated columns are formatted once: a column
-whose blocks are bit-identical (m, and il_traditional in sweep-il) once
-for all blocks, a column constant within each block (n, or a DRS series
-that never moves) once per block.
+array), so it cannot end in NUL, which numpy's bytes arrays drop. Repeated
+cells are formatted once (see block_rows): a column whose blocks are
+bit-identical (m, il_traditional) for all blocks, and one that changes at
+few rows (n, the epochs table's epoch, a flat DRS series) once per run.
 """
 
 import numpy as np
@@ -93,12 +91,12 @@ def _keep_table() -> np.ndarray:
 _KEEP = _keep_table()
 
 
-def _text_cells(texts: np.ndarray, lengths):
+def _text_cells(texts: np.ndarray):
     """(bytes, keep) of a 1-D numpy bytes (S) array: row i of the uint8
     cells is texts[i] padded with NULs to the itemsize, and keep marks its
-    first lengths[i] bytes."""
+    bytes (numpy drops a cell's trailing NULs, so str_len is its length)."""
     cells = np.ascontiguousarray(texts).view(np.uint8).reshape(texts.size, texts.itemsize)
-    return cells, np.arange(texts.itemsize) < np.asarray(lengths, dtype=np.intp)[:, None]
+    return cells, np.arange(texts.itemsize) < np.strings.str_len(texts)[:, None]
 
 
 def _formatted_numbers(values: np.ndarray):
@@ -164,30 +162,27 @@ def _number_cells(values: np.ndarray, cells: np.ndarray, keep: np.ndarray):
     keep[:] = _KEEP.take((np.signbit(x) * 21 + k + 4) * 18 + 17 - zeros, axis=0)
     rest = np.flatnonzero(~fixed)
     if rest.size:
-        texts = [b"%.17g" % v for v in x[rest].tolist()]
-        cells[rest], keep[rest] = _text_cells(np.array(texts, f"S{_SLOT}"), [len(t) for t in texts])
+        cells[rest], keep[rest] = _text_cells(np.array([b"%.17g" % v for v in x[rest].tolist()], f"S{_SLOT}"))
 
 
 _CHUNK_BYTES = 1 << 18  # slot bytes laid out at once, which bounds the writer's buffers
 
 
 def block_rows(table: np.ndarray) -> list[np.ndarray]:
-    """The CSV rows of a 2-D structured array of 8-byte numbers and strings
-    (a bytes column, a numpy str column or an object column of str), read as
-    blocks of rows (a sweep: one block of m-grid rows per exponent; a 1-D
-    table is one block), as a list of uint8 arrays whose concatenation is the rows' bytes. Numbers get
-    the text of %.17g (see _number_cells), strings their bytes: a str column
-    is UTF-8 encoded into one bytes array, once. A string cell cannot end in
-    NUL, which numpy's bytes arrays drop.
+    """The CSV rows of a structured array of 8-byte numbers and strings (a
+    bytes, numpy str or object-of-str column), as uint8 arrays whose
+    concatenation is the rows' bytes: %.17g for a number (see _number_cells),
+    the UTF-8 bytes for a string. A 2-D table is read as blocks of rows (a
+    sweep: one block of m-grid rows per exponent), a 1-D one as one block.
 
     The rows are laid out a chunk at a time: each column's cells go into a
     (rows, columns, width) buffer, a separator after each cell, and one
     boolean compress keeps the bytes the cells use. A string column is laid
     out once, as its bytes array's uint8 view. A number column whose blocks
-    are bit-identical is formatted for the first block and its cells reused
-    in every block; one constant within each block (n) is formatted once per
-    block. Cells are compared on their bits, never with ==, because -0.0 and
-    0.0 print differently.
+    are bit-identical is formatted for the first block only; one whose value
+    changes at under a quarter of its rows (row-major) once per run of equal
+    cells, which each chunk gathers. Cells are compared on their bits, never
+    with ==, because -0.0 and 0.0 print differently.
     """
     table = np.atleast_2d(table)
     blocks, size = table.shape
@@ -200,16 +195,22 @@ def block_rows(table: np.ndarray) -> list[np.ndarray]:
             texts = column.reshape(-1)
             if texts.dtype.kind != "S":
                 texts = np.array([v.encode() for v in texts.tolist()], dtype="S")
-            # numpy drops a bytes cell's trailing NULs, so str_len is its length
-            reused[name] = (*_text_cells(texts, np.strings.str_len(texts)), lambda rows: rows)
+            reused[name] = (*_text_cells(texts), lambda rows: rows)
             continue
         bits = column.view(np.uint64)
         if size and blocks > 1 and (bits == bits[0]).all():
             reused[name] = (*_formatted_numbers(column[0]), lambda rows: rows % size)
-        elif size and (bits == bits[:, :1]).all():
-            reused[name] = (*_formatted_numbers(column[:, 0]), lambda rows: rows // size)
+            continue
+        column, bits = column.reshape(-1), bits.reshape(-1)
+        changed = bits[1:] != bits[:-1]
+        # Runs where under 1/4 of the rows change: 160k rows took 14-15 ms by runs with 1/64-1/8 changing,
+        # 21 at 1/4, 25 at 3/8, 31 at 1/2, and 23-25 ms cell by cell (x86-64 Xeon, numpy 2.4, best of 15)
+        if 4 * np.count_nonzero(changed) < bits.size:
+            starts = np.flatnonzero(changed) + 1
+            cells = _formatted_numbers(column[np.r_[0, starts]])
+            reused[name] = (*cells, lambda rows, starts=starts: starts.searchsorted(rows, "right"))
         else:
-            values[name] = column.reshape(-1)
+            values[name] = column
     # a width of whole words, so that a number slot can be written as words
     width = -(-(max([_SLOT, *(cells.shape[1] for cells, _, _ in reused.values())]) + 1) // 4) * 4
     chunk = max(1, min(blocks * size, _CHUNK_BYTES // (len(names) * width)))

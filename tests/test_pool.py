@@ -240,6 +240,31 @@ class TestMinArbitrageSize:
         with pytest.raises(PoolError):
             min_arbitrage_size(pool, 39.0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_against_the_exact_fee_free_buy(self, n):
+        # A fee-free buy to price P(1+g) takes X(1 - (1+g)**(-a)), a = 1/(n+1),
+        # out of the pool; the first-order size is aXg. By the mean value
+        # theorem 1 - (1+g)**(-a) = ag(1+t)**(-a-1) for some t in (0, g), so
+        # first-order / exact = (1+t)**(a+1) lies in [1, (1+g)**(a+1)]. x is a
+        # power of two and y has at most 50 significant bits, so the price
+        # n*y/x is exact as a float. (P_ext - P) * X / ((n+1) * P) then rounds
+        # at most three times (the difference only past g = 1, as Sterbenz
+        # shows), each by at most 2**-53 relative: the budget is 4 * 2**-53.
+        budget = Decimal(4) * Decimal(2) ** -53
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for x, y in [(1024.0, 1000.0), (1.0, 0.75), (2.0**-10, math.ldexp(0x2B7E151628AED, -40))]:
+                pool = Pool(x, y, n)
+                p = spot_price(pool)
+                assert Decimal(p) == n * Decimal(y) / Decimal(x)
+                for g in np.logspace(-12, 1, 27).tolist():
+                    p_ext = p * (1.0 + g)
+                    gap = Decimal(p_ext) / Decimal(p) - 1  # g from the float inputs
+                    exact = Decimal(x) * (1 - (1 + gap) ** (Decimal(-1) / (n + 1)))
+                    ratio = Decimal(min_arbitrage_size(pool, p_ext)) / exact
+                    bound = (1 + gap) ** (Decimal(n + 2) / (n + 1))
+                    assert 1 - budget <= ratio <= bound * (1 + budget), (x, y, g)
+
 
 class TestInvariantConservation:
     @given(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerlaw_amm import il, pool
+from powerlaw_amm import csvbytes, il, pool
 from powerlaw_amm.cli import SCHEMA_VERSION, build_config, main, write_csv
 from powerlaw_amm.sim import (
     DrsSimConfig,
@@ -98,8 +98,8 @@ def test_sweep_on_a_non_default_grid(tmp_path, command, output_format):
 
 
 # Grids that stress the CLI's block writer, which formats a column once when
-# its blocks (one per entry of n_values) are bit-identical and a column
-# constant within each block once per block.
+# its blocks (one per entry of n_values) are bit-identical and a column that
+# changes at few rows once per run of equal cells.
 BLOCK_GRIDS = {
     "duplicate-n": {"m_min": 1.5, "m_max": 150.0, "m_points": 40, "n_values": [4, 4]},
     "unsorted-n": {"m_min": 0.25, "m_max": 4.0, "m_points": 40, "n_values": [3, 1]},
@@ -150,6 +150,72 @@ def test_blocks_differing_only_in_the_sign_of_zero(tmp_path):
     rows = [dict(zip(table.dtype.names, cells)) for cells in table.ravel().tolist()]
     assert path.read_bytes() == old_csv("sweep-il", {}, ["m", "n", "x"], rows)
     assert path.read_text().splitlines()[-4:] == ["0,1,-0", "1,1,-0", "-0,2,0", "1,2,0"]
+    # a run of -0.0 then a run of 0.0, each formatted once
+    runs = np.zeros(10, dtype=[("x", float)])
+    runs["x"][:5] = -0.0
+    write_csv(str(path), "table", {}, runs)
+    assert path.read_bytes() == old_csv("table", {}, ["x"], [{"x": x} for x in runs["x"].tolist()])
+    assert path.read_text().splitlines()[4:] == ["-0"] * 5 + ["0"] * 5
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The values of each call the writer makes to format number cells."""
+    calls = []
+    number_cells = csvbytes._number_cells
+
+    def spy(values, cells, keep):
+        calls.append(values.copy())
+        number_cells(values, cells, keep)
+
+    monkeypatch.setattr(csvbytes, "_number_cells", spy)
+    return calls
+
+
+def test_runs_across_chunk_boundaries(tmp_path, formatted):
+    # a lone number column is laid out in chunks of _CHUNK_BYTES // 48 rows
+    # (its 44-byte slot and separator, in whole words)
+    chunk = csvbytes._CHUNK_BYTES // 48
+    starts, cells = [0, chunk - 1, chunk + 1, 2 * chunk, 3 * chunk + 5], [0.1, -0.0, 0.0, 2.5, 1e300]
+    table = np.zeros(3 * chunk + 12, dtype=[("x", float)])
+    for start, x in zip(starts, cells):
+        table["x"][start:] = x
+    assert [piece.tobytes().count(b"\n") for piece in csvbytes.block_rows(table)] == [chunk] * 3 + [12]
+    assert [values.tolist() for values in formatted] == [cells]
+    path = tmp_path / "runs.csv"
+    write_csv(str(path), "table", {}, table)
+    assert path.read_bytes() == old_csv("table", {}, ["x"], [{"x": x} for x in table["x"].tolist()])
+
+
+# The market-loop benchmark workload's config: 20 epochs of ~1000 payouts each.
+MARKET_LOOP = {
+    "epochs": 20,
+    "periods_per_epoch": 100,
+    "stream": {"trades_per_period": 100.0, "num_traders": 1000},
+}
+
+
+def test_epochs_csv_formats_each_epoch_id_once(tmp_path, formatted):
+    run_cli(tmp_path, ["market-loop", "--seed", "1", "--out", str(tmp_path / "loop.json")], MARKET_LOOP)
+    ids = [values.tolist() for values in formatted if values.dtype.kind == "i"]  # epoch is the int column
+    assert ids == [list(range(20))]
+
+
+@pytest.mark.parametrize("command", ["sweep-retention", "sweep-il"])
+def test_sweep_formats_each_n_and_each_m_once(tmp_path, formatted, command):
+    run_cli(tmp_path, [command, "--out", str(tmp_path / "sweep.csv")], SWEEP)
+    assert [values.tolist() for values in formatted if values.dtype.kind == "i"] == [SWEEP["n_values"]]
+    m_bits = build_config(SweepGridConfig, SWEEP).m_grid().view(np.uint64)
+    cells = np.concatenate([values for values in formatted if values.dtype.kind == "f"])
+    assert np.isin(cells.view(np.uint64), m_bits).sum() == SWEEP["m_points"]
+
+
+def test_drs_formats_each_constant_column_once(tmp_path, formatted):
+    data = {"days": 30, "noise_std": 0.0, "target_volume": 1e300}
+    run_cli(tmp_path, ["simulate-drs", "--seed", "5", "--out", str(tmp_path / "drs.csv")], data)
+    # day and dynamic_volume move every day; static_volume and rho_applied never do
+    assert sorted(values.tolist() for values in formatted if values.size == 1) == [[0.4], [1e6]]
+    assert sum(values.size for values in formatted) == 30 + 1 + 30 + 1
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -224,10 +290,11 @@ DTYPES = {"i": np.int64, "f": np.float64, "U": "U4", "S": "S4"}
 @st.composite
 def small_tables(draw):
     """A 2-D structured array of int and float columns, or a 1-D one that
-    may hold a str or a bytes column too. A column draws its cells from one to three
-    values (a float column from their negations too), and a 2-D column may
-    repeat its first block in every block or be constant within each block,
-    so every path of the writer is taken."""
+    may hold a str or a bytes column too. A column draws its cells from one
+    to three values (a float column from their negations too) and may hold
+    them sorted, in runs that in 2-D cross the blocks' boundaries; a 2-D
+    column may also repeat its first block in every block or be constant
+    within each block, so every path of the writer is taken."""
     two_d = draw(st.booleans())
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5))) if two_d else (draw(st.integers(0, 6)),)
     kinds = draw(st.lists(st.sampled_from("if" if two_d else "ifUS"), min_size=1, max_size=4))
@@ -238,8 +305,11 @@ def small_tables(draw):
             values += [-v for v in values]
         cells = draw(st.lists(st.sampled_from(values), min_size=table.size, max_size=table.size))
         column = np.array(cells, dtype=DTYPES[kind]).reshape(shape)
-        pattern = draw(st.sampled_from(["free", "same-blocks", "constant-blocks"])) if two_d else "free"
-        if pattern == "same-blocks":
+        patterns = ["free", "runs", "same-blocks", "constant-blocks"] if two_d else ["free", "runs"]
+        pattern = draw(st.sampled_from(patterns))
+        if pattern == "runs":  # np.sort ranks -0.0 and 0.0 as equal, so they may interleave
+            column = np.sort(column, axis=None).reshape(shape)
+        elif pattern == "same-blocks":
             column[1:] = column[0]
         elif pattern == "constant-blocks":
             column[:] = column[:, :1]
