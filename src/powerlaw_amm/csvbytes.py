@@ -10,10 +10,13 @@ yields the digits %.17g prints, on any CPU (see _number_cells). %.17g
 itself formats every other cell (zeros, subnormals, exponent notation, inf,
 nan), an int cell is formatted as the float %.17g converts it to, and a
 string cell is bytes (a str column UTF-8 encoded once, into a numpy bytes
-array), so it cannot end in NUL, which numpy's bytes arrays drop. Repeated
-cells are formatted once (see block_rows): a column whose blocks are
-bit-identical (m, il_traditional) for all blocks, and one that changes at
-few rows (n, the epochs table's epoch, a flat DRS series) once per run.
+array), so it cannot end in NUL, which numpy's bytes arrays drop. Each
+cell is one run of bytes in a fixed-width slot, its separator then its
+text, so a chunk of rows comes out of one boolean compress that copies one
+run per cell. Repeated cells are formatted once (see block_rows): a column
+whose blocks are bit-identical (m, il_traditional) for all blocks, and one
+that changes at few rows (n, the epochs table's epoch, a flat DRS series)
+once per run.
 """
 
 import numpy as np
@@ -59,21 +62,31 @@ def _above(hi, lo):
     return (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
 
 
-# A number cell is a slot of 11 words, 44 bytes, that holds every byte its
-# fixed notation can use: " -0.000", the 17 digits d0..d16, then ".   " and
-# d1..d16 again. A row of _KEEP, picked by (sign, k, significant digits),
-# marks the bytes the text uses: "-" for a negative x; for k >= 0 the digits
-# d0..dk, then, while digits remain, "." and the rest from the second copy;
-# for k < 0 "0.", -k-1 zeros and the significant digits.
-_SLOT = 44
-_SIGN_ZERO_POINT = np.frombuffer(b" -0.", np.uint32)[0]
-_POINT = np.frombuffer(b".   ", np.uint32)[0]
-_ZEROS_LEAD = np.array([b"000%d" % d for d in range(10)]).view(np.uint32)  # "000" + d0
+# A cell's kept bytes are one run: its separator, then its text. A number
+# cell is a slot of 32 bytes with d0, its first significant digit, at byte 7
+# and d1..d16 as four words of _QUAD at bytes 8-23. Bytes 0-6 hold the
+# prefix, right-aligned against d0: the separator, "-" for a negative x and
+# for k < 0 "0." and -k-1 zeros. For k >= 0 the point goes after dk, at byte
+# 8+k, and the digits after it move up one byte. A row of _KEEP, picked by
+# (sign, k, significant digits), marks the run. Words are read as
+# little-endian on any CPU.
+_SLOT = 32
+_WORD, _LONG = np.dtype("<u4"), np.dtype("<u8")
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUAD_BYTES = np.stack(np.meshgrid(_DIGIT, _DIGIT, _DIGIT, _DIGIT, indexing="ij"), axis=-1).reshape(-1, 4)
-_QUAD = _QUAD_BYTES.view(np.uint32)[:, 0]  # the four digits of 0..9999 as one word
+_QUAD = _QUAD_BYTES.view(_WORD)[:, 0]  # the four digits of 0..9999 as one word
 _ZERO = (_QUAD_BYTES == ord("0")).view(np.uint8)
 _TRAILING_ZEROS = _ZERO[:, 3] * (1 + _ZERO[:, 2] * (1 + _ZERO[:, 1] * (1 + _ZERO[:, 0])))
+
+
+def _prefix(negative: int, k: int, d0: int) -> bytes:
+    """Bytes 0-7 of a number slot: its prefix, right-aligned against d0."""
+    return (b"," + b"-" * negative + (b"0." + b"0" * (-k - 1) if k < 0 else b"") + b"%d" % d0).rjust(8)
+
+
+_PREFIX = np.frombuffer(  # indexed by (negative, k + 4, d0)
+    b"".join(_prefix(negative, k, d0) for negative in range(2) for k in range(-4, 17) for d0 in range(10)), _LONG
+)
 
 
 def _keep_table() -> np.ndarray:
@@ -82,21 +95,30 @@ def _keep_table() -> np.ndarray:
     negative = np.arange(2)[:, None, None, None]
     k = np.arange(-4, 17)[:, None, None]
     digits = np.arange(18)[:, None]
-    fraction = (digits > k + 1) & ((p == 24) | ((28 + k <= p) & (p < 27 + digits)))
-    fixed_point = (k >= 0) & (((7 <= p) & (p < 8 + k)) | fraction)
-    below_one = (k < 0) & (((2 <= p) & (p < 3 - k)) | ((7 <= p) & (p < 7 + digits)))
-    return ((negative == 1) & (p == 1) | fixed_point | below_one).reshape(-1, _SLOT)
+    first = np.where(k < 0, 5 + k, 6) - negative
+    end = np.where(k < 0, 7 + digits, np.where(digits > k + 1, 8 + digits, 8 + k))
+    return ((first <= p) & (p < end)).reshape(-1, _SLOT)
 
 
 _KEEP = _keep_table()
+# For k >= 0, bytes 8-31 as three words: the digits before the point, the
+# point, and the digits after it (moved up one byte), indexed by k.
+_AT = np.arange(_SLOT - 8) - np.arange(17)[:, None]  # bytes 8-31 less the point's byte 8+k, per k
+_BEFORE = np.where(_AT[:, :16] < 0, 255, 0).astype(np.uint8).view(_LONG)  # bytes 24-31 are never before it
+_AFTER = np.where(_AT > 0, 255, 0).astype(np.uint8).view(_LONG)
+_POINT = np.where(_AT == 0, ord("."), 0).astype(np.uint8).view(_LONG)
 
 
 def _text_cells(texts: np.ndarray):
     """(bytes, keep) of a 1-D numpy bytes (S) array: row i of the uint8
-    cells is texts[i] padded with NULs to the itemsize, and keep marks its
-    bytes (numpy drops a cell's trailing NULs, so str_len is its length)."""
-    cells = np.ascontiguousarray(texts).view(np.uint8).reshape(texts.size, texts.itemsize)
-    return cells, np.arange(texts.itemsize) < np.strings.str_len(texts)[:, None]
+    cells is a separator, then texts[i], padded to a width of whole long
+    words, and keep marks those bytes (numpy drops a cell's trailing NULs,
+    so str_len is its length)."""
+    size = texts.itemsize
+    cells = np.zeros((texts.size, (size + 8) // 8 * 8), np.uint8)
+    cells[:, 0] = ord(",")
+    cells[:, 1 : size + 1] = np.ascontiguousarray(texts).view(np.uint8).reshape(texts.size, size)
+    return cells, np.arange(cells.shape[1]) <= np.strings.str_len(texts)[:, None]
 
 
 def _formatted_numbers(values: np.ndarray):
@@ -104,6 +126,13 @@ def _formatted_numbers(values: np.ndarray):
     cells, keep = np.empty((values.size, _SLOT), np.uint8), np.empty((values.size, _SLOT), bool)
     _number_cells(values, cells, keep)
     return cells, keep
+
+
+def _newline_separators(cells: np.ndarray, keep: np.ndarray):
+    """Make the separator of each cell, the first byte of its run, a newline
+    (the run starts in bytes 0-7)."""
+    kept = keep.view(_LONG)[:, 0]
+    cells.view(_LONG)[:, 0] ^= (kept & ~(kept << 8)) * (ord(",") ^ ord("\n"))
 
 
 def _fixed_digits(x: np.ndarray):
@@ -137,8 +166,9 @@ def _fixed_digits(x: np.ndarray):
 
 
 def _number_cells(values: np.ndarray, cells: np.ndarray, keep: np.ndarray):
-    """Write the %.17g text of each of values into the same row of cells
-    (n, _SLOT) uint8, and mark its bytes in that row of keep (n, _SLOT) bool.
+    """Write a separator and the %.17g text of each of values into the same
+    row of cells (n, _SLOT) uint8, and mark those bytes, one run, in that
+    row of keep (n, _SLOT) bool.
 
     An int column is formatted as float, which is how %.17g converts an int.
     A cell in fixed notation gets its digits from _fixed_digits; every other
@@ -152,17 +182,31 @@ def _number_cells(values: np.ndarray, cells: np.ndarray, keep: np.ndarray):
     quads = np.empty((x.size, 4), np.int64)
     quads[:, 0], quads[:, 1] = np.divmod(high, 10**4)
     quads[:, 2], quads[:, 3] = np.divmod(low, 10**4)
-    words = cells.view(np.uint32)
-    words[:, 0] = _SIGN_ZERO_POINT
-    words[:, 1] = _ZEROS_LEAD.take(lead)
-    words[:, 2:6] = words[:, 7:11] = _QUAD.take(quads)
-    words[:, 6] = _POINT
+    form = np.signbit(x) * 21 + k + 4  # (negative, k + 4)
+    longs = cells.view(_LONG)
+    longs[:, 0] = _PREFIX.take(form * 10 + lead)
+    cells.view(_WORD)[:, 2:6] = _QUAD.take(quads)
     zeros, last = _TRAILING_ZEROS.take(quads), quads == 0  # per quad, of the 16 digits after d0
     zeros = zeros[:, 3] + last[:, 3] * (zeros[:, 2] + last[:, 2] * (zeros[:, 1] + last[:, 1] * zeros[:, 0]))
-    keep[:] = _KEEP.take((np.signbit(x) * 21 + k + 4) * 18 + 17 - zeros, axis=0)
+    keep[:] = _KEEP.take(form * 18 + 17 - zeros, axis=0)
+    at = np.flatnonzero(k >= 0)  # the cells whose point goes after dk
+    if at.size:
+        at = slice(None) if at.size == x.size else at  # no gather where every cell has one
+        longs[at, 1:] = _point_after(longs[at, :3], k[at])
     rest = np.flatnonzero(~fixed)
     if rest.size:
-        cells[rest], keep[rest] = _text_cells(np.array([b"%.17g" % v for v in x[rest].tolist()], f"S{_SLOT}"))
+        cells[rest], keep[rest] = _text_cells(np.array([b"%.17g" % v for v in x[rest].tolist()], f"S{_SLOT - 1}"))
+
+
+def _point_after(longs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Bytes 8-31, as three words, of slots whose bytes 0-23 are longs and
+    whose point goes after dk."""
+    after = longs >> 56  # each word's bytes one up, the top byte of the word below first
+    after[:, :2] |= longs[:, 1:] << 8
+    after &= _AFTER.take(k, axis=0)
+    after |= _POINT.take(k, axis=0)
+    after[:, :2] |= longs[:, 1:] & _BEFORE.take(k, axis=0)
+    return after
 
 
 _CHUNK_BYTES = 1 << 18  # slot bytes laid out at once, which bounds the writer's buffers
@@ -176,9 +220,11 @@ def block_rows(table: np.ndarray) -> list[np.ndarray]:
     sweep: one block of m-grid rows per exponent), a 1-D one as one block.
 
     The rows are laid out a chunk at a time: each column's cells go into a
-    (rows, columns, width) buffer, a separator after each cell, and one
-    boolean compress keeps the bytes the cells use. A string column is laid
-    out once, as its bytes array's uint8 view. A number column whose blocks
+    (rows, columns, width) buffer, each cell one run of bytes, its separator
+    then its text, and one boolean compress copies the runs. A row's newline
+    is its first cell's separator, so a chunk drops its first row's and
+    keeps one after its last row: each piece ends a row. A string column is
+    laid out once, a separator before each cell. A number column whose blocks
     are bit-identical is formatted for the first block only; one whose value
     changes at under a quarter of its rows (row-major) once per run of equal
     cells, which each chunk gathers. Cells are compared on their bits, never
@@ -203,25 +249,27 @@ def block_rows(table: np.ndarray) -> list[np.ndarray]:
             continue
         column, bits = column.reshape(-1), bits.reshape(-1)
         changed = bits[1:] != bits[:-1]
-        # Runs where under 1/4 of the rows change: 160k rows took 14-15 ms by runs with 1/64-1/8 changing,
-        # 21 at 1/4, 25 at 3/8, 31 at 1/2, and 23-25 ms cell by cell (x86-64 Xeon, numpy 2.4, best of 15)
+        # Runs where under 1/4 of the rows change: 160k rows took 6.5-8 ms by runs with 1/64-1/8 changing,
+        # 10 at 1/4, 14 at 3/8, 17 at 1/2, and 15-16 ms cell by cell (x86-64 Xeon, numpy 2.4, best of 15)
         if 4 * np.count_nonzero(changed) < bits.size:
             starts = np.flatnonzero(changed) + 1
             cells = _formatted_numbers(column[np.r_[0, starts]])
             reused[name] = (*cells, lambda rows, starts=starts: starts.searchsorted(rows, "right"))
         else:
             values[name] = column
-    # a width of whole words, so that a number slot can be written as words
-    width = -(-(max([_SLOT, *(cells.shape[1] for cells, _, _ in reused.values())]) + 1) // 4) * 4
+    if names[0] in reused:  # its cells start rows
+        _newline_separators(*reused[names[0]][:2])
+    # a width of whole long words, so that a number slot can be written as words
+    width = max([_SLOT, *(cells.shape[1] for cells, _, _ in reused.values())])
     chunk = max(1, min(blocks * size, _CHUNK_BYTES // (len(names) * width)))
-    buffer = np.empty((chunk, len(names), width), np.uint8)
-    keep = np.zeros(buffer.shape, bool)  # bytes past a cell's slot stay False
-    buffer[:, :, -1] = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
-    keep[:, :, -1] = True
+    # and one byte more, for the newline after a full chunk's last row
+    room = chunk * len(names) * width + 1
+    buffer, keep = np.empty(room, np.uint8), np.zeros(room, bool)
     texts = []
     for start in range(0, blocks * size, chunk):
         rows = np.arange(start, min(start + chunk, blocks * size))
-        out, out_keep = buffer[: rows.size], keep[: rows.size]
+        end = rows.size * len(names) * width
+        out, out_keep = (a[:end].reshape(rows.size, len(names), width) for a in (buffer, keep))
         for j, name in enumerate(names):
             if name in reused:
                 cells, kept, index = reused[name]
@@ -229,5 +277,10 @@ def block_rows(table: np.ndarray) -> list[np.ndarray]:
                 out[:, j, :w], out_keep[:, j, :w] = cells.take(picked, axis=0), kept.take(picked, axis=0)
             else:
                 _number_cells(values[name][start : start + rows.size], out[:, j, :_SLOT], out_keep[:, j, :_SLOT])
-        texts.append(out[out_keep])
+                if j == 0:
+                    _newline_separators(out[:, 0, :_SLOT], out_keep[:, 0, :_SLOT])
+        # each row's newline is its first cell's separator: the chunk drops its first and ends its last row
+        out_keep[0, 0, out_keep[0, 0].argmax()] = False
+        buffer[end], keep[end] = ord("\n"), True
+        texts.append(buffer[: end + 1][keep[: end + 1]])
     return texts

@@ -1318,6 +1318,79 @@ class TestLossVersusRebalancing:
         assert abs(rates.mean() - expected) <= 4 * stderr
 
 
+class TestArbitrageAtFeeRates:
+    """An arbitrageur trades a pool through the fee path of the swap kernels
+    at the paper's fee rates (Milionis, Moallemi & Roughgarden, "Automated
+    Market Making and Arbitrage Profits in the Presence of Fees", 2023).
+
+    Blocks come at Poisson rate lambda and the external price P is a
+    geometric Brownian motion of volatility sigma. A fee gamma withheld from
+    the input makes buying X worth it while the pool price p < (1-gamma) P
+    and selling it while p > P / (1-gamma): the no-trade band is
+    log p in log P +- gamma', gamma' = -log(1-gamma). At each block the
+    arbitrageur trades the pool to the band's edge, sized by the closed form
+    (reserves_at_price), so only where the pool left the band. A fraction
+    P_trade = 1 / (1 + gamma' sqrt(2 lambda) / sigma) of blocks trade, the
+    same for every curve, and the arbitrage profit is about P_trade times
+    the loss-versus-rebalancing (LVR) rate n sigma^2 / (2 (n+1)^2)."""
+
+    SIGMA, RATE, BLOCKS, BATCHES = 0.05, 1.0, 10_000, 20
+
+    @staticmethod
+    def arbitrage(n, gamma, prices):
+        """Each block's trade side (1 buys X from the pool, -1 sells it, 0
+        none), the pool's log(p/P) after it, and the arbitrage profit over
+        the pool's value at P before it."""
+        pool = Pool(1000.0, 1000.0 / n, n)  # price 1
+        sides, gaps, profits = [], [], []
+        for price in prices:
+            value = pool.x_reserve * price + pool.y_reserve
+            side, profit = 0, 0.0
+            if spot_price(pool) < (1 - gamma) * price:
+                dy_in = (reserves_at_price(pool, (1 - gamma) * price).y_reserve - pool.y_reserve) / (1 - gamma)
+                pool, result = swap_y_for_x(pool, dy_in, gamma)
+                side, profit = 1, result.amount_out * price - dy_in
+            elif spot_price(pool) > price / (1 - gamma):
+                dx_in = (reserves_at_price(pool, price / (1 - gamma)).x_reserve - pool.x_reserve) / (1 - gamma)
+                pool, result = swap_x_for_y(pool, dx_in, gamma)
+                side, profit = -1, result.amount_out - dx_in * price
+            sides.append(side)
+            gaps.append(math.log(spot_price(pool) / price))
+            profits.append(profit / value)
+        return np.array(sides), np.array(gaps), np.array(profits)
+
+    def within_four_batch_errors(self, batch_values, expected):
+        stderr = batch_values.std(ddof=1) / math.sqrt(batch_values.size)
+        return abs(batch_values.mean() - expected) <= 4 * stderr
+
+    @pytest.mark.parametrize("gamma", [0.003, 0.005, 0.01])
+    def test_trades_band_and_profit(self, gamma):
+        rng = np.random.default_rng([16, round(gamma * 1000)])
+        dt = rng.exponential(1 / self.RATE, self.BLOCKS)
+        log_steps = self.SIGMA * np.sqrt(dt) * rng.standard_normal(self.BLOCKS) - self.SIGMA**2 * dt / 2
+        prices = np.exp(np.cumsum(log_steps)).tolist()
+        edge = -math.log1p(-gamma)
+        p_trade = 1 / (1 + edge * math.sqrt(2 * self.RATE) / self.SIGMA)
+        # Each swap, reserves_at_price and log(p/P) round a few times: the
+        # largest excess over the edge measured was 14 ulps of 1 (n = 8),
+        # and the budget is 64 ulps of 1, relative to gamma'.
+        budget = 64 * 2.0**-52 / edge
+        batch_time = dt.reshape(self.BATCHES, -1).sum(axis=1)
+        pattern = None
+        for n in (1, 2, 4, 8):
+            sides, gaps, profits = self.arbitrage(n, gamma, prices)
+            if pattern is None:
+                pattern = sides
+                traded = (sides != 0).reshape(self.BATCHES, -1).mean(axis=1)
+                assert self.within_four_batch_errors(traded, p_trade), (traded.mean(), p_trade)
+            # the same blocks trade, on the same side, whatever the curve
+            assert np.array_equal(sides, pattern), np.flatnonzero(sides != pattern)[:5]
+            assert np.abs(gaps).max() <= (1 + budget) * edge
+            lvr = n * self.SIGMA**2 / (2 * (n + 1) ** 2)
+            ratios = profits.reshape(self.BATCHES, -1).sum(axis=1) / (lvr * batch_time)
+            assert self.within_four_batch_errors(ratios, p_trade), (n, ratios.mean(), p_trade)
+
+
 # Every int and float field of every sim config, read from the dataclasses,
 # so a field or a config class added later is covered too.
 CONFIGS = [DrsSimConfig, TradeStreamConfig, MarketLoopConfig, SweepGridConfig]

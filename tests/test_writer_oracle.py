@@ -173,9 +173,9 @@ def formatted(monkeypatch):
 
 
 def test_runs_across_chunk_boundaries(tmp_path, formatted):
-    # a lone number column is laid out in chunks of _CHUNK_BYTES // 48 rows
-    # (its 44-byte slot and separator, in whole words)
-    chunk = csvbytes._CHUNK_BYTES // 48
+    # a lone number column is laid out in chunks of _CHUNK_BYTES // _SLOT
+    # rows (its slot holds the separator and the text)
+    chunk = csvbytes._CHUNK_BYTES // csvbytes._SLOT
     starts, cells = [0, chunk - 1, chunk + 1, 2 * chunk, 3 * chunk + 5], [0.1, -0.0, 0.0, 2.5, 1e300]
     table = np.zeros(3 * chunk + 12, dtype=[("x", float)])
     for start, x in zip(starts, cells):
@@ -398,15 +398,22 @@ KERNEL_FAMILIES = {
 }
 
 
+# A row's newline is its first cell's separator, so each family is written
+# as the first, the middle and the last column, beside two constant columns.
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("family", list(KERNEL_FAMILIES))
-def test_kernel_writes_each_number_as_format_does(tmp_path, family):
+def test_kernel_writes_each_number_as_format_does(tmp_path, family, position):
     values = KERNEL_FAMILIES[family]()
-    table = np.zeros(values.shape, [("x", values.dtype)])
-    table["x"] = values
+    names = ["a", "b"]
+    names.insert(position, "x")
+    table = np.zeros(values.shape, [(name, values.dtype) for name in names])
+    table["x"], table["a"], table["b"] = values, -1, 2**62
     path = tmp_path / "cells.csv"
     write_csv(str(path), "cells", {}, table)
     got = path.read_bytes().split(b"\n")[4:-1]
-    want = [format(v, ".17g").encode() for v in values.tolist()]
+    texts = {"a": [b"-1"] * values.size, "b": [b"4.6116860184273879e+18"] * values.size}
+    texts["x"] = [format(v, ".17g").encode() for v in values.tolist()]
+    want = [b",".join(row) for row in zip(*(texts[name] for name in names))]
     wrong = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not wrong[:5]
 
@@ -416,16 +423,20 @@ def test_kernel_half_way_family_holds_ties():
     assert sum(len(d) == 18 and d[-1] == 5 for d in digits) >= 1000
 
 
-def test_kernel_writes_strings_as_utf8(tmp_path):
+@pytest.mark.parametrize(
+    "names", [["trader", "epoch", "reward"], ["epoch", "trader", "reward"], ["epoch", "reward", "trader"]]
+)
+def test_kernel_writes_strings_as_utf8(tmp_path, names):
     # % would be a conversion if a cell reached a format string
-    table = np.array(
-        [(0, "%s", 1.5), (1, "100%", -0.25), (1, "é%d", 1e-5), (2, "", 1e17)],
-        dtype=[("epoch", int), ("trader", object), ("reward", float)],
-    )
+    rows = [
+        {"epoch": epoch, "trader": trader, "reward": reward}
+        for epoch, trader, reward in [(0, "%s", 1.5), (1, "100%", -0.25), (1, "é%d", 1e-5), (2, "", 1e17)]
+    ]
+    types = {"epoch": int, "trader": object, "reward": float}
+    table = np.array([tuple(row[name] for name in names) for row in rows], [(name, types[name]) for name in names])
     path = tmp_path / "strings.csv"
     write_csv(str(path), "table", {}, table)
-    rows = [dict(zip(table.dtype.names, cells)) for cells in table.tolist()]
-    assert path.read_bytes() == old_csv("table", {}, ["epoch", "trader", "reward"], rows)
+    assert path.read_bytes() == old_csv("table", {}, names, rows)
 
 
 def test_cells_do_not_depend_on_avx512(run_without_avx512):
