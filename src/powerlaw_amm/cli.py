@@ -15,9 +15,11 @@ fields, ranges) belongs to the dataclass, and a broken one is reported with
 the dotted path of the key. A float field holds float(value), so an integer
 literal there runs and writes exactly as its float twin. Every output file
 embeds a schema version, the fully-resolved configuration, and the seed, so
-a run can be reproduced from its own output. Numbers are serialized with 17 significant digits, which
-round-trips IEEE doubles exactly; rerunning a command with the same config
-and seed yields byte-identical files.
+a run can be reproduced from its own output. CSV numbers are serialized
+with %.17g (17 significant digits) and JSON numbers as Python's shortest
+round-trip repr (json.dump); both reparse to the same IEEE doubles, and
+rerunning a command with the same config and seed yields byte-identical
+files.
 
 Every table is a numpy structured array (the sweeps, the simulate-drs
 series, the market-loop epochs), and every CSV is written as bytes by one

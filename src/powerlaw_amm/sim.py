@@ -7,11 +7,12 @@
   order, built from one array call of a closed form per column and
   exponent; table["col"] is a column and row["m"] a cell.
 - run_market_loop: integrated pool + fee-engine market loop driven by a
-  seeded synthetic trade stream. Only the draws and the swap run per trade;
-  fees, rebates, running sums, trader volumes and the settlement are numpy
-  arrays at each epoch close, summed left to right, with the bits of
-  per-trade arithmetic. Each EpochReport holds its payouts as arrays of
-  trader ids and amounts; the CLI names the traders "t{id}".
+  seeded synthetic trade stream. Only the draws, the size and the swap run
+  per trade; period volumes, fees, rebates, running sums, trader volumes
+  and the settlement are numpy arrays at each epoch close, summed left to
+  right, with the bits of per-trade arithmetic. Each EpochReport holds its
+  payouts as arrays of trader ids and amounts; the CLI names the traders
+  "t{id}".
 
 Randomness contract: every run derives its generator from
 numpy.random.default_rng(SeedSequence([seed, replication_index])) (PCG64;
@@ -667,19 +668,21 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     The config, the initial pool state included, is validated once, up
     front; the trade loop then keeps the reserves and the price as plain
     floats and calls the swap kernels directly. Per trade it draws the
-    side, the trader and the size, swaps, adds the volume to the period's,
-    and appends the trader and the volume to the epoch's buffers; per period
-    it records gamma, rho_max, the previous period's volume and the count
-    of executed trades. The swap kernels get the rate gamma and withhold
-    gamma times their input (Y on a buy, X on a sell). At the epoch close
-    the buffers become arrays: one fees._rebate call gives the periods'
-    rebates, one fees._split call the fee buckets of every executed trade
-    (gamma times its stablecoin value), each running sum is a left fold
-    (fees._fold) from its running value, and the epoch's per-trader volumes
-    (_trader_volumes, in first-trade order) settle through one fees._settle
-    call into the EpochReport's traders and payouts arrays. Every bit equals
-    adding, splitting and recording one trade at a time and settling an
-    EpochLedger. A trade above the input cap is rejected and counted. A
+    side, the trader and the size, swaps, and appends the trader and the
+    volume to the epoch's buffers; per period it records gamma, rho_max and
+    the count of trades executed by its close. The swap kernels get the
+    rate gamma and withhold gamma times their input (Y on a buy, X on a
+    sell). At the epoch close the buffers become arrays and one index gives
+    each trade its period: np.bincount over it gives the period volumes,
+    one fees._rebate call each period's rebate from the volume before it,
+    one fees._split call the fee buckets of every executed trade (its
+    period's gamma times its stablecoin value), each running sum is a left
+    fold (fees._fold) from its running value, and the epoch's per-trader
+    volumes (_trader_volumes, in first-trade order) settle through one
+    fees._settle call into the EpochReport's traders and payouts arrays.
+    Every bit equals adding, splitting and recording one trade at a time
+    and settling an EpochLedger. A trade above the input cap is rejected
+    and counted. A
     PoolError stops the run if a trade would drain a reserve (the
     kernel's), if a size leaves (0, inf), an overflowing exp included
     (naming the stream fields), or if the total volume, the bound of every
@@ -704,13 +707,13 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
     total_volume = total_fees = lp_total = rebate_total = protocol_total = 0.0
     rewards_distributed = 0.0
     carry = 0.0
-    rejected = executed = 0
-    prev_period_volume = cfg.target_volume  # neutral start: rebate begins at 0.4
+    drawn = executed = 0
+    last_period_volume = cfg.target_volume  # neutral start: rebate begins at 0.4
 
     for epoch_id in range(cfg.epochs):
         traders, volumes = array("q"), array("d")  # per executed trade
         add_trader, add_volume = traders.append, volumes.append
-        gammas, rho_maxes, prev_volumes, counts = [], [], [], []  # per period
+        gammas, rho_maxes, ends = [], [], []  # per period; ends: trades executed by its close
         for _ in range(cfg.periods_per_epoch):
             sigma = _log_change_vol(log_prices[max(0, closes + 1 - cfg.vol_window) : closes + 1])
             sigma_series.append(sigma)
@@ -718,10 +721,8 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
             gamma = params.gamma
             gammas.append(gamma)
             rho_maxes.append(params.rho_max)
-            prev_volumes.append(prev_period_volume)
-            period_volume = 0.0
             n_trades = int(rng.poisson(stream.trades_per_period))
-            before = len(volumes)
+            drawn += n_trades
             for _ in range(n_trades):
                 buy_side = raw() < _HALF_WORD
                 trader = next_trader()
@@ -745,14 +746,9 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                         f"trade size {size} leaves (0, inf): stream.size_median_frac {size_frac}"
                         f" and stream.size_sigma {size_sigma} are too extreme"
                     ) from None
-                period_volume += volume
                 add_trader(trader)
                 add_volume(volume)
-            count = len(volumes) - before
-            counts.append(count)
-            executed += count
-            rejected += n_trades - count
-            prev_period_volume = period_volume
+            ends.append(len(volumes))
             closes += 1
             log_prices[closes] = math.log(price)
         v = np.frombuffer(volumes)
@@ -762,12 +758,18 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 f"total volume {total_volume} overflows a float: y_reserve {cfg.y_reserve} and"
                 f" stream.size_median_frac {size_frac} make trades too large to sum"
             )
+        executed += v.size
         ids, sums = _trader_volumes(traders, v)
-        # a volume / target past the float range clamps the rebate to its floor
+        period = np.searchsorted(ends, np.arange(v.size), "right")  # each trade's period
+        period_volumes = np.bincount(period, weights=v, minlength=len(ends))
+        # a period's rebate follows the volume of the period before it; a
+        # volume / target past the float range clamps it to its floor
+        preceding = np.array([last_period_volume, *period_volumes[:-1]])
         with np.errstate(over="ignore"):
-            rho = _rebate(np.array(prev_volumes), cfg.target_volume, np.array(rho_maxes))
-        fees = np.repeat(gammas, counts) * v
-        lp, rebate, protocol = _split(fees, np.repeat(rho, counts))
+            rho = _rebate(preceding, cfg.target_volume, np.array(rho_maxes))
+        last_period_volume = period_volumes[-1]
+        fees = np.array(gammas)[period] * v
+        lp, rebate, protocol = _split(fees, rho[period])
         # each term is at most its volume, so these sums stay finite
         total_fees = _fold(total_fees, fees)
         lp_total = _fold(lp_total, lp)
@@ -776,7 +778,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         epoch_volume = _fold(0.0, v)
         epoch_fees = _fold(0.0, fees)
         # free this epoch's arrays before the next epoch's buffers grow
-        del v, fees, lp, rebate, protocol
+        del v, period, fees, lp, rebate, protocol
         reward_pool = REWARD_FRACTION * epoch_fees + carry
         payouts = _settle(sums, reward_pool, epoch_id)
         if payouts.size:
@@ -805,7 +807,7 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         protocol_net=protocol_total - (rewards_distributed + carry),
         rewards_distributed=rewards_distributed,
         reward_carry=carry,
-        rejected_trades=rejected,
+        rejected_trades=drawn - executed,
         executed_trades=executed,
         final_pool=Pool(x, y, n),
         sigma_series=sigma_series,

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import typing
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from powerlaw_amm import sim
 from powerlaw_amm.fees import (
+    LP_SHARE,
     REWARD_FRACTION,
     EpochLedger,
     FeeSchedule,
@@ -758,7 +760,10 @@ def reference_market_loop(cfg: MarketLoopConfig) -> dict:
         epoch_fees = epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
             window = prices[-cfg.vol_window :]
-            sigma = float(np.std(np.diff(np.log(window)))) if len(window) > 1 else 0.0
+            # the logs are libm's, as the loop takes them: numpy's SIMD np.log
+            # differs from math.log in the last bit on some prices
+            logs = [math.log(p) for p in window]
+            sigma = float(np.std(np.diff(logs))) if len(window) > 1 else 0.0
             out["sigma_series"].append(sigma)
             params = schedule.params_for(classify_regime(sigma, schedule))
             rho = dynamic_rebate(RebateContext(prev_volume, cfg.target_volume), params.rho_max)
@@ -897,13 +902,14 @@ class TestTradeDraws:
                 assert ours.standard_normal() == numpys.standard_normal()
 
 
-def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
+def scalar_market_loop(cfg: MarketLoopConfig, trades: list | None = None) -> sim.MarketLoopResult:
     """The market loop with its bookkeeping done per trade, the scalar
     oracle of run_market_loop's epoch close: one _split call per executed
     trade, every running sum a float +=, each epoch's volumes a trader ->
     volume dict in first-trade order, settled by the scalar reference
     settlement. It draws and swaps as run_market_loop does, so every output
-    of the two must have the same bits."""
+    of the two must have the same bits. Given a list as trades, it appends
+    each executed trade's (epoch_id, volume, gamma, rho, trader) to it."""
     rng = replication_rng(cfg.seed, 0)
     x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
     price = spot_price(Pool(x, y, n))
@@ -951,6 +957,8 @@ def scalar_market_loop(cfg: MarketLoopConfig) -> sim.MarketLoopResult:
                 epoch_volume += volume
                 period_volume += volume
                 volumes[trader] = volumes.get(trader, 0.0) + volume
+                if trades is not None:
+                    trades.append((epoch_id, volume, gamma, rho, trader))
             prev_period_volume = period_volume
             log_prices.append(math.log(price))
         assert total_volume <= FLOAT_MAX
@@ -1040,10 +1048,15 @@ class TestEpochCloseOracle:
             {"stream": TradeStreamConfig(trades_per_period=0.0)},
             {"stream": TradeStreamConfig(trades_per_period=0.3, num_traders=2**32)},
             {"stream": TradeStreamConfig(trades_per_period=12.0, size_median_frac=3.0, num_traders=1)},
+            # one period per epoch: every rebate input is carried across an
+            # epoch close; sigma_low=0.0 keeps every period out of the low
+            # regime, whose 0.30 cap would pin rho and hide a wrong carry
+            {"epochs": 20, "periods_per_epoch": 1, "schedule": FeeSchedule(sigma_low=0.0)},
         ],
     )
     def test_corners(self, overrides):
-        cfg = MarketLoopConfig(epochs=3, periods_per_epoch=6, vol_window=4, seed=3, **overrides)
+        defaults = {"epochs": 3, "periods_per_epoch": 6, "vol_window": 4, "seed": 3}
+        cfg = MarketLoopConfig(**{**defaults, **overrides})
         assert bits(run_market_loop(cfg)) == bits(scalar_market_loop(cfg))
 
     def test_every_regime_in_one_run(self):
@@ -1217,6 +1230,152 @@ class TestWholeRunConservation:
         res = run_market_loop(cfg)
         assert res.executed_trades > 200_000
         assert k_drift(cfg, res) <= k_bound(n, res.executed_trades)
+
+
+def gamma_k(k: int) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u), u = 2**-53: k roundings, each a
+    factor (1 + delta) with |delta| <= u, move a value by a factor within
+    gamma_k of 1 (Accuracy and Stability of Numerical Algorithms, lemma
+    3.1); gamma_k for k <= 0 is 0."""
+    ku = max(k, 0) * 2.0**-53
+    return ku / (1.0 - ku)
+
+
+def exact_market_loop(cfg: MarketLoopConfig, trades: list) -> dict:
+    """The money of a market-loop run in exact arithmetic, as Fractions,
+    from the per-trade (epoch_id, volume, gamma, rho, trader) floats that
+    scalar_market_loop appends, taken as given, as are LP_SHARE and
+    REWARD_FRACTION: each fee F = gamma * V, its shares by split_fee's rule
+    (LP_SHARE * F, rho * F and F less both), the running totals, and per
+    epoch its fees, volume, reward pool (REWARD_FRACTION of its fees plus
+    the carry), carry and payouts (each trader's volume / the epoch's
+    volume * the pool, in first-trade order)."""
+    lp_share, reward_fraction = Fraction(LP_SHARE), Fraction(REWARD_FRACTION)
+    totals = ["total_volume", "total_fees", "lp_total", "rebate_total", "protocol_total"]
+    exact = dict.fromkeys(totals, Fraction(0))
+    epochs = [(dict.fromkeys(["fees", "volume"], Fraction(0)), {}) for _ in range(cfg.epochs)]
+    for epoch_id, volume, gamma, rho, trader in trades:
+        volume = Fraction(volume)
+        fee = Fraction(gamma) * volume
+        lp, rebate = lp_share * fee, Fraction(rho) * fee
+        for name, term in zip(totals, [volume, fee, lp, rebate, fee - lp - rebate]):
+            exact[name] += term
+        sums, traders = epochs[epoch_id]
+        sums["fees"] += fee
+        sums["volume"] += volume
+        traders[trader] = traders.get(trader, 0) + volume
+    rewards = carry = Fraction(0)
+    exact["epoch_reports"] = []
+    for sums, traders in epochs:
+        pool = reward_fraction * sums["fees"] + carry
+        payouts = [(t, w / sums["volume"] * pool) for t, w in traders.items()]
+        if payouts:
+            rewards, carry = rewards + pool, Fraction(0)
+        else:
+            carry = pool
+        exact["epoch_reports"].append((sums["fees"], sums["volume"], pool, carry, payouts))
+    exact.update(
+        rewards_distributed=rewards,
+        reward_carry=carry,
+        protocol_net=exact["protocol_total"] - (rewards + carry),
+    )
+    return exact
+
+
+def relative_error(got: float, want: Fraction, scale: Fraction | None = None) -> float:
+    """|got - want| / scale, scale |want| unless given; 0.0 when got is
+    exact, inf when it is not and the scale is 0."""
+    diff = abs(Fraction(got) - want)
+    if not diff:
+        return 0.0
+    scale = abs(want) if scale is None else scale
+    return float(diff / scale) if scale else math.inf
+
+
+def market_loop_errors(cfg: MarketLoopConfig, res, trades: list) -> list[tuple[str, float, float]]:
+    """(name, relative error, bound) of every money output of res, the run
+    of cfg that appended trades, against exact_market_loop.
+
+    The bounds count roundings (Higham, ch. 4): a left fold from 0.0 of k
+    terms, each within gamma_j of its exact value, is within
+    gamma_{k-1+j} of the exact sum when the terms are nonnegative (lemma
+    3.3 and eq. 4.4). With N executed trades, n an epoch's and E epochs:
+    - a fee gamma*V rounds once; an LP or rebate share once more
+      (gamma_2). The protocol share fl(fl(F - lp) - rebate) is at least
+      (1 - 0.3 - 0.4)F = 0.3F and rounds by at most (0.3 + 0.7 + 0.4)u*F
+      inside and 2u on F and on the result, so it is within
+      2u + 1.4u/0.3 < gamma_8 of its exact value;
+    - total_volume is within gamma_{N-1}, total_fees gamma_N, lp_total and
+      rebate_total gamma_{N+1}, protocol_total gamma_{N+7};
+    - an epoch's volume gamma_{n-1}, its fees gamma_n, its reward pool (a
+      product and a sum more) gamma_{n+2}, as is the carry;
+    - rewards_distributed folds at most E pools: gamma_{N+E+1};
+    - protocol_net, protocol_total less the rewards and carry, at least
+      0.3F - 0.1F = 0.2F, sums at most 0.4F*gamma_{N+7} and
+      0.1F*gamma_{N+E+2} of error and rounds once: within 3*gamma_{N+E+8};
+    - a payout w / W * pool but the last: w within gamma_{m-1} (m <= n
+      trades), W gamma_{n-1}, the quotient, the pool and the product:
+      gamma_{3n+1};
+    - the last payout is the pool less the fold of the others, which can
+      cancel to nothing or below (settle_epoch's docstring): its error,
+      at most the pool's, the fold's and the others', is bounded relative
+      to the pool, gamma_{5n+4}.
+    """
+    exact = exact_market_loop(cfg, trades)
+    N, E = res.executed_trades, cfg.epochs
+    bounds = {
+        "total_volume": gamma_k(N - 1),
+        "total_fees": gamma_k(N),
+        "lp_total": gamma_k(N + 1),
+        "rebate_total": gamma_k(N + 1),
+        "protocol_total": gamma_k(N + 7),
+        "rewards_distributed": gamma_k(N + E + 1),
+        "reward_carry": gamma_k(N + 2),
+        "protocol_net": 3 * gamma_k(N + E + 8),
+    }
+    errors = [
+        (name, relative_error(getattr(res, name), exact[name]), bound) for name, bound in bounds.items()
+    ]
+    epoch_trades = Counter(epoch_id for epoch_id, *_ in trades)
+    for report, (fees, volume, pool, carry, payouts) in zip(res.epoch_reports, exact["epoch_reports"]):
+        n = epoch_trades[report.epoch_id]
+        errors += [
+            ("epoch fees", relative_error(report.fees, fees), gamma_k(n)),
+            ("epoch volume", relative_error(report.volume, volume), gamma_k(n - 1)),
+            ("reward_pool", relative_error(report.reward_pool, pool), gamma_k(n + 2)),
+            ("carried", relative_error(report.carried, carry), gamma_k(n + 2)),
+        ]
+        assert report.traders.tolist() == [t for t, _ in payouts]
+        got = report.payouts.tolist()
+        errors += [
+            ("payout", relative_error(p, want), gamma_k(3 * n + 1)) for p, (_, want) in zip(got[:-1], payouts)
+        ]
+        if payouts:
+            errors.append(("last payout", relative_error(got[-1], payouts[-1][1], pool), gamma_k(5 * n + 4)))
+    return errors
+
+
+class TestExactErrorOfTotals:
+    """Every money output of a market-loop run, against the same run in
+    exact arithmetic on its own per-trade floats, within the relative-error
+    bound its rounding steps give (market_loop_errors)."""
+
+    @given(cfg=oracle_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_within_the_stated_bounds(self, cfg):
+        trades = []
+        scalar_market_loop(cfg, trades)
+        for name, error, bound in market_loop_errors(cfg, run_market_loop(cfg), trades):
+            assert error <= bound, name
+
+    def test_an_error_past_its_bound_is_caught(self):
+        # the replay can fail: a total off by 100 ulp, far past a few-trade bound
+        cfg = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=5)
+        trades = []
+        res = scalar_market_loop(cfg, trades)
+        off = dataclasses.replace(res, total_fees=res.total_fees + 100 * math.ulp(res.total_fees))
+        failing = [name for name, error, bound in market_loop_errors(cfg, off, trades) if error > bound]
+        assert failing == ["total_fees"]
 
 
 class TestFeeFreeArbitragePath:
