@@ -164,9 +164,8 @@ def _buy_x(x: float, y: float, n: int, dy_in: float, fee_rate: float) -> tuple[f
     if dy_in > SWAP_INPUT_CAP * y:
         raise TradeTooLarge(f"buy input {dy_in} exceeds {SWAP_INPUT_CAP}x the reserve {y}")
     fee = fee_rate * dy_in
-    dy_eff = dy_in - fee
-    new_x = x * (y / (y + dy_eff)) ** (1.0 / n)
-    new_y = y + dy_eff
+    new_y = y + (dy_in - fee)
+    new_x = x * (y / new_y) ** (1.0 / n)
     if new_x > 0.0:
         price = n * new_y / new_x
         if price <= FLOAT_MAX:

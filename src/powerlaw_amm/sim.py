@@ -571,8 +571,10 @@ class MarketLoopConfig:
 class EpochReport:
     """One epoch's books. traders (int64 ids) and payouts (float64) are
     arrays in payout order, the epoch's first-trade order; both are empty
-    when the epoch paid nothing and its pool was carried. Two reports are
-    equal when every field is, the arrays element for element."""
+    when the epoch executed no trade, and its fees and pool are then 0.0, so
+    the market loop never carries: carried and MarketLoopResult.reward_carry
+    are 0.0 in every market-loop output, kept because schema 1 writes them.
+    Two reports are equal when every field is, the arrays element for element."""
 
     epoch_id: int
     fees: float
@@ -706,7 +708,6 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
 
     total_volume = total_fees = lp_total = rebate_total = protocol_total = 0.0
     rewards_distributed = 0.0
-    carry = 0.0
     drawn = executed = 0
     last_period_volume = cfg.target_volume  # neutral start: rebate begins at 0.4
 
@@ -779,22 +780,17 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         epoch_fees = _fold(0.0, fees)
         # free this epoch's arrays before the next epoch's buffers grow
         del v, period, fees, lp, rebate, protocol
-        reward_pool = REWARD_FRACTION * epoch_fees + carry
-        payouts = _settle(sums, reward_pool, epoch_id)
-        if payouts.size:
-            rewards_distributed += reward_pool
-            carry = 0.0
-        else:
-            carry = reward_pool
+        reward_pool = REWARD_FRACTION * epoch_fees  # 0.0 with no trade: nothing to carry
+        rewards_distributed += reward_pool
         epoch_reports.append(
             EpochReport(
                 epoch_id=epoch_id,
                 fees=epoch_fees,
                 volume=epoch_volume,
                 reward_pool=reward_pool,
-                carried=carry,
-                traders=ids[: payouts.size],
-                payouts=payouts,
+                carried=0.0,
+                traders=ids,
+                payouts=_settle(sums, reward_pool, epoch_id),
             )
         )
 
@@ -804,9 +800,9 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         lp_total=lp_total,
         rebate_total=rebate_total,
         protocol_total=protocol_total,
-        protocol_net=protocol_total - (rewards_distributed + carry),
+        protocol_net=protocol_total - rewards_distributed,
         rewards_distributed=rewards_distributed,
-        reward_carry=carry,
+        reward_carry=0.0,
         rejected_trades=drawn - executed,
         executed_trades=executed,
         final_pool=Pool(x, y, n),

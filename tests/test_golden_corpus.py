@@ -4,7 +4,8 @@ bench/golden.py pins the five commands at their default seed and config.
 These runs cover what the defaults miss: number cells in exponent notation
 and at or above 1e17, a DRS run whose volume floor binds and one at
 initial_volume 1e18, market loops with one trader, with rejected trades and
-at n = 1, a market loop with no trade at all, and JSON output. Each run is
+at n = 1, a market loop with no trade at all, one whose epochs with and
+without a trade interleave, and JSON output. Each run is
 a (name, argv, config, files) entry; its config is written to a JSON file
 passed with --config, and every output goes to a relative --out name,
 because the resolved config embedded in each file includes that name.
@@ -74,6 +75,9 @@ CORPUS = [
      ("ml.json", "ml.epochs.csv")),
     ("market-no-trades", ["market-loop", "--out", "ml.json"],
      {"epochs": 2, "periods_per_epoch": 5, "stream": {"trades_per_period": 0.0}}, ("ml.json", "ml.epochs.csv")),
+    ("market-sparse", ["market-loop", "--seed", "12", "--out", "ml.json"],
+     {"epochs": 200, "periods_per_epoch": 1, "stream": {"trades_per_period": 1.0, "num_traders": 3}},
+     ("ml.json", "ml.epochs.csv")),
 ]
 
 PINNED = {
@@ -107,6 +111,8 @@ PINNED = {
     "market-tiny:ml.epochs.csv": "1502fc593f3cb7b7220d8e1e23e681c9eea1ee1b51c9314aa070ccb451c69178",
     "market-no-trades:ml.json": "933f582881e9b9cb7621dee6a6fa9560013fec5fc7979fadf8fb4d3f3e23b2ca",
     "market-no-trades:ml.epochs.csv": "f30a2b08addc44fc7aa49022f30481415e74aeeebbf3d8a457f95de657d99eb1",
+    "market-sparse:ml.json": "22ff1e4cf6877d84f98a045e121d4b74f2ead7959f76dcd0561c49f0dc095721",
+    "market-sparse:ml.epochs.csv": "079fcd56e1fafbd70b391884ff83f415c1f367a42d83b5ad4bdbc1c0e9511c1d",
 }
 
 
@@ -184,6 +190,9 @@ def test_runs_cover_what_they_name(tmp_path, monkeypatch):
     assert metrics["market-rejected"]["rejected_trades"] > 0
     assert metrics["market-no-trades"]["executed_trades"] == 0
     assert all(m["executed_trades"] > 100 for name, m in metrics.items() if name != "market-no-trades")
+    sparse = found["market-sparse:ml.epochs.csv"].decode().splitlines()
+    paid = {row.split(",")[0] for row in sparse if row[:1].isdigit()}
+    assert 0 < len(paid) < len(metrics["market-sparse"]["epochs"])  # paid and unpaid epochs
     ledger = found["market-one-trader:ml.epochs.csv"].decode().splitlines()
     assert {row.split(",")[1] for row in ledger if row[:1].isdigit()} == {"t0"}
     for key in ("drs-json:drs.json", "drs-1e18-json:drs.json", "market-json-huge:ml.json"):

@@ -1208,13 +1208,19 @@ class TestWholeRunConservation:
         assert abs(buckets - res.total_fees) <= 4 * max(attempted, 1) * math.ulp(res.total_fees)
         parts = res.rewards_distributed + res.reward_carry + res.protocol_net
         assert abs(parts - res.protocol_total) <= math.ulp(res.protocol_total)
+        # an epoch pays nothing only when it executed no trade, and then its
+        # pool is empty: the market loop never carries a reward pool
+        assert res.reward_carry == 0.0
         for er in res.epoch_reports:
+            assert er.carried == 0.0
+            assert er.traders.size == er.payouts.size
             assert (er.payouts >= 0.0).all()
+            assert (er.payouts.size == 0) == (er.volume == 0.0)
             if er.payouts.size:
                 total = sum(er.payouts.tolist())
                 assert abs(total - er.reward_pool) <= math.ulp(er.reward_pool)
             else:
-                assert er.carried == er.reward_pool
+                assert er.fees == er.reward_pool == 0.0
         final = res.final_pool
         assert 0.0 < final.x_reserve < math.inf and 0.0 < final.y_reserve < math.inf
         assert k_drift(cfg, res) <= k_bound(n, res.executed_trades)
