@@ -21,7 +21,8 @@ m and eps are a float or a 1-D float array, read as a Python float or a
 float64 array by the pool's rule; n is one exponent, read as a Python int
 by the exponent rule. A float argument returns a Python float for any
 accepted n, a numpy integer too, and an array an array of the same
-length. The power goes through pool._pow (libm pow, elementwise), so an
+length. The power goes through pool._pow: libm pow per point, by a float's
+** or by np.float_power's float64 loop (not np.power's SIMD one), so an
 array call gives the same bits as the per-point float calls.
 """
 

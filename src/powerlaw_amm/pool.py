@@ -28,9 +28,9 @@ The closed forms (depleted_reserves, retention_ratio) take the price
 multiplier m as a float or as a 1-D float array, so a sweep makes one call
 per exponent rather than one per grid point. A float argument returns a
 Python float, for any accepted n. The only power they raise goes through
-_pow, which is Python's float ** (libm pow) elementwise; every other
-operation is correctly rounded in numpy and in Python alike, so an array
-call and the per-point float calls give the same bits.
+_pow: libm pow per point, by a float's ** or np.float_power's float64 loop
+(never np.power's SIMD one). Every other operation is correctly rounded in
+numpy and Python alike, so array and per-point float calls give the same bits.
 
 The checks shared with the rest of the package live here too: the number
 rule (_real), one finiteness bound (FLOAT_MAX), one exponent rule
@@ -297,17 +297,16 @@ def slippage_ratio(n: int) -> float:
 
 
 def _pow(base: "float | np.ndarray", e: float) -> "float | np.ndarray":
-    """base ** e for a float base, or elementwise for an array of floats.
+    """base ** e for a float base, or elementwise for a float64 array (0-d too).
 
-    The power is Python's float ** (libm pow) in both cases. numpy's power
-    is vectorised with its own SIMD routines, which differ from libm in the
-    last bit on a few percent of inputs, so an array call through it would
-    not reproduce the per-point float calls or the pinned outputs.
+    Both are libm pow: a float's ** calls it, as np.float_power's float64
+    loop does per element. np.power's SIMD routines differ from libm in the
+    last bit on a few percent of inputs, which would change the bits of the
+    per-point float calls and the pinned outputs.
     """
     if type(base) is float:
         return base**e
-    powers = [b**e for b in base.ravel().tolist()]
-    return _numpy().array(powers, dtype=float).reshape(base.shape)
+    return _numpy().float_power(base, e, out=_numpy().empty_like(base))
 
 
 def _finite(result: float, name: str) -> float:

@@ -453,9 +453,11 @@ def _sweep(m_grid, n_values, columns: dict) -> np.ndarray:
     with fields m, n and one float field per entry of columns, whose value
     maps (m array, n) to that column. Each column is one closed-form call per
     exponent over the whole m grid."""
-    grid = SweepGridConfig()
-    m_grid = grid.m_grid() if m_grid is None else np.asarray(m_grid, dtype=float)
-    n_values = grid.n_values if n_values is None else n_values
+    if m_grid is None or n_values is None:
+        grid = SweepGridConfig()
+        m_grid = grid.m_grid() if m_grid is None else m_grid
+        n_values = grid.n_values if n_values is None else n_values
+    m_grid = np.asarray(m_grid, dtype=float)
     dtype = [("m", float), ("n", int)] + [(name, float) for name in columns]
     table = np.empty(len(n_values) * m_grid.size, dtype=dtype)
     for rows, n in zip(table.reshape(len(n_values), m_grid.size), n_values):
