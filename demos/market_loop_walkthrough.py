@@ -24,8 +24,7 @@ print(f"  bucket sum vs fees:  {buckets:,.2f} vs {res.total_fees:,.2f} "
       f"(relative gap {abs(buckets / res.total_fees - 1):.2e})")
 
 print(f"\nVolume rewards (one tenth of each epoch's fees, from the protocol share):")
-print(f"  distributed: {res.rewards_distributed:,.2f}   carried: {res.reward_carry:,.2f}   "
-      f"protocol net: {res.protocol_net:,.2f}")
+print(f"  distributed: {res.rewards_distributed:,.2f}   protocol net: {res.protocol_net:,.2f}")
 # Each report holds its payouts as two arrays in payout order: trader ids
 # and amounts. The CLI's epochs CSV names trader id i "t{i}".
 for er in res.epoch_reports:

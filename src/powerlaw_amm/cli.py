@@ -326,7 +326,9 @@ def cmd_market_loop(args) -> int:
         "protocol_total": result.protocol_total,
         "protocol_net": result.protocol_net,
         "rewards_distributed": result.rewards_distributed,
-        "reward_carry": result.reward_carry,
+        # schema 1 writes reward_carry and each epoch's carried, always 0.0: the loop
+        # never carries a reward pool (the market-loop bump deletes them, ROADMAP item 20)
+        "reward_carry": 0.0,
         "rejected_trades": result.rejected_trades,
         "executed_trades": result.executed_trades,
         "final_x_reserve": result.final_pool.x_reserve,
@@ -338,7 +340,7 @@ def cmd_market_loop(args) -> int:
                 "fees": er.fees,
                 "volume": er.volume,
                 "reward_pool": er.reward_pool,
-                "carried": er.carried,
+                "carried": 0.0,
                 "payout_total": _fold(0.0, er.payouts) if er.payouts.size else 0,
             }
             for er in result.epoch_reports

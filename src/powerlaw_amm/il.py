@@ -19,11 +19,11 @@ in il_powerlaw_taylor is a PoolError too, for a float or an array.
 
 m and eps are a float or a 1-D float array, read as a Python float or a
 float64 array by the pool's rule; n is one exponent, read as a Python int
-by the exponent rule. A float argument returns a Python float for any
-accepted n, a numpy integer too, and an array an array of the same
-length. The power goes through pool._pow: libm pow per point, by a float's
-** or by np.float_power's float64 loop (not np.power's SIMD one), so an
-array call gives the same bits as the per-point float calls.
+by the exponent rule. A float argument, or a 0-d array, returns a Python
+float for any accepted n, a numpy integer too, and an array an array of
+the same length. The power goes through pool._pow: libm pow per point, by
+a float's ** or by np.float_power's float64 loop (not np.power's SIMD
+one), so an array call gives the same bits as the per-point float calls.
 """
 
 import math

@@ -297,7 +297,7 @@ def slippage_ratio(n: int) -> float:
 
 
 def _pow(base: "float | np.ndarray", e: float) -> "float | np.ndarray":
-    """base ** e for a float base, or elementwise for a float64 array (0-d too).
+    """base ** e for a float base, or elementwise for a float64 array.
 
     Both are libm pow: a float's ** calls it, as np.float_power's float64
     loop does per element. np.power's SIMD routines differ from libm in the
@@ -306,7 +306,7 @@ def _pow(base: "float | np.ndarray", e: float) -> "float | np.ndarray":
     """
     if type(base) is float:
         return base**e
-    return _numpy().float_power(base, e, out=_numpy().empty_like(base))
+    return _numpy().float_power(base, e)
 
 
 def _finite(result: float, name: str) -> float:
@@ -349,12 +349,13 @@ def _nonnegative(value, name: str, error: type[ValueError] = PoolError) -> float
 
 
 def _number(value, name: str) -> "float | np.ndarray":
-    """value by the number rule, or an array as a float64 array (a float64 one is not copied)."""
+    """value by the number rule, or an array as a float64 array (a float64
+    one is not copied); a 0-d array is its element, by the number rule."""
     if type(value) is float:
         return value
     np = _numpy()
     if np is not None and isinstance(value, np.ndarray):
-        return np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float) if value.ndim else _real(value[()], name)
     return _real(value, name)
 
 

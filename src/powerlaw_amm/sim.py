@@ -509,8 +509,9 @@ _POISSON_LAM_MAX = 2**63 - 1 - math.sqrt(2**63 - 1) * 10
 @dataclass(frozen=True)
 class TradeStreamConfig:
     """Synthetic order flow: Poisson trade counts per period (exponential
-    inter-arrivals), fair coin for side, log-normal sizes with a median of
-    size_median_frac times the matching reserve."""
+    inter-arrivals), fair coin for side, log-normal sizes by stablecoin value
+    with a median of size_median_frac times the Y reserve y: a sell's median
+    X input is that over the price n*y/x, size_median_frac*x/n."""
 
     trades_per_period: float = 10.0
     size_median_frac: float = 0.001
@@ -573,16 +574,14 @@ class MarketLoopConfig:
 class EpochReport:
     """One epoch's books. traders (int64 ids) and payouts (float64) are
     arrays in payout order, the epoch's first-trade order; both are empty
-    when the epoch executed no trade, and its fees and pool are then 0.0, so
-    the market loop never carries: carried and MarketLoopResult.reward_carry
-    are 0.0 in every market-loop output, kept because schema 1 writes them.
-    Two reports are equal when every field is, the arrays element for element."""
+    when the epoch executed no trade, and its fees and reward pool are then
+    0.0, so no epoch leaves a pool unpaid. Two reports are equal when every
+    field is, the arrays element for element."""
 
     epoch_id: int
     fees: float
     volume: float
     reward_pool: float
-    carried: float
     traders: np.ndarray
     payouts: np.ndarray
 
@@ -601,7 +600,6 @@ class MarketLoopResult:
     protocol_total: float  # raw protocol share, before the reward carve-out
     protocol_net: float  # protocol share after funding reward pools
     rewards_distributed: float
-    reward_carry: float
     rejected_trades: int
     executed_trades: int
     final_pool: Pool
@@ -790,7 +788,6 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
                 fees=epoch_fees,
                 volume=epoch_volume,
                 reward_pool=reward_pool,
-                carried=0.0,
                 traders=ids,
                 payouts=_settle(sums, reward_pool, epoch_id),
             )
@@ -804,7 +801,6 @@ def run_market_loop(cfg: MarketLoopConfig) -> MarketLoopResult:
         protocol_total=protocol_total,
         protocol_net=protocol_total - rewards_distributed,
         rewards_distributed=rewards_distributed,
-        reward_carry=0.0,
         rejected_trades=drawn - executed,
         executed_trades=executed,
         final_pool=Pool(x, y, n),

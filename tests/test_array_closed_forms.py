@@ -1,7 +1,7 @@
 """The closed forms on arrays: one call over a whole m grid gives the same
 bits as one float call per point, their array power is libm pow over the
 whole float range, a bad entry is rejected by value before any
-arithmetic, and a float argument still returns a Python float.
+arithmetic, and a float argument, or a 0-d array, returns a Python float.
 
 Every test here turns warnings into errors, so a RuntimeWarning from
 arithmetic on a bad entry (a NaN, a negative square root) would fail it
@@ -15,6 +15,7 @@ import pytest
 from powerlaw_amm.il import (
     il_hold,
     il_powerlaw_exact,
+    il_powerlaw_taylor,
     il_proposed_scaled,
     il_traditional,
 )
@@ -99,10 +100,23 @@ def test_array_power_is_libm_pow_over_the_whole_range(e):
     assert _pow(FULL_RANGE, e).tobytes() == want.tobytes()
 
 
-def test_zero_d_array_gives_zero_d_array():
-    got = retention_ratio(np.array(2.0), 4)
-    assert type(got) is np.ndarray and got.shape == ()
-    assert got.tobytes() == np.float64(retention_ratio(2.0, 4)).tobytes()
+# All seven closed forms by their own argument: m, or eps for the eps forms.
+SCALAR_FORMS = {
+    "retention_ratio": (retention_ratio, 2.0),
+    "depleted_reserves": (lambda m, n: depleted_reserves(10_000.0, m, n), 2.0),
+    "il_hold": (il_hold, 0.25),
+    "il_traditional": (lambda m, n: il_traditional(m), 2.0),
+    "il_proposed_scaled": (il_proposed_scaled, 2.0),
+    "il_powerlaw_taylor": (il_powerlaw_taylor, 0.1),
+    "il_powerlaw_exact": (il_powerlaw_exact, 1.0),
+}
+
+
+@pytest.mark.parametrize("form, x", list(SCALAR_FORMS.values()), ids=list(SCALAR_FORMS))
+def test_zero_d_array_gives_the_float_call(form, x):
+    got = form(np.array(x), 4)
+    assert type(got) is float
+    assert got.hex() == form(x, 4).hex()
 
 
 def test_closed_forms_do_not_depend_on_avx512(run_without_avx512):

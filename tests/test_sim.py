@@ -19,7 +19,6 @@ from powerlaw_amm import sim
 from powerlaw_amm.fees import (
     LP_SHARE,
     REWARD_FRACTION,
-    EpochLedger,
     FeeSchedule,
     RebateContext,
     RegimeParams,
@@ -28,8 +27,6 @@ from powerlaw_amm.fees import (
     dynamic_rebate,
     split_fee,
     _fold,
-    _rebate,
-    _split,
 )
 from powerlaw_amm.il import (
     il_hold,
@@ -49,8 +46,6 @@ from powerlaw_amm.pool import (
     spot_price,
     swap_x_for_y,
     swap_y_for_x,
-    _buy_x,
-    _sell_x,
 )
 from powerlaw_amm.sim import (
     DRS_BLOCK_CELLS,
@@ -563,7 +558,7 @@ class TestMarketLoop:
         assert res.executed_trades == 0
         assert res.final_pool.x_reserve == cfg.x_reserve
         assert res.final_pool.y_reserve == cfg.y_reserve
-        # zero-volume epochs carry the (empty) pool forward
+        # zero-volume epochs have empty pools and pay nothing
         assert res.rewards_distributed == 0.0
 
     def test_fee_conservation(self):
@@ -591,7 +586,7 @@ class TestMarketLoop:
         first = res.epoch_reports[0]
         assert first.reward_pool == pytest.approx(0.1 * first.fees, rel=1e-12)
         assert res.protocol_net == pytest.approx(
-            res.protocol_total - res.rewards_distributed - res.reward_carry, rel=1e-12
+            res.protocol_total - res.rewards_distributed, rel=1e-12
         )
 
     def test_deterministic_under_seed(self):
@@ -739,24 +734,28 @@ class TestMarketLoop:
             rng.poisson(math.nextafter(limit, math.inf))
 
 
-def reference_market_loop(cfg: MarketLoopConfig) -> dict:
+def reference_market_loop(cfg: MarketLoopConfig, trades: list | None = None) -> sim.MarketLoopResult:
     """The market loop as numpy's scalar draws and the public pool and fee
-    functions give it: per trade rng.random() < 0.5 for the side,
-    rng.integers(num_traders) for the trader and rng.standard_normal() for
-    the size, each epoch's volumes recorded by trader name."""
+    functions give it, one trade at a time: per trade rng.random() < 0.5
+    for the side, rng.integers(num_traders) for the trader and
+    rng.standard_normal() for the size, swap_y_for_x or swap_x_for_y, and
+    compute_fee, dynamic_rebate and split_fee; sigma is np.std of libm logs,
+    every running sum a float +=, and each epoch's volumes a trader ->
+    volume dict in first-trade order, settled by the scalar reference
+    settlement. Every output of run_market_loop must have its bits. Given a
+    list as trades, it appends each executed trade's (epoch_id, volume,
+    gamma, rho, trader) to it."""
     rng = replication_rng(cfg.seed, 0)
     stream, schedule = cfg.stream, cfg.schedule
     pool = Pool(cfg.x_reserve, cfg.y_reserve, cfg.n)
     price = spot_price(pool)
     prices = [price]
-    out = dict.fromkeys(
-        ["total_volume", "total_fees", "lp_total", "rebate_total", "protocol_total"], 0.0
-    )
-    out.update(rejected_trades=0, executed_trades=0, sigma_series=[], epoch_reports=[])
-    rewards = carry = 0.0
+    sigma_series, epoch_reports = [], []
+    total_volume = total_fees = lp_total = rebate_total = protocol_total = rewards = 0.0
+    rejected = executed = 0
     prev_volume = cfg.target_volume
     for epoch_id in range(cfg.epochs):
-        ledger = EpochLedger(epoch_id)
+        volumes = {}
         epoch_fees = epoch_volume = 0.0
         for _ in range(cfg.periods_per_epoch):
             window = prices[-cfg.vol_window :]
@@ -764,57 +763,63 @@ def reference_market_loop(cfg: MarketLoopConfig) -> dict:
             # differs from math.log in the last bit on some prices
             logs = [math.log(p) for p in window]
             sigma = float(np.std(np.diff(logs))) if len(window) > 1 else 0.0
-            out["sigma_series"].append(sigma)
+            sigma_series.append(sigma)
             params = schedule.params_for(classify_regime(sigma, schedule))
+            gamma = params.gamma
             rho = dynamic_rebate(RebateContext(prev_volume, cfg.target_volume), params.rho_max)
             period_volume = 0.0
             for _ in range(int(rng.poisson(stream.trades_per_period))):
                 buy_side = rng.random() < 0.5
-                trader = f"t{rng.integers(stream.num_traders)}"
+                trader = int(rng.integers(stream.num_traders))
                 volume = stream.size_median_frac * pool.y_reserve * math.exp(
                     stream.size_sigma * rng.standard_normal()
                 )
                 try:
                     if buy_side:
-                        pool, _ = swap_y_for_x(pool, volume, params.gamma)
+                        pool, _ = swap_y_for_x(pool, volume, gamma)
                     else:
-                        pool, _ = swap_x_for_y(pool, volume / price, params.gamma)
+                        pool, _ = swap_x_for_y(pool, volume / price, gamma)
                 except TradeTooLarge:
-                    out["rejected_trades"] += 1
+                    rejected += 1
                     continue
                 price = spot_price(pool)
-                fee = compute_fee(volume, params.gamma)
+                executed += 1
+                fee = compute_fee(volume, gamma)
                 split = split_fee(fee, rho)
-                out["executed_trades"] += 1
-                out["total_volume"] += volume
-                out["total_fees"] += fee
-                out["lp_total"] += split.lp_share
-                out["rebate_total"] += split.rebate_share
-                out["protocol_total"] += split.protocol_share
+                total_volume += volume
+                total_fees += fee
+                lp_total += split.lp_share
+                rebate_total += split.rebate_share
+                protocol_total += split.protocol_share
                 epoch_fees += fee
                 epoch_volume += volume
                 period_volume += volume
-                ledger.record(trader, volume)
+                volumes[trader] = volumes.get(trader, 0.0) + volume
+                if trades is not None:
+                    trades.append((epoch_id, volume, gamma, rho, trader))
             prev_volume = period_volume
             prices.append(price)
-        reward_pool = REWARD_FRACTION * epoch_fees + carry
-        ledger.add_reward(reward_pool)
-        payouts = reference_settle(ledger.volumes, ledger.reward_pool, epoch_id)
-        if payouts:
-            rewards += reward_pool
-            carry = 0.0
-        else:
-            carry = reward_pool
-        out["epoch_reports"].append(
-            (epoch_id, epoch_fees, epoch_volume, reward_pool, carry, payouts)
-        )
-    out.update(
-        protocol_net=out["protocol_total"] - (rewards + carry),
+        assert total_volume <= FLOAT_MAX
+        reward_pool = REWARD_FRACTION * epoch_fees
+        rewards += reward_pool
+        payouts = reference_settle(volumes, reward_pool, epoch_id)
+        traders = np.array([t for t, _ in payouts], dtype=np.int64)
+        amounts = np.array([p for _, p in payouts], dtype=float)
+        epoch_reports.append(sim.EpochReport(epoch_id, epoch_fees, epoch_volume, reward_pool, traders, amounts))
+    return sim.MarketLoopResult(
+        total_volume=total_volume,
+        total_fees=total_fees,
+        lp_total=lp_total,
+        rebate_total=rebate_total,
+        protocol_total=protocol_total,
+        protocol_net=protocol_total - rewards,
         rewards_distributed=rewards,
-        reward_carry=carry,
-        final_reserves=(pool.x_reserve, pool.y_reserve),
+        rejected_trades=rejected,
+        executed_trades=executed,
+        final_pool=pool,
+        sigma_series=sigma_series,
+        epoch_reports=epoch_reports,
     )
-    return out
 
 
 class TestTradeDraws:
@@ -864,20 +869,8 @@ class TestTradeDraws:
 
     @staticmethod
     def assert_matches_reference(cfg):
-        ref = reference_market_loop(cfg)
         res = run_market_loop(cfg)
-        for name in ref:
-            if name == "final_reserves":
-                assert (res.final_pool.x_reserve, res.final_pool.y_reserve) == ref[name]
-            elif name == "epoch_reports":
-                got = [
-                    (e.epoch_id, e.fees, e.volume, e.reward_pool, e.carried,
-                     [(f"t{i}", p) for i, p in zip(e.traders.tolist(), e.payouts.tolist())])
-                    for e in res.epoch_reports
-                ]
-                assert got == ref[name]
-            else:
-                assert getattr(res, name) == ref[name], name
+        assert bits(res) == bits(reference_market_loop(cfg))
         return res
 
     @given(
@@ -900,95 +893,6 @@ class TestTradeDraws:
                 assert (raw() < sim._HALF_WORD) == (numpys.random() < 0.5)
                 assert next(traders) == numpys.integers(num_traders)
                 assert ours.standard_normal() == numpys.standard_normal()
-
-
-def scalar_market_loop(cfg: MarketLoopConfig, trades: list | None = None) -> sim.MarketLoopResult:
-    """The market loop with its bookkeeping done per trade, the scalar
-    oracle of run_market_loop's epoch close: one _split call per executed
-    trade, every running sum a float +=, each epoch's volumes a trader ->
-    volume dict in first-trade order, settled by the scalar reference
-    settlement. It draws and swaps as run_market_loop does, so every output
-    of the two must have the same bits. Given a list as trades, it appends
-    each executed trade's (epoch_id, volume, gamma, rho, trader) to it."""
-    rng = replication_rng(cfg.seed, 0)
-    x, y, n = cfg.x_reserve, cfg.y_reserve, cfg.n
-    price = spot_price(Pool(x, y, n))
-    stream = cfg.stream
-    size_frac, size_sigma = stream.size_median_frac, stream.size_sigma
-    raw = rng.bit_generator.random_raw
-    next_trader = sim._trader_ids(raw, stream.num_traders).__next__
-    log_prices = [math.log(price)]
-    sigma_series, epoch_reports = [], []
-    total_volume = total_fees = lp_total = rebate_total = protocol_total = 0.0
-    rewards_distributed = carry = 0.0
-    rejected = executed = 0
-    prev_period_volume = cfg.target_volume
-    for epoch_id in range(cfg.epochs):
-        volumes = {}
-        epoch_fees = epoch_volume = 0.0
-        for _ in range(cfg.periods_per_epoch):
-            sigma = sim._log_change_vol(log_prices[-cfg.vol_window :])
-            sigma_series.append(sigma)
-            params = cfg.schedule.params_for(classify_regime(sigma, cfg.schedule))
-            gamma = params.gamma
-            rho = float(_rebate(prev_period_volume, cfg.target_volume, params.rho_max))
-            period_volume = 0.0
-            for _ in range(int(rng.poisson(stream.trades_per_period))):
-                buy_side = raw() < sim._HALF_WORD
-                trader = next_trader()
-                volume = size_frac * y * math.exp(size_sigma * rng.standard_normal())
-                try:
-                    if buy_side:
-                        x, y, price, _ = _buy_x(x, y, n, volume, gamma)
-                    else:
-                        x, y, price, _ = _sell_x(x, y, n, volume / price, gamma)
-                except TradeTooLarge:
-                    rejected += 1
-                    continue
-                executed += 1
-                fee = gamma * volume
-                lp, rebate, protocol = _split(fee, rho)
-                total_volume += volume
-                total_fees += fee
-                lp_total += lp
-                rebate_total += rebate
-                protocol_total += protocol
-                epoch_fees += fee
-                epoch_volume += volume
-                period_volume += volume
-                volumes[trader] = volumes.get(trader, 0.0) + volume
-                if trades is not None:
-                    trades.append((epoch_id, volume, gamma, rho, trader))
-            prev_period_volume = period_volume
-            log_prices.append(math.log(price))
-        assert total_volume <= FLOAT_MAX
-        reward_pool = REWARD_FRACTION * epoch_fees + carry
-        payouts = reference_settle(volumes, reward_pool, epoch_id)
-        if payouts:
-            rewards_distributed += reward_pool
-            carry = 0.0
-        else:
-            carry = reward_pool
-        traders = np.array([t for t, _ in payouts], dtype=np.int64)
-        amounts = np.array([p for _, p in payouts], dtype=float)
-        epoch_reports.append(
-            sim.EpochReport(epoch_id, epoch_fees, epoch_volume, reward_pool, carry, traders, amounts)
-        )
-    return sim.MarketLoopResult(
-        total_volume=total_volume,
-        total_fees=total_fees,
-        lp_total=lp_total,
-        rebate_total=rebate_total,
-        protocol_total=protocol_total,
-        protocol_net=protocol_total - (rewards_distributed + carry),
-        rewards_distributed=rewards_distributed,
-        reward_carry=carry,
-        rejected_trades=rejected,
-        executed_trades=executed,
-        final_pool=Pool(x, y, n),
-        sigma_series=sigma_series,
-        epoch_reports=epoch_reports,
-    )
 
 
 def bits(value):
@@ -1033,13 +937,13 @@ def oracle_configs(draw):
 
 class TestEpochCloseOracle:
     """run_market_loop does its fee, rebate, sum and trader-volume work at
-    each epoch close, as arrays; scalar_market_loop does it per trade. Every
+    each epoch close, as arrays; reference_market_loop does it per trade. Every
     field, sigma and payout must have the same bits."""
 
     @given(cfg=oracle_configs())
     @settings(max_examples=150, deadline=None)
     def test_bits_equal_the_per_trade_loop(self, cfg):
-        assert bits(run_market_loop(cfg)) == bits(scalar_market_loop(cfg))
+        assert bits(run_market_loop(cfg)) == bits(reference_market_loop(cfg))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1057,7 +961,7 @@ class TestEpochCloseOracle:
     def test_corners(self, overrides):
         defaults = {"epochs": 3, "periods_per_epoch": 6, "vol_window": 4, "seed": 3}
         cfg = MarketLoopConfig(**{**defaults, **overrides})
-        assert bits(run_market_loop(cfg)) == bits(scalar_market_loop(cfg))
+        assert bits(run_market_loop(cfg)) == bits(reference_market_loop(cfg))
 
     def test_every_regime_in_one_run(self):
         # sigma starts at 0.0 (low) and the trades move the price enough to
@@ -1069,13 +973,13 @@ class TestEpochCloseOracle:
         regimes = {classify_regime(sigma, schedule) for sigma in res.sigma_series}
         assert regimes == {"low", "moderate", "high"}
         assert res.rejected_trades == 0 < res.executed_trades
-        assert bits(res) == bits(scalar_market_loop(cfg))
+        assert bits(res) == bits(reference_market_loop(cfg))
 
     def test_bits_tell_two_runs_apart(self):
         # the comparison can fail: another seed's run differs
         cfg = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=5)
         other = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=6)
-        assert bits(run_market_loop(cfg)) != bits(scalar_market_loop(other))
+        assert bits(run_market_loop(cfg)) != bits(reference_market_loop(other))
 
 
 class TestArrayFolds:
@@ -1206,13 +1110,11 @@ class TestWholeRunConservation:
         # each running sum over N terms is off by at most N/2 ulp; four meet here
         buckets = res.lp_total + res.rebate_total + res.protocol_total
         assert abs(buckets - res.total_fees) <= 4 * max(attempted, 1) * math.ulp(res.total_fees)
-        parts = res.rewards_distributed + res.reward_carry + res.protocol_net
+        parts = res.rewards_distributed + res.protocol_net
         assert abs(parts - res.protocol_total) <= math.ulp(res.protocol_total)
         # an epoch pays nothing only when it executed no trade, and then its
-        # pool is empty: the market loop never carries a reward pool
-        assert res.reward_carry == 0.0
+        # volume, fees and pool are 0.0: no reward pool is ever left unpaid
         for er in res.epoch_reports:
-            assert er.carried == 0.0
             assert er.traders.size == er.payouts.size
             assert (er.payouts >= 0.0).all()
             assert (er.payouts.size == 0) == (er.volume == 0.0)
@@ -1220,7 +1122,7 @@ class TestWholeRunConservation:
                 total = sum(er.payouts.tolist())
                 assert abs(total - er.reward_pool) <= math.ulp(er.reward_pool)
             else:
-                assert er.fees == er.reward_pool == 0.0
+                assert er.volume == er.fees == er.reward_pool == 0.0
         final = res.final_pool
         assert 0.0 < final.x_reserve < math.inf and 0.0 < final.y_reserve < math.inf
         assert k_drift(cfg, res) <= k_bound(n, res.executed_trades)
@@ -1250,12 +1152,12 @@ def gamma_k(k: int) -> float:
 def exact_market_loop(cfg: MarketLoopConfig, trades: list) -> dict:
     """The money of a market-loop run in exact arithmetic, as Fractions,
     from the per-trade (epoch_id, volume, gamma, rho, trader) floats that
-    scalar_market_loop appends, taken as given, as are LP_SHARE and
+    reference_market_loop appends, taken as given, as are LP_SHARE and
     REWARD_FRACTION: each fee F = gamma * V, its shares by split_fee's rule
     (LP_SHARE * F, rho * F and F less both), the running totals, and per
-    epoch its fees, volume, reward pool (REWARD_FRACTION of its fees plus
-    the carry), carry and payouts (each trader's volume / the epoch's
-    volume * the pool, in first-trade order)."""
+    epoch its fees, volume, reward pool (REWARD_FRACTION of its fees) and
+    payouts (each trader's volume / the epoch's volume * the pool, in
+    first-trade order)."""
     lp_share, reward_fraction = Fraction(LP_SHARE), Fraction(REWARD_FRACTION)
     totals = ["total_volume", "total_fees", "lp_total", "rebate_total", "protocol_total"]
     exact = dict.fromkeys(totals, Fraction(0))
@@ -1270,21 +1172,14 @@ def exact_market_loop(cfg: MarketLoopConfig, trades: list) -> dict:
         sums["fees"] += fee
         sums["volume"] += volume
         traders[trader] = traders.get(trader, 0) + volume
-    rewards = carry = Fraction(0)
+    rewards = Fraction(0)
     exact["epoch_reports"] = []
     for sums, traders in epochs:
-        pool = reward_fraction * sums["fees"] + carry
+        pool = reward_fraction * sums["fees"]
+        rewards += pool
         payouts = [(t, w / sums["volume"] * pool) for t, w in traders.items()]
-        if payouts:
-            rewards, carry = rewards + pool, Fraction(0)
-        else:
-            carry = pool
-        exact["epoch_reports"].append((sums["fees"], sums["volume"], pool, carry, payouts))
-    exact.update(
-        rewards_distributed=rewards,
-        reward_carry=carry,
-        protocol_net=exact["protocol_total"] - (rewards + carry),
-    )
+        exact["epoch_reports"].append((sums["fees"], sums["volume"], pool, payouts))
+    exact.update(rewards_distributed=rewards, protocol_net=exact["protocol_total"] - rewards)
     return exact
 
 
@@ -1314,9 +1209,9 @@ def market_loop_errors(cfg: MarketLoopConfig, res, trades: list) -> list[tuple[s
     - total_volume is within gamma_{N-1}, total_fees gamma_N, lp_total and
       rebate_total gamma_{N+1}, protocol_total gamma_{N+7};
     - an epoch's volume gamma_{n-1}, its fees gamma_n, its reward pool (a
-      product and a sum more) gamma_{n+2}, as is the carry;
+      product more) gamma_{n+1};
     - rewards_distributed folds at most E pools: gamma_{N+E+1};
-    - protocol_net, protocol_total less the rewards and carry, at least
+    - protocol_net, protocol_total less the rewards, at least
       0.3F - 0.1F = 0.2F, sums at most 0.4F*gamma_{N+7} and
       0.1F*gamma_{N+E+2} of error and rounds once: within 3*gamma_{N+E+8};
     - a payout w / W * pool but the last: w within gamma_{m-1} (m <= n
@@ -1336,20 +1231,18 @@ def market_loop_errors(cfg: MarketLoopConfig, res, trades: list) -> list[tuple[s
         "rebate_total": gamma_k(N + 1),
         "protocol_total": gamma_k(N + 7),
         "rewards_distributed": gamma_k(N + E + 1),
-        "reward_carry": gamma_k(N + 2),
         "protocol_net": 3 * gamma_k(N + E + 8),
     }
     errors = [
         (name, relative_error(getattr(res, name), exact[name]), bound) for name, bound in bounds.items()
     ]
     epoch_trades = Counter(epoch_id for epoch_id, *_ in trades)
-    for report, (fees, volume, pool, carry, payouts) in zip(res.epoch_reports, exact["epoch_reports"]):
+    for report, (fees, volume, pool, payouts) in zip(res.epoch_reports, exact["epoch_reports"]):
         n = epoch_trades[report.epoch_id]
         errors += [
             ("epoch fees", relative_error(report.fees, fees), gamma_k(n)),
             ("epoch volume", relative_error(report.volume, volume), gamma_k(n - 1)),
-            ("reward_pool", relative_error(report.reward_pool, pool), gamma_k(n + 2)),
-            ("carried", relative_error(report.carried, carry), gamma_k(n + 2)),
+            ("reward_pool", relative_error(report.reward_pool, pool), gamma_k(n + 1)),
         ]
         assert report.traders.tolist() == [t for t, _ in payouts]
         got = report.payouts.tolist()
@@ -1370,7 +1263,7 @@ class TestExactErrorOfTotals:
     @settings(max_examples=150, deadline=None)
     def test_within_the_stated_bounds(self, cfg):
         trades = []
-        scalar_market_loop(cfg, trades)
+        reference_market_loop(cfg, trades)
         for name, error, bound in market_loop_errors(cfg, run_market_loop(cfg), trades):
             assert error <= bound, name
 
@@ -1378,7 +1271,7 @@ class TestExactErrorOfTotals:
         # the replay can fail: a total off by 100 ulp, far past a few-trade bound
         cfg = MarketLoopConfig(epochs=2, periods_per_epoch=3, seed=5)
         trades = []
-        res = scalar_market_loop(cfg, trades)
+        res = reference_market_loop(cfg, trades)
         off = dataclasses.replace(res, total_fees=res.total_fees + 100 * math.ulp(res.total_fees))
         failing = [name for name, error, bound in market_loop_errors(cfg, off, trades) if error > bound]
         assert failing == ["total_fees"]
