@@ -259,10 +259,10 @@ def settle_epoch(ledger: EpochLedger) -> list[tuple[str, float]]:
     That sum is rounded, so the payouts sum to the pool only to within
     rounding, and a last payout whose share is below that rounding can come
     out negative: EpochLedger(0, 0.0719, {"t0": 12.5, "t1": 1.89e13, "t2":
-    2.9e-12}) pays t2 -1.3877787807814457e-17. A zero-volume epoch settles
-    to an empty payout list; the caller carries the pool into the next
-    epoch. A ledger whose total volume, or whose payouts before the last,
-    sum past the largest float is a ValueError naming the epoch.
+    2.9e-12}) pays t2 -1.3877787807814457e-17. A zero-volume ledger settles
+    to [] and leaves reward_pool unpaid, for its caller to handle. A ledger
+    whose total volume, or whose payouts before the last, sum past the
+    largest float is a ValueError naming the epoch.
     """
     volumes = np.array(list(ledger.volumes.values()), dtype=float)
     payouts = _settle(volumes, ledger.reward_pool, ledger.epoch_id)

@@ -96,9 +96,9 @@ from .fees import (
 from .pool import FLOAT_MAX, Pool, PoolError, TradeTooLarge, _buy_x, _sell_x, spot_price
 from .pool import _check_exponent, _check_fields, _nonnegative
 
-# The public fee, settlement and swap functions stay importable from this
-# module although the loops call the kernels: bench/tracing.py rebinds these
-# names to time them.
+# The loops call the kernels, yet these names must stay: bench/tracing.py
+# reads each from this module, with no default, to time it, so deleting one
+# makes every --trace 1 benchmark run raise AttributeError.
 from .fees import EpochLedger, compute_fee, settle_epoch, split_fee  # noqa: F401
 from .pool import swap_x_for_y, swap_y_for_x  # noqa: F401
 

@@ -117,9 +117,3 @@ def test_zero_d_array_gives_the_float_call(form, x):
     got = form(np.array(x), 4)
     assert type(got) is float
     assert got.hex() == form(x, 4).hex()
-
-
-def test_closed_forms_do_not_depend_on_avx512(run_without_avx512):
-    # np.float_power has no SIMD loop today; the bits must hold on numpy's
-    # baseline kernels too
-    run_without_avx512("-k", "not avx512", __file__)

@@ -133,10 +133,19 @@ class TestDynamicRebate:
     def test_regime_cap_applies(self):
         assert dynamic_rebate(RebateContext(0.0, 1e6), rho_max=0.30) == 0.30
         assert dynamic_rebate(RebateContext(0.0, 1e6), rho_max=0.35) == 0.35
+        got = dynamic_rebate(RebateContext(0.0, 1e6), rho_max=np.float64(0.35))
+        assert type(got) is float and got.hex() == (0.35).hex()
 
-    @pytest.mark.parametrize("rho_max", [0.2, 1.0, math.nan])
+    @pytest.mark.parametrize(
+        "rho_max", [0.2, 1.0, math.nan, 1, pytest.param(10**400, id="int-past-float")]
+    )
     def test_regime_cap_out_of_range_rejected(self, rho_max):
-        with pytest.raises(ValueError, match="rho_max"):
+        with pytest.raises(ValueError, match=r"rho_max must be in \[0\.3, 1\)"):
+            dynamic_rebate(RebateContext(0.0, 1e6), rho_max=rho_max)
+
+    @pytest.mark.parametrize("rho_max", [True, "0.35"])
+    def test_regime_cap_not_a_number_rejected(self, rho_max):
+        with pytest.raises(ValueError, match="rho_max must be finite and real"):
             dynamic_rebate(RebateContext(0.0, 1e6), rho_max=rho_max)
 
     @pytest.mark.parametrize(

@@ -12,6 +12,9 @@ because the resolved config embedded in each file includes that name.
 
 The sweeps are left out: their m grid comes from np.logspace, whose bits
 depend on numpy's AVX-512 kernels, and this corpus must hold on any CPU.
+test_cpu_independent_tests_pass_without_avx512 reruns it, with every other
+test whose bits must hold on any CPU, in one child process with those
+kernels switched off.
 
 A change that moves an output on purpose re-pins PINNED by copying the
 lines the failing test prints.
@@ -22,7 +25,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from powerlaw_amm import pool, sim
 from powerlaw_amm.cli import main
@@ -155,8 +164,59 @@ def test_corpus_matches_pinned_digests(tmp_path, monkeypatch):
     )
 
 
-def test_corpus_does_not_depend_on_avx512(run_without_avx512):
-    run_without_avx512(f"{__file__}::test_corpus_matches_pinned_digests")
+# The tests whose bits must not depend on numpy's AVX-512 kernels, which
+# round differently from its baseline ones: the corpus, the quote stream's
+# digest, the writer's number cells (numpy's AVX-512 log10 differs) and the
+# closed forms over arrays (np.float_power has no SIMD loop today).
+CPU_INDEPENDENT = [
+    "test_golden_corpus.py::test_corpus_matches_pinned_digests",
+    "test_pool.py::TestQuoteStreamOracle::test_digest",
+    "test_writer_oracle.py::test_kernel_writes_each_number_as_format_does",
+    "test_writer_oracle.py::test_kernel_half_way_family_holds_ties",
+    "test_writer_oracle.py::test_kernel_writes_strings_as_utf8",
+    "test_array_closed_forms.py",
+]
+
+# Run in the child: check that numpy switched the named targets off, then run
+# the given tests. -W error makes numpy's ImportWarning for a name it cannot
+# disable an error.
+_WITHOUT_TARGETS = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+still_on = [name for name in sys.argv[1].split() if __cpu_features__[name]]
+if still_on:
+    sys.exit(f"still dispatched: {still_on}")
+sys.exit(pytest.main(sys.argv[2:]))
+"""
+
+
+def test_cpu_independent_tests_pass_without_avx512(tmp_path):
+    # CPU_INDEPENDENT in one child pytest whose numpy dispatches to none of
+    # this CPU's AVX-512 targets, named as numpy names them
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [
+        name
+        for name in __cpu_dispatch__
+        if (name == "X86_V4" or name.startswith("AVX512")) and __cpu_features__.get(name)
+    ]
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 target on this CPU")
+    names = " ".join(targets)
+    tests = Path(__file__).parent
+    proc = subprocess.run(
+        [
+            sys.executable, "-W", "error", "-c", _WITHOUT_TARGETS, names,
+            "-q", "-p", "no:cacheprovider", "--basetemp", str(tmp_path / "child"),
+            *(str(tests / node) for node in CPU_INDEPENDENT),
+        ],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": names},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_one_ulp_in_a_kernel_moves_the_corpus(tmp_path, monkeypatch):

@@ -818,6 +818,3 @@ class TestQuoteStreamOracle:
         assert 800 <= buys <= 1200
         assert exponents == set(range(1, 9))
         assert digest.hexdigest() == QUOTE_STREAM_DIGEST
-
-    def test_digest_does_not_depend_on_avx512(self, run_without_avx512):
-        run_without_avx512(f"{__file__}::TestQuoteStreamOracle::test_digest")

@@ -595,6 +595,9 @@ class TestMarketLoop:
         assert a.total_fees == b.total_fees
         assert a.final_pool == b.final_pool
         assert a.epoch_reports == b.epoch_reports
+        # a report is unequal to anything that is not a report
+        assert a.epoch_reports[0] != object()
+        assert (a.epoch_reports[0] == 1) is False
 
     def test_oversized_trades_rejected_not_fatal(self):
         cfg = MarketLoopConfig(

@@ -437,9 +437,3 @@ def test_kernel_writes_strings_as_utf8(tmp_path, names):
     path = tmp_path / "strings.csv"
     write_csv(str(path), "table", {}, table)
     assert path.read_bytes() == old_csv("table", {}, names, rows)
-
-
-def test_cells_do_not_depend_on_avx512(run_without_avx512):
-    # numpy's AVX-512 log10 rounds differently from its baseline one; the
-    # digits must not depend on it
-    run_without_avx512("-k", "kernel", __file__)
