@@ -3,10 +3,11 @@
 block_rows lays out the rows of a table for cli.write_csv, which adds the
 "# " header lines and writes the file. A number cell holds the bytes of
 %.17g. Where %.17g prints fixed notation (finite |x| in [1e-4, 1e17)),
-numpy computes them: with k the decimal exponent, the 17 digits are
-|x|·10**(16-k) rounded half to even, and that product is exact as a sum of
-two doubles (Dekker's TwoProduct), so correctly rounded IEEE arithmetic
-yields the digits %.17g prints, on any CPU (see _number_cells). %.17g
+numpy computes them: k, the decimal exponent, is looked up exactly among
+the doubles 1e-4 ... 1e17, the 17 digits are |x|·10**(16-k) rounded half
+to even, and that product is exact as a sum of two doubles (Dekker's
+TwoProduct), so comparisons and correctly rounded IEEE arithmetic yield the
+digits %.17g prints, on any CPU (see _fixed_digits). %.17g
 itself formats every other cell (zeros, subnormals, exponent notation, inf,
 nan), an int cell is formatted as the float %.17g converts it to, and a
 string cell is bytes (a str column UTF-8 encoded once, into a numpy bytes
@@ -23,10 +24,9 @@ import numpy as np
 
 
 # %.17g prints a finite x in fixed notation when its decimal exponent k is in
-# [-4, 16], which holds for |x| in [1e-4, 1e17): the double 1e-4 lies above
-# 10**-4 and the double below it under, and 1e17 is exact. 10**p is an exact
-# double for 0 <= p <= 22, so |x|·10**(16-k) is exactly hi + lo (Dekker's
-# TwoProduct).
+# [-4, 16], which holds for |x| in [1e-4, 1e17). 10**p is an exact double for
+# 0 <= p <= 22, so |x|·10**(16-k) is exactly hi + lo (Dekker's TwoProduct).
+_DECADES = np.array([float(f"1e{k}") for k in range(-4, 18)])
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter
 
 
@@ -39,27 +39,6 @@ def _halves(v):
 
 _POW10 = np.array([float(10**p) for p in range(21)])
 _POW10_HI, _POW10_LO = _halves(_POW10)
-# for doubles of one sign, the order of the bit patterns is the order of the values
-_FIXED_BITS = np.array([1e-4, 1e17]).view(np.uint64)
-_MAGNITUDE = np.uint64(2**63 - 1)
-_ONE_BITS = np.array(1.0).view(np.uint64)
-
-
-def _scaled(a, k):
-    """(hi, lo) with hi = fl(a·10**(16-k)) and hi + lo equal to the product exactly."""
-    p = 16 - k
-    a_hi, a_lo = _halves(a)
-    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
-    hi = a * _POW10[p]
-    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _below(hi, lo):
-    return (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-
-
-def _above(hi, lo):
-    return (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
 
 
 # A cell's kept bytes are one run: its separator, then its text. A number
@@ -140,28 +119,26 @@ def _fixed_digits(x: np.ndarray):
     prints x in fixed notation with decimal exponent k, and its 17
     significant digits are those of the int64 digits, in [1e16, 1e17).
 
-    k = floor(log10|x|) is only an estimate, moved by one where the exact
-    product |x|·10**(16-k) = hi + lo falls outside [1e16, 1e17). In that
-    range hi is an even integer, so hi + rint(lo) rounds half to even as
-    %.17g does. No double rounds up to 10**17 there: the nearest one below
-    each power of ten from 1e-3 to 1e17 lies more than 8e-17 below it,
-    relatively, and a carry would need 5e-18. Only correctly rounded IEEE
-    operations decide the digits, so they do not depend on how np.log10
-    rounds.
+    k + 5 is the number of _DECADES at most |x|, exactly: for k < 0 the
+    double 1e{k} lies just above 10**k and the double below it under, and
+    1e0 ... 1e17 are exact. None are below 1e-4, and all 22 from 1e17 up and
+    for nan, which %.17g prints otherwise. So the exact product
+    |x|·10**(16-k) = hi + lo lies in [1e16, 1e17), where hi is an even
+    integer, and hi + rint(lo) rounds half to even as %.17g does. No
+    double rounds up to 10**17 there: the nearest one below each power of
+    ten from 1e-3 to 1e17 lies more than 8e-17 below it, relatively, and a
+    carry would need 5e-18. Only comparisons and correctly rounded IEEE
+    operations decide k and the digits, so they are the same on any CPU.
     """
-    magnitude = x.view(np.uint64) & _MAGNITUDE
-    fixed = (magnitude >= _FIXED_BITS[0]) & (magnitude < _FIXED_BITS[1])
-    a = np.where(fixed, magnitude, _ONE_BITS).view(np.float64)  # other cells take 1.0
-    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
-    hi, lo = _scaled(a, k)
-    step = _above(hi, lo).astype(np.intp) - _below(hi, lo)
-    moved = np.flatnonzero(step)
-    if moved.size:  # near a power of ten
-        k[moved] = np.clip(k[moved] + step[moved], -4, 16)
-        hi[moved], lo[moved] = _scaled(a[moved], k[moved])
-        missed = moved[_below(hi[moved], lo[moved]) | _above(hi[moved], lo[moved])]
-        fixed[missed] = False
-        hi[missed], lo[missed] = 1e16, 0.0
+    a = np.abs(x)
+    k = _DECADES.searchsorted(a, "right") - 5
+    fixed = (-5 < k) & (k < 17)
+    k[~fixed], a[~fixed] = 0, 1.0  # other cells take 1.0
+    p = 16 - k
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    hi = a * _POW10[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return fixed, k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
@@ -172,8 +149,8 @@ def _number_cells(values: np.ndarray, cells: np.ndarray, keep: np.ndarray):
 
     An int column is formatted as float, which is how %.17g converts an int.
     A cell in fixed notation gets its digits from _fixed_digits; every other
-    cell (zeros, subnormals, |x| < 1e-4 or >= 1e17, inf, nan, and any cell
-    the exact path leaves over) is formatted by %.17g itself.
+    cell (zeros, subnormals, |x| < 1e-4 or >= 1e17, inf, nan) is formatted
+    by %.17g itself.
     """
     x = values.astype(float, copy=False)
     fixed, k, digits = _fixed_digits(x)

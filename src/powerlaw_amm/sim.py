@@ -137,12 +137,23 @@ class DrsSimConfig:
             raise ValueError("volume_floor must be positive")
 
 
+def _equal_fields(self, other):
+    """__eq__ of a dataclass with array fields, compared element for element."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+
+
 @dataclass(frozen=True)
 class DrsSimResult:
+    """One DRS run; two are equal when every field is, the series element for element."""
+
     static_series: np.ndarray
     dynamic_series: np.ndarray
     rho_series: np.ndarray
     summary: dict
+
+    __eq__ = _equal_fields
 
 
 # Cells per arm in run_drs_simulation's (block, days, 2) volume array: a
@@ -585,10 +596,7 @@ class EpochReport:
     traders: np.ndarray
     payouts: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, EpochReport):
-            return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(), vars(other).values()))
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ A change that moves an output on purpose re-pins PINNED by copying the
 lines the failing test prints.
 """
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -166,8 +167,9 @@ def test_corpus_matches_pinned_digests(tmp_path, monkeypatch):
 
 # The tests whose bits must not depend on numpy's AVX-512 kernels, which
 # round differently from its baseline ones: the corpus, the quote stream's
-# digest, the writer's number cells (numpy's AVX-512 log10 differs) and the
-# closed forms over arrays (np.float_power has no SIMD loop today).
+# digest, the writer's number cells (which use no such kernel, and must go on
+# using none) and the closed forms over arrays (np.float_power has no SIMD
+# loop today).
 CPU_INDEPENDENT = [
     "test_golden_corpus.py::test_corpus_matches_pinned_digests",
     "test_pool.py::TestQuoteStreamOracle::test_digest",
@@ -189,6 +191,47 @@ if still_on:
     sys.exit(f"still dispatched: {still_on}")
 sys.exit(pytest.main(sys.argv[2:]))
 """
+
+
+# numpy functions whose float64 loops numpy dispatches to SIMD kernels
+# (np.logspace calls np.power), and the one place in src/ that may use them
+# until the sweep grid is built with libm's pow.
+SIMD_DISPATCHED = {"log", "log10", "log1p", "exp", "expm1", "power", "logspace"}
+SIMD_ALLOWED = "sim.SweepGridConfig.m_grid"
+
+
+def _is_numpy(node) -> bool:
+    """Whether node names numpy: np, numpy, or pool's _numpy()."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        return isinstance(node, ast.Name) and node.id == "_numpy"
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def _numpy_uses(node, scope):
+    """(scope, name) of each np.<name> in the tree of node, scope being the
+    dotted module, class and function names around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Attribute) and _is_numpy(child.value):
+            yield scope, child.attr
+        yield from _numpy_uses(child, inner)
+
+
+def test_src_uses_no_simd_dispatched_numpy_function():
+    # Runs on every CPU, also where the AVX-512-off rerun below skips. It
+    # sees each use of np.<name>, called or not, but not the ufunc behind an
+    # operator: a ** b on arrays is np.power, and this cannot see it.
+    package = Path(sim.__file__).parent
+    found = [
+        (scope, name)
+        for path in sorted(package.glob("*.py"))
+        for scope, name in _numpy_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if name in SIMD_DISPATCHED and scope != SIMD_ALLOWED
+    ]
+    assert not found
 
 
 def test_cpu_independent_tests_pass_without_avx512(tmp_path):

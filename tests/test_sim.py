@@ -134,6 +134,14 @@ class TestDrsSimulation:
         b = run_drs_simulation(DrsSimConfig(seed=2))
         assert not np.array_equal(a.dynamic_series, b.dynamic_series)
 
+    def test_results_compare_by_value(self):
+        # the series are arrays, compared element for element
+        cfg = DrsSimConfig(seed=7, replications=3)
+        a = run_drs_simulation(cfg)
+        assert a == run_drs_simulation(cfg)
+        assert a != run_drs_simulation(dataclasses.replace(cfg, seed=8))
+        assert (a == 1) is False
+
     def test_series_lengths_and_positivity(self):
         cfg = DrsSimConfig(days=50, seed=3)
         res = run_drs_simulation(cfg)
@@ -548,6 +556,70 @@ class TestLogChangeVolatility:
                     got = sim._log_change_vol(s)
                     assert type(got) is float
                     assert got == want, (length, scale)
+
+
+class TestVolatilityFromConfig:
+    """The market loop's sigma against what its config implies. A trade's
+    log-price jump J does not depend on the pool state: a buy moves it by
+    ((n+1)/n)·log1p(r), a sell by -(n+1)·log1p(r/n), with r = (1-gamma)·f·e^z,
+    f the median size fraction and z = size_sigma·N(0, 1). A period's log
+    change is then a compound-Poisson sum of variance λ·E[J²] (Feller, vol.
+    2), and sigma, a ddof-0 deviation of the w - 1 changes in a window of w
+    logs, has E[sigma²] = ((w-2)/(w-1))·λ·E[J²]. Periods are independent
+    but for gamma, which the regime sets: the schedule's largest and
+    smallest gamma bound the prediction."""
+
+    @staticmethod
+    def predicted_sigma2(cfg: MarketLoopConfig) -> tuple[float, float]:
+        """The (low, high) bounds of E[sigma²], E[J²] by Gauss-Hermite
+        quadrature over z."""
+        z, weights = np.polynomial.hermite_e.hermegauss(60)
+        weights = weights / weights.sum()  # the standard normal's
+        n, w, stream = cfg.n, cfg.vol_window, cfg.stream
+        gammas = [cfg.schedule.params_for(regime).gamma for regime in ("low", "moderate", "high")]
+        bounds = []
+        for gamma in (max(gammas), min(gammas)):
+            r = (1 - gamma) * stream.size_median_frac * np.exp(stream.size_sigma * z)
+            j2 = 0.5 * ((n + 1) / n * np.log1p(r)) ** 2 + 0.5 * ((n + 1) * np.log1p(r / n)) ** 2
+            bounds.append((w - 2) / (w - 1) * stream.trades_per_period * float(weights @ j2))
+        return bounds[0], bounds[1]
+
+    @staticmethod
+    def full_windows(cfg: MarketLoopConfig) -> np.ndarray:
+        """sigma of each period whose window holds vol_window logs."""
+        return np.array(run_market_loop(cfg).sigma_series[cfg.vol_window - 1 :])
+
+    # λ >= 30: at λ = 10 the median sigma read 7 % under the prediction
+    @pytest.mark.parametrize("n, trades_per_period", [(1, 30.0), (8, 50.0)])
+    def test_mean_sigma2_matches_the_compound_poisson_variance(self, n, trades_per_period):
+        # Overlapping windows of one run are correlated, so the standard
+        # error is taken over independent runs: 16 seeds of 171 full windows,
+        # whose run means spread by about 3 % of their mean. The mean must
+        # lie within 4 standard errors of the bounds.
+        cfg = MarketLoopConfig(n=n, epochs=1, periods_per_epoch=200,
+                               stream=TradeStreamConfig(trades_per_period=trades_per_period))
+        means = [np.mean(self.full_windows(dataclasses.replace(cfg, seed=seed)) ** 2) for seed in range(16)]
+        low, high = self.predicted_sigma2(cfg)
+        mean, se = np.mean(means), np.std(means, ddof=1) / math.sqrt(len(means))
+        assert low - 4 * se <= mean <= high + 4 * se, (mean / low, mean / high, se / mean)
+
+    # each predicted sigma is over twice as far as the nearest threshold, the
+    # default schedule's 0.01 and 0.05: about 0.0036, 0.022 and 0.12
+    @pytest.mark.parametrize("size_median_frac, regime", [(0.0002, "low"), (0.0012, "moderate"), (0.007, "high")])
+    def test_periods_land_in_the_predicted_regime(self, size_median_frac, regime):
+        stream = TradeStreamConfig(trades_per_period=30.0, size_median_frac=size_median_frac)
+        schedule = FeeSchedule()
+        for bound in self.predicted_sigma2(MarketLoopConfig(stream=stream)):
+            sigma = math.sqrt(bound)
+            assert classify_regime(sigma, schedule) == regime
+            assert not schedule.sigma_low / 2 <= sigma <= 2 * schedule.sigma_low
+            assert not schedule.sigma_high / 2 <= sigma <= 2 * schedule.sigma_high
+        landed = Counter()
+        for seed in range(4):
+            cfg = MarketLoopConfig(epochs=1, periods_per_epoch=200, seed=seed, stream=stream)
+            landed.update(classify_regime(sigma, schedule) for sigma in self.full_windows(cfg).tolist())
+        # every one of the 684 periods did, measured
+        assert landed[regime] >= 0.99 * landed.total(), landed
 
 
 class TestMarketLoop:
